@@ -444,6 +444,9 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
             raise ValueError(
                 f"audit regime violated: p_prime = {cfg.p_prime_factor} * p0 "
                 f"exceeds epsilon = {eps} * p0")
+    if cfg.study == "kcore" and not (0 <= cfg.epsilon_fraction() <= Fraction(1, 2)):
+        raise ValueError(f"kcore budget alpha = 1/2 - epsilon needs epsilon "
+                         f"in [0, 1/2], got {cfg.epsilon}")
     tasks = _tasks(cfg)
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:

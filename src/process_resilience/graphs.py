@@ -287,63 +287,71 @@ def _has_articulation_point(g: Graph) -> bool:
     return root_children > 1
 
 
-def _local_connectivity_at_least(g: Graph, a: int, b: int, k: int,
-                                 extra_sources=None) -> bool:
-    """At least k internally-vertex-disjoint a->b paths (unit-capacity flow).
+class _SplitNetwork:
+    """Even's split-vertex flow network of g, built once per query batch.
 
-    Vertex v splits into in-node 2v and out-node 2v+1 with capacity 1;
-    a and b are uncapacitated. ``extra_sources``: route from an auxiliary
-    super-source attached to these vertices instead of from a.
+    Vertex v becomes in-node 2v and out-node 2v+1 joined by its inner arc,
+    arc 2v, of capacity 1; each edge uv becomes arcs 2u+1 -> 2v and
+    2v+1 -> 2u of capacity 1; node 2n is a super-source with a unit arc to
+    each of ``sources``. Arcs are flat lists: arc e runs to ``head[e]`` with
+    base capacity ``base[e]``, its reverse is arc ``e ^ 1``, and ``out[x]``
+    lists the arcs leaving node x. The super-source arcs can carry flow
+    only in queries that start at node 2n: no other query reaches it.
     """
-    size = 2 * g.n + 1
-    source = 2 * g.n if extra_sources is not None else 2 * a + 1
-    sink = 2 * b
-    cap = {}
-    adj = [[] for _ in range(size)]
 
-    def add_arc(x, y, c):
-        if (x, y) not in cap:
-            cap[(x, y)] = 0
-            cap[(y, x)] = cap.get((y, x), 0)
-            adj[x].append(y)
-            adj[y].append(x)
-        cap[(x, y)] += c
+    def __init__(self, g: Graph, sources):
+        self.size = 2 * g.n + 1
+        head, base = [], []
+        out = [[] for _ in range(self.size)]
 
-    # with an auxiliary source every graph vertex except the sink is an
-    # internal vertex of some source-sink path and must stay unit-capacity
-    uncapped = {b} if extra_sources is not None else {a, b}
-    for v in range(g.n):
-        if v in uncapped:
-            add_arc(2 * v, 2 * v + 1, k + 1)
-        else:
-            add_arc(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges:
-        add_arc(2 * u + 1, 2 * v, 1)
-        add_arc(2 * v + 1, 2 * u, 1)
-    if extra_sources is not None:
-        for s in extra_sources:
-            add_arc(source, 2 * s, 1)
+        def add_arc(x, y):
+            out[x].append(len(head))
+            head.append(y)
+            base.append(1)
+            out[y].append(len(head))
+            head.append(x)
+            base.append(0)
 
-    flow = 0
-    while flow < k:
-        prev = {source: None}
-        queue = deque((source,))
-        while queue and sink not in prev:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in prev and cap.get((x, y), 0) > 0:
-                    prev[y] = x
-                    queue.append(y)
-        if sink not in prev:
-            return False
-        y = sink
-        while prev[y] is not None:
-            x = prev[y]
-            cap[(x, y)] -= 1
-            cap[(y, x)] = cap.get((y, x), 0) + 1
-            y = x
-        flow += 1
-    return True
+        for v in range(g.n):
+            add_arc(2 * v, 2 * v + 1)
+        for u, v in g.edges:
+            add_arc(2 * u + 1, 2 * v)
+            add_arc(2 * v + 1, 2 * u)
+        for s in sources:
+            add_arc(2 * g.n, 2 * s)
+        self.head, self.base, self.out = head, base, out
+
+    def paths_at_least(self, source: int, sink: int, k: int, uncapped) -> bool:
+        """At least k arc-disjoint source->sink paths once the inner arcs of
+        the ``uncapped`` vertices get capacity k+1 (unit-capacity
+        augmenting paths, one breadth-first search each).
+        """
+        head, out = self.head, self.out
+        cap = self.base[:]
+        for v in uncapped:
+            cap[2 * v] = k + 1
+        for _ in range(k):
+            prev = [-1] * self.size
+            prev[source] = -2
+            queue = [source]
+            for x in queue:
+                for e in out[x]:
+                    if cap[e]:
+                        y = head[e]
+                        if prev[y] == -1:
+                            prev[y] = e
+                            queue.append(y)
+                if prev[sink] != -1:
+                    break
+            else:
+                return False
+            y = sink
+            while y != source:
+                e = prev[y]
+                cap[e] -= 1
+                cap[e ^ 1] += 1
+                y = head[e ^ 1]
+        return True
 
 
 def is_k_connected(g: Graph, k: int, exhaustive: bool = False) -> bool:
@@ -352,6 +360,11 @@ def is_k_connected(g: Graph, k: int, exhaustive: bool = False) -> bool:
     The default path uses articulation points (k=2) or an Even-style
     disjoint-paths test (k >= 3); ``exhaustive=True`` forces the literal
     enumeration of all separators (the oracle path, small n only).
+
+    For k >= 3 the split-vertex flow network is built once per call, as
+    flat arc lists; each of the C(k, 2) + n - k local checks copies its
+    base capacities, uncaps the inner arcs of its endpoints and runs at
+    most k breadth-first augmentations.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -372,12 +385,16 @@ def is_k_connected(g: Graph, k: int, exhaustive: bool = False) -> bool:
     if k == 2:
         return not _has_articulation_point(g)
     # Even's test: fix L = {0..k-1}; check local connectivity within L,
-    # then from a super-source attached to L to every other vertex.
-    pivots = list(range(k))
+    # then from a super-source attached to L to every other vertex. Every
+    # local check runs on the one network built here.
+    pivots = range(k)
+    net = _SplitNetwork(g, pivots)
     for a, b in combinations(pivots, 2):
-        if not _local_connectivity_at_least(g, a, b, k):
+        if not net.paths_at_least(2 * a + 1, 2 * b, k, (a, b)):
             return False
+    # with the super-source every graph vertex except the sink is an
+    # internal vertex of some source-sink path and must stay unit-capacity
     for u in range(k, g.n):
-        if not _local_connectivity_at_least(g, 0, u, k, extra_sources=pivots):
+        if not net.paths_at_least(2 * g.n, 2 * u, k, (u,)):
             return False
     return True

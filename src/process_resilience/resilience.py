@@ -75,6 +75,10 @@ class BudgetRule:
     K_a: Optional[int] = None
     p: Optional[float] = None
 
+    def __post_init__(self):
+        if not (0 <= self.alpha <= 1):
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+
     @staticmethod
     def fraction(alpha) -> "BudgetRule":
         return BudgetRule("fraction", _as_fraction(alpha))

@@ -24,6 +24,8 @@ import math
 import time
 from fractions import Fraction
 
+import pytest
+
 from process_resilience.classify import (audit_atyp_size, audit_neighbourhoods,
                                          classify_vertices)
 from process_resilience.experiments import (ExperimentConfig,
@@ -45,6 +47,8 @@ from conftest import cherry_gadget, complete, cycle
 from oracles import (audit_outcome, budget_caps, connected_graphs_up_to_iso,
                      degree_classes, exists_disconnecting_h,
                      exists_kconn_attack_h, recount_audits)
+
+pytestmark = pytest.mark.slow
 
 MASTER_SEED = 20260810
 

@@ -13,8 +13,8 @@ from process_resilience.classify import (
     chernoff_tail_bounds,
     classify_vertices,
 )
-from process_resilience.graphs import build_graph, giant_component
-from process_resilience.process import sample_gnp, sample_coupled
+from process_resilience.graphs import ball, build_graph, giant_component
+from process_resilience.process import sample_gnm, sample_coupled, sample_gnp
 from process_resilience.rng import generator
 
 from conftest import complete, cycle, path, star
@@ -167,6 +167,20 @@ def test_tiny_ball_boundary_and_violation():
     ball_rep, _, _ = audit_neighbourhoods(g2, _manual_cls(g2, tiny={0, 1, 3}), 5)
     assert not ball_rep.holds
     assert {"vertex": 2, "measured": 3, "bound": 2} in [dict(v) for v in ball_rep.violations]
+
+
+@given(st.integers(0, 2 ** 31), st.integers(1, 30), st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_tiny_ball_audit_matches_ball_definition(seed, n, m):
+    # the audit searches from tiny vertices only; the definition counts the
+    # tiny vertices in every vertex's punctured radius-3 ball
+    g = sample_gnm(n, min(m, n * (n - 1) // 2), seed)
+    tiny = {v for v in range(n) if (v * 2654435761 + seed) % 3 == 0}
+    ball_rep, _, _ = audit_neighbourhoods(g, _manual_cls(g, tiny=tiny), 5)
+    counts = [len(ball(g, v, 3) & tiny) for v in range(n)]
+    assert ball_rep.max_observed == max(counts)
+    assert [dict(v) for v in ball_rep.violations] == [
+        {"vertex": v, "measured": c, "bound": 2} for v, c in enumerate(counts) if c > 2]
 
 
 def test_triangle_with_two_tiny_fails():

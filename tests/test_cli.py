@@ -75,6 +75,13 @@ def test_alpha_must_be_rational(capsys, c6_file):
     assert code == 2
 
 
+def test_alpha_outside_unit_interval_is_usage_error(capsys, c6_file):
+    code, _, err = run(capsys, "attack", "exact", "--graph", c6_file,
+                       "--alpha", "3/2")
+    assert code == 2
+    assert "alpha must be in [0, 1]" in err
+
+
 # -- samplers ----------------------------------------------------------------
 
 def test_sample_gnp_deterministic_files(tmp_path, capsys):

@@ -150,6 +150,15 @@ def test_audit_study_runs_and_respects_regime():
         run_study(bad)
 
 
+@pytest.mark.parametrize("epsilon", ["-1/10", "3/5"])
+def test_kcore_study_rejects_epsilon_outside_budget_range(epsilon):
+    # alpha = 1/2 - epsilon must lie in [0, 1]; rejected before any trial
+    bad = ExperimentConfig(study="kcore", ns=(8,), ms=(28,), k=2, trials=1,
+                           epsilon=epsilon)
+    with pytest.raises(ValueError, match="epsilon"):
+        run_study(bad)
+
+
 # -- emit / parse ----------------------------------------------------------
 
 def test_records_csv_round_trip(tmp_path):

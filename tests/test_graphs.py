@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -243,6 +245,84 @@ def test_glued_cliques_have_low_connectivity():
     assert not is_k_connected(g, 3) and not is_k_connected(g, 4)
     for k in (2, 3, 4):
         assert is_k_connected(g, k) == is_k_connected_oracle(g, k)
+
+
+def hypercube(d):
+    n = 1 << d
+    return build_graph(n, [(v, v ^ (1 << i)) for v in range(n) for i in range(d)
+                           if v < v ^ (1 << i)])
+
+
+def circulant(n, offsets):
+    return build_graph(n, {tuple(sorted((v, (v + o) % n)))
+                           for v in range(n) for o in offsets})
+
+
+def planted_separator_graph(n, k, layout, seed):
+    """Connected graph of min degree >= k in which k-1 planted vertices
+    separate side A from side B; each side is C(1, 2) on its vertices plus
+    random chords, and each separator vertex has k neighbours on each side.
+
+    ``layout`` places the separator relative to the pivots {0..k-1} of
+    Even's test: "avoids" them, "contains" pivot 0, or "splits" them, with
+    pivot 0 on side A and the others on side B.
+    """
+    rng = random.Random(seed)
+    others = list(range(k, n))
+    rng.shuffle(others)
+    if layout == "avoids":
+        sep, pivots_a = others[:k - 1], list(range(k))
+    elif layout == "contains":
+        sep, pivots_a = [0] + others[:k - 2], list(range(1, k))
+    else:
+        sep, pivots_a = others[:k - 1], [0]
+    rest = [v for v in others if v not in sep]
+    side_a = pivots_a + rest[:(n - k + 1) // 2 - len(pivots_a)]
+    side_b = [v for v in range(n) if v not in sep and v not in side_a]
+    edges = set()
+    for side in (side_a, side_b):
+        rng.shuffle(side)
+        for i, v in enumerate(side):
+            for o in (1, 2):
+                edges.add(tuple(sorted((v, side[(i + o) % len(side)]))))
+        for i, u in enumerate(side):
+            for v in side[i + 1:]:
+                if rng.random() < 0.15:
+                    edges.add(tuple(sorted((u, v))))
+    for s in sep:
+        for side in (side_a, side_b):
+            for v in rng.sample(side, k):
+                edges.add(tuple(sorted((s, v))))
+    return build_graph(n, edges), sep
+
+
+@pytest.mark.parametrize("layout", ["avoids", "contains", "splits"])
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("n", [20, 29, 40])
+def test_k_connectivity_finds_planted_separator(n, k, layout):
+    g, sep = planted_separator_graph(n, k, layout, seed=1000 * n + 10 * k)
+    assert len(sep) == k - 1
+    assert g.min_degree() >= k and is_k_connected(g, 1)
+    assert is_k_connected(g, k) is is_k_connected_oracle(g, k) is False
+    assert is_k_connected(g, k - 1) is is_k_connected_oracle(g, k - 1) is True
+
+
+@pytest.mark.parametrize("g, k", [
+    (hypercube(3), 3), (hypercube(4), 4), (circulant(20, (1, 2)), 4),
+    (circulant(33, (1, 2)), 4),
+])
+def test_k_connectivity_controls(g, k):
+    assert is_k_connected(g, k) is is_k_connected_oracle(g, k) is True
+    assert is_k_connected(g, k + 1) is is_k_connected_oracle(g, k + 1) is False
+
+
+@given(st.integers(0, 2 ** 31), st.integers(11, 16))
+@settings(max_examples=60, deadline=None)
+def test_k_connectivity_matches_oracle_dense_larger(seed, n):
+    m = min(pair_count(n), 2 * n + seed % (3 * n))
+    g = sample_gnm(n, m, seed)
+    for k in (3, 4):
+        assert is_k_connected(g, k) == is_k_connected_oracle(g, k), (g.edges, k)
 
 
 # -- balls -----------------------------------------------------------------

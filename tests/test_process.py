@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import pytest
 
-from process_resilience.graphs import is_k_connected
 from process_resilience.process import (
     graph_at,
     hitting_time_k_connectivity,
@@ -17,6 +16,8 @@ from process_resilience.process import (
     trace_from_descriptor,
 )
 from process_resilience.rng import derive_seed
+
+from oracles import is_k_connected_oracle
 
 
 @dataclass(frozen=True)
@@ -133,12 +134,13 @@ def test_hitting_min_degree_lower_bound_and_monotone_in_k():
 
 
 def test_hitting_k_connectivity_matches_linear_scan():
-    for seed in range(8):
-        trace = sample_process(7, seed)
-        tau = hitting_time_k_connectivity(trace, 2)
-        naive = next(m for m in range(trace.num_pairs + 1)
-                     if is_k_connected(graph_at(trace, m), 2, exhaustive=True))
-        assert tau == naive, seed
+    for n, k in ((7, 2), (8, 3)):
+        for seed in range(8):
+            trace = sample_process(n, seed)
+            tau = hitting_time_k_connectivity(trace, k)
+            naive = next(m for m in range(trace.num_pairs + 1)
+                         if is_k_connected_oracle(graph_at(trace, m), k))
+            assert tau == naive, (n, k, seed)
 
 
 def test_min_degree_necessary_for_k_connectivity():
@@ -171,6 +173,7 @@ def test_gnm_uniform_over_three_edge_graphs():
         assert abs(cnt / trials - 1 / 20) < 4 * sigma, (edges, cnt)
 
 
+@pytest.mark.slow
 def test_process_and_gnm_frequency_tables_agree():
     # same distribution check via two-sample chi-square on all C(6,3)=20
     # graph outcomes; 0.001 significance, df=19 -> critical value 43.82

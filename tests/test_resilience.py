@@ -82,6 +82,21 @@ def test_piecewise_budget_requires_classification():
     assert budget_allows(g, [], rule, cls)
 
 
+@pytest.mark.parametrize("alpha", ["-1/10", "11/10", 2])
+def test_budget_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        BudgetRule.fraction(alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        BudgetRule.fraction_keep_degree(alpha, 2)
+    with pytest.raises(ValueError, match="alpha"):
+        BudgetRule.piecewise(alpha, 0.5, 1, 0.5, 2)
+
+
+def test_budget_accepts_alpha_endpoints():
+    assert BudgetRule.fraction(0).caps(cycle(4)) == [0, 0, 0, 0]
+    assert BudgetRule.fraction(1).caps(cycle(4)) == [2, 2, 2, 2]
+
+
 def test_budget_rejects_non_edges():
     with pytest.raises(ValueError, match="not an edge"):
         budget_allows(cycle(4), [(0, 2)], BudgetRule.fraction("1/2"))
