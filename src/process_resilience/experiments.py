@@ -25,11 +25,12 @@ from . import __version__ as _code_version
 from .classify import (audit_atyp_size, audit_edge_counts,
                        audit_neighbourhoods, classify_vertices)
 from .graphs import Graph, giant_component, is_k_connected, k_core
-from .process import (ProcessTrace, graph_at, hitting_time_min_degree,
-                      pair_count, sample_coupled, sample_gnm)
+from .process import (ProcessTrace, graph_at, hitting_time_k_connectivity,
+                      hitting_time_min_degree, pair_count, sample_coupled,
+                      sample_gnm)
 from .resilience import (AttackError, BudgetRule,
                          connectivity_resilience_threshold,
-                         cherry_attack, find_k_conn_attack,
+                         cherry_attack, crossing_degrees, find_k_conn_attack,
                          greedy_partition_attack)
 from .rng import derive_seed, generator
 
@@ -245,40 +246,8 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95):
 def _hitting_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
     trial_seed = derive_seed(cfg.seed, STUDY_CODES["hitting"], n, 0, trial)
     trace = ProcessTrace(n, derive_seed(trial_seed, 0))
-    deg = [0] * n
-    isolated = n
-    parent = list(range(n))
-    rank = [0] * n
-    ncomp = n
-    tau1 = tau_conn = None
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for step, (u, v) in enumerate(trace.iter_pairs(), start=1):
-        if deg[u] == 0:
-            isolated -= 1
-        if deg[v] == 0:
-            isolated -= 1
-        deg[u] += 1
-        deg[v] += 1
-        if tau1 is None and isolated == 0:
-            tau1 = step
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if rank[ru] < rank[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            if rank[ru] == rank[rv]:
-                rank[ru] += 1
-            ncomp -= 1
-            if ncomp == 1:
-                tau_conn = step
-        if tau1 is not None and tau_conn is not None:
-            break
+    tau1 = hitting_time_min_degree(trace, 1)
+    tau_conn = hitting_time_k_connectivity(trace, 1)
 
     metrics = {
         "tau1": tau1,
@@ -376,11 +345,7 @@ def _audit_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
     side = [0] * n
     for v in perm[n // 2:]:
         side[v] = 1
-    cross = [0] * n
-    for u, v in coupled.g_plus.edges:
-        if side[u] != side[v]:
-            cross[u] += 1
-            cross[v] += 1
+    cross = crossing_degrees(coupled.g_plus, side)
     d_cut = (0.5 + cfg.delta) * n * coupled.p1
     in_d = [cross[v] > d_cut for v in range(n)]
     max_d_nbrs = max((sum(1 for u in coupled.g_plus.adj[v] if in_d[u])

@@ -58,6 +58,12 @@ class ProcessTrace:
     n: int
     seed: int
 
+    def __post_init__(self):
+        # a draw i + int(u * (N - i)) is exact only while N < 2**53
+        if pair_count(self.n) >= 2 ** 53:
+            raise ValueError(f"n={self.n} has {pair_count(self.n)} vertex "
+                             f"pairs; the stream needs fewer than 2**53")
+
     @property
     def num_pairs(self) -> int:
         return pair_count(self.n)

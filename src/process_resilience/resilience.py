@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -46,34 +47,17 @@ class PartitionCollapsedError(AttackError):
     """Insertion/rearrangement drained one side of the partition."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class BudgetRule:
     """Per-vertex cap on removable edges.
 
     fraction:            deg_H(v) <= alpha * deg_G(v)
     fraction_keep_degree: additionally deg_{G-H}(v) >= k
-    piecewise:           deg_G(v) - K_t at tiny vertices, deg_G(v) - K_a at
-                         atypical-but-not-tiny vertices, alpha * deg_G(v)
-                         elsewhere (tiny/atyp taken from a caller-supplied
-                         classification)
     """
 
     kind: str
     alpha: Fraction
     k: Optional[int] = None
-    delta_t: Optional[float] = None
-    K_t: Optional[int] = None
-    delta_a: Optional[float] = None
-    K_a: Optional[int] = None
-    p: Optional[float] = None
 
     def __post_init__(self):
         if not (0 <= self.alpha <= 1):
@@ -81,73 +65,46 @@ class BudgetRule:
 
     @staticmethod
     def fraction(alpha) -> "BudgetRule":
-        return BudgetRule("fraction", _as_fraction(alpha))
+        return BudgetRule("fraction", Fraction(alpha))
 
     @staticmethod
     def fraction_keep_degree(alpha, k: int) -> "BudgetRule":
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        return BudgetRule("fraction_keep_degree", _as_fraction(alpha), k=k)
+        return BudgetRule("fraction_keep_degree", Fraction(alpha), k=k)
 
-    @staticmethod
-    def piecewise(alpha, delta_t: float, K_t: int, delta_a: float, K_a: int,
-                  p: Optional[float] = None) -> "BudgetRule":
-        if K_t < 1 or K_a < 1:
-            raise ValueError("K_t and K_a must be >= 1")
-        return BudgetRule("piecewise", _as_fraction(alpha), delta_t=delta_t,
-                          K_t=K_t, delta_a=delta_a, K_a=K_a, p=p)
-
-    def caps(self, g: Graph, cls: Optional[VertexClassification] = None) -> list:
+    def caps(self, g: Graph) -> list:
         """Exact per-vertex caps on deg_H; can be negative where the rule is
         unsatisfiable at a vertex (then no H, not even the empty one, passes).
         """
         num, den = self.alpha.numerator, self.alpha.denominator
-        out = []
         if self.kind == "fraction":
-            for v in range(g.n):
-                out.append(num * g.degree(v) // den)
-        elif self.kind == "fraction_keep_degree":
-            for v in range(g.n):
-                d = g.degree(v)
-                out.append(min(num * d // den, d - self.k))
-        elif self.kind == "piecewise":
-            if cls is None:
-                raise ValueError("piecewise budget evaluation requires a "
-                                 "vertex classification")
-            if cls.n != g.n:
-                raise ValueError("classification universe does not match graph")
-            for v in range(g.n):
-                d = g.degree(v)
-                if v in cls.tiny:
-                    out.append(d - self.K_t)
-                elif v in cls.atyp:
-                    out.append(d - self.K_a)
-                else:
-                    out.append(num * d // den)
-        else:
-            raise ValueError(f"unknown budget rule kind {self.kind!r}")
-        return out
-
-    def to_json_dict(self) -> dict:
-        d = {"kind": self.kind, "alpha": str(self.alpha)}
-        for key in ("k", "delta_t", "K_t", "delta_a", "K_a", "p"):
-            val = getattr(self, key)
-            if val is not None:
-                d[key] = val
-        return d
+            return [num * d // den for d in g.degrees]
+        if self.kind == "fraction_keep_degree":
+            return [min(num * d // den, d - self.k) for d in g.degrees]
+        raise ValueError(f"unknown budget rule kind {self.kind!r}")
 
 
-def budget_allows(g: Graph, h_edges: Iterable, rule: BudgetRule,
-                  cls: Optional[VertexClassification] = None) -> bool:
-    """True iff the edge set h_edges respects the rule at every vertex."""
+def _h_degrees(g: Graph, h_edges: Iterable) -> list:
+    """deg_H(v) for every vertex of g."""
     deg_h = [0] * g.n
+    for u, v in h_edges:
+        deg_h[u] += 1
+        deg_h[v] += 1
+    return deg_h
+
+
+def _within(deg_h: list, caps: list) -> bool:
+    return all(d <= c for d, c in zip(deg_h, caps))
+
+
+def budget_allows(g: Graph, h_edges: Iterable, rule: BudgetRule) -> bool:
+    """True iff the edge set h_edges respects the rule at every vertex."""
+    h_edges = tuple(h_edges)
     for u, v in h_edges:
         if not g.has_edge(u, v):
             raise ValueError(f"h contains ({u}, {v}) which is not an edge of g")
-        deg_h[u] += 1
-        deg_h[v] += 1
-    caps = rule.caps(g, cls)
-    return all(deg_h[v] <= caps[v] for v in range(g.n))
+    return _within(_h_degrees(g, h_edges), rule.caps(g))
 
 
 @dataclass(frozen=True)
@@ -204,10 +161,7 @@ def cut_from_json_dict(d: dict) -> Cut:
 
 def attack_ratios(g: Graph, h_edges: Iterable) -> dict:
     """Per-vertex deg_H(v) / deg_G(v) for vertices of positive degree."""
-    deg_h = [0] * g.n
-    for u, v in h_edges:
-        deg_h[u] += 1
-        deg_h[v] += 1
+    deg_h = _h_degrees(g, h_edges)
     return {v: Fraction(deg_h[v], g.degree(v))
             for v in range(g.n) if g.degree(v) > 0}
 
@@ -238,20 +192,59 @@ class ResilienceReport:
     method: str
 
 
-def _iter_bipartitions(vertices: list):
-    """Nontrivial bipartitions, smallest vertex pinned to side A; B-side
-    subsets enumerated in ascending mask order (the canonical witness order).
+def crossing_degrees(g: Graph, side) -> list:
+    """cross[v]: the neighbours of v on the other side of the cut.
+
+    side[v] is 0 for side A, 1 for side B, and -1 for a separator or
+    unplaced vertex, whose edges neither count nor are counted.
     """
-    rest = vertices[1:]
-    r = len(rest)
-    for mask in range(1, 1 << r):
-        b = [rest[i] for i in range(r) if mask >> i & 1]
-        a = [vertices[0]] + [rest[i] for i in range(r) if not mask >> i & 1]
-        yield a, b
+    cross = [0] * g.n
+    for u, v in g.edges:
+        if side[u] + side[v] == 1:  # one endpoint on each side
+            cross[u] += 1
+            cross[v] += 1
+    return cross
+
+
+def _bipartitions(n: int, separator=()):
+    """Side vectors of the nontrivial bipartitions of the vertices outside
+    the separator, which stay at -1.
+
+    The smallest remaining vertex is pinned to side A and the B sides of the
+    others come in ascending mask order (bit i for the i-th of them), the
+    canonical witness order. One list is yielded, updated in place.
+    """
+    remaining = [v for v in range(n) if v not in separator]
+    side = [-1] * n
+    for v in remaining:
+        side[v] = 0
+    rest = remaining[1:]
+    for _ in range(1, 1 << len(rest)):
+        # mask + 1: clear the trailing ones, then set the next bit
+        i = 0
+        while side[rest[i]]:
+            side[rest[i]] = 0
+            i += 1
+        side[rest[i]] = 1
+        yield side
+
+
+def _sides(side) -> tuple:
+    """(A, B) of a side vector."""
+    return (frozenset(v for v, s in enumerate(side) if s == 0),
+            frozenset(v for v, s in enumerate(side) if s == 1))
+
+
+def _first_feasible_cut(g: Graph, caps: list, separator=()) -> Optional[Cut]:
+    """The first bipartition of V - separator, in canonical order, whose
+    crossing degrees all stay within caps."""
+    for side in _bipartitions(g.n, separator):
+        if _within(crossing_degrees(g, side), caps):
+            return Cut(frozenset(separator), *_sides(side))
+    return None
 
 
 def find_disconnecting_attack(g: Graph, rule: BudgetRule,
-                              cls: Optional[VertexClassification] = None,
                               exact_limit: int = EXACT_BIPARTITION_LIMIT,
                               ) -> Optional[Cut]:
     """Exact search for a budget-feasible disconnecting cut (S empty).
@@ -271,23 +264,7 @@ def find_disconnecting_attack(g: Graph, rule: BudgetRule,
             f"n={g.n} exceeds the exact-mode bipartition limit {exact_limit}; "
             f"use connectivity_resilience_threshold in local_search mode or "
             f"greedy_partition_attack instead")
-    caps = rule.caps(g, cls)
-    for a, b in _iter_bipartitions(list(range(g.n))):
-        in_b = [False] * g.n
-        for v in b:
-            in_b[v] = True
-        cross = [0] * g.n
-        feasible = True
-        for u, v in g.edges:
-            if in_b[u] != in_b[v]:
-                cross[u] += 1
-                cross[v] += 1
-                if cross[u] > caps[u] or cross[v] > caps[v]:
-                    feasible = False
-                    break
-        if feasible:
-            return Cut(frozenset(), frozenset(a), frozenset(b))
-    return None
+    return _first_feasible_cut(g, rule.caps(g))
 
 
 def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
@@ -309,27 +286,22 @@ def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
         if g.n > exact_limit:
             raise ValueError(f"n={g.n} exceeds exact-mode limit {exact_limit}; "
                              f"use mode='local_search'")
+        deg = g.degrees
         best_num = best_den = None  # max-ratio of the best bipartition
-        best_cut = None
-        for a, b in _iter_bipartitions(list(range(g.n))):
-            in_b = [False] * g.n
-            for v in b:
-                in_b[v] = True
-            cross = [0] * g.n
-            for u, v in g.edges:
-                if in_b[u] != in_b[v]:
-                    cross[u] += 1
-                    cross[v] += 1
+        for side in _bipartitions(g.n):
             mnum, mden = 0, 1
-            for v in range(g.n):
-                if cross[v] * mden > mnum * g.degree(v):
-                    mnum, mden = cross[v], g.degree(v)
+            for c, d in zip(crossing_degrees(g, side), deg):
+                if c * mden > mnum * d:
+                    mnum, mden = c, d
             if best_num is None or mnum * best_den < best_num * mden:
                 best_num, best_den = mnum, mden
-                best_cut = Cut(frozenset(), frozenset(a), frozenset(b))
-        return ResilienceReport(Fraction(best_num, best_den), best_cut, "exact")
+                best_side = side[:]
+        return ResilienceReport(Fraction(best_num, best_den),
+                                Cut(frozenset(), *_sides(best_side)), "exact")
     if mode != "local_search":
         raise ValueError(f"unknown mode {mode!r}")
+    if restarts < 1:
+        raise ValueError(f"local search needs restarts >= 1, got {restarts}")
     return _local_search_threshold(g, restarts, seed)
 
 
@@ -342,8 +314,6 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
     """
     deg = np.array([g.degree(v) for v in range(g.n)], dtype=np.int64)
     safe_deg = np.maximum(deg, 1)
-    eu = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=g.m)
-    ev = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=g.m)
 
     def objective(cross):
         ratios = cross / safe_deg
@@ -356,9 +326,7 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
         perm = rng.permutation(g.n)
         side = np.zeros(g.n, dtype=np.int8)
         side[perm[g.n // 2:]] = 1
-        crossing = side[eu] != side[ev]
-        cross = (np.bincount(eu[crossing], minlength=g.n)
-                 + np.bincount(ev[crossing], minlength=g.n))
+        cross = np.array(crossing_degrees(g, side.tolist()), dtype=np.int64)
         cur = objective(cross)
         improved = True
         passes = 0
@@ -386,23 +354,19 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
                     improved = True
         ratio = max((Fraction(int(cross[v]), int(deg[v]))
                      for v in range(g.n) if deg[v] > 0), default=Fraction(0))
-        cut = Cut(frozenset(), frozenset(np.flatnonzero(side == 0).tolist()),
-                  frozenset(np.flatnonzero(side == 1).tolist()))
+        cut = Cut(frozenset(), *_sides(side.tolist()))
         if best is None or ratio < best[0]:
             best = (ratio, cut)
     return ResilienceReport(best[0], best[1], "local-search-upper-bound")
 
 
 def find_k_conn_attack(g: Graph, rule: BudgetRule, k: int,
-                       cls: Optional[VertexClassification] = None,
                        exact_limit: int = EXACT_SEPARATOR_LIMIT,
                        ) -> Optional[Cut]:
     """Exact search for (S, A, B) with |S| <= k-1 and budget-feasible
     crossing edges: a certificate that g is not rule-resilient w.r.t.
     k-connectivity. None iff no certificate exists.
     """
-    from itertools import combinations
-
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not is_k_connected(g, k):
@@ -410,31 +374,12 @@ def find_k_conn_attack(g: Graph, rule: BudgetRule, k: int,
     if g.n > exact_limit:
         raise ValueError(f"n={g.n} exceeds the exact separator-mode limit "
                          f"{exact_limit}")
-    caps = rule.caps(g, cls)
+    caps = rule.caps(g)
     for s_size in range(k):
         for sep in combinations(range(g.n), s_size):
-            sep_set = frozenset(sep)
-            remaining = [v for v in range(g.n) if v not in sep_set]
-            if len(remaining) < 2:
-                continue
-            for a, b in _iter_bipartitions(remaining):
-                in_b = [False] * g.n
-                for v in b:
-                    in_b[v] = True
-                in_a = [False] * g.n
-                for v in a:
-                    in_a[v] = True
-                cross = [0] * g.n
-                feasible = True
-                for u, v in g.edges:
-                    if (in_a[u] and in_b[v]) or (in_b[u] and in_a[v]):
-                        cross[u] += 1
-                        cross[v] += 1
-                        if cross[u] > caps[u] or cross[v] > caps[v]:
-                            feasible = False
-                            break
-                if feasible:
-                    return Cut(sep_set, frozenset(a), frozenset(b))
+            cut = _first_feasible_cut(g, caps, sep)
+            if cut is not None:
+                return cut
     return None
 
 
@@ -466,19 +411,14 @@ def verify_star_condition(g: Graph, cut: Cut, epsilon) -> bool:
     if cut.separator:
         raise ValueError("star condition is defined for separator-free cuts")
     cut.validate_for(g)
-    eps = _as_fraction(epsilon)
+    eps = Fraction(epsilon)
     p, q = eps.numerator, eps.denominator
-    in_b = [False] * g.n
+    side = [0] * g.n
     for v in cut.side_b:
-        in_b[v] = True
-    cross = [0] * g.n
-    for u, v in g.edges:
-        if in_b[u] != in_b[v]:
-            cross[u] += 1
-            cross[v] += 1
+        side[v] = 1
     # cross <= (1/2 + p/q) deg  <=>  2 q cross <= (q + 2 p) deg
-    return all(2 * q * cross[v] <= (q + 2 * p) * g.degree(v)
-               for v in range(g.n))
+    return all(2 * q * c <= (q + 2 * p) * d
+               for c, d in zip(crossing_degrees(g, side), g.degrees))
 
 
 def greedy_partition_attack(g: Graph, cls: VertexClassification,
@@ -503,7 +443,7 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     if cls.n != g.n:
         raise ValueError(f"classification universe {cls.n} does not match "
                          f"graph on {g.n} vertices")
-    eps = _as_fraction(epsilon)
+    eps = Fraction(epsilon)
     if not (0 < eps < Fraction(1, 2)):
         raise ValueError(f"epsilon must be in (0, 1/2), got {eps}")
     if g.n < 2:
@@ -517,17 +457,8 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     for v in perm[g.n // 2:]:
         side[v] = 1
 
-    deg = [g.degree(v) for v in range(g.n)]
-
-    def recount_cross():
-        cross = [0] * g.n
-        for u, v in g.edges:
-            if side[u] != side[v] and side[u] != -1 and side[v] != -1:
-                cross[u] += 1
-                cross[v] += 1
-        return cross
-
-    cross = recount_cross()
+    deg = g.degrees
+    cross = crossing_degrees(g, side)
     d_set = frozenset(v for v in range(g.n) if cross[v] > d_threshold)
     removed = sorted(cls.atyp | d_set)
     for v in removed:
@@ -544,7 +475,7 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
                 in_b += 1
         side[v] = 0 if in_a >= in_b else 1
 
-    cross = recount_cross()
+    cross = crossing_degrees(g, side)
 
     def violates(v):
         if v in tiny:
@@ -557,8 +488,7 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
         if sweeps > cap:
             raise RearrangementOverflowError(
                 f"rearrangement did not converge within {cap} sweeps",
-                partial_sides=(frozenset(v for v in range(g.n) if side[v] == 0),
-                               frozenset(v for v in range(g.n) if side[v] == 1)),
+                partial_sides=_sides(side),
                 diagnostics={"moves": moves, "sweeps": sweeps,
                              "removed": len(removed)})
         moved = False
@@ -577,8 +507,7 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
         if not moved:
             break
 
-    side_a = frozenset(v for v in range(g.n) if side[v] == 0)
-    side_b = frozenset(v for v in range(g.n) if side[v] == 1)
+    side_a, side_b = _sides(side)
     diagnostics = {"moves": moves, "sweeps": sweeps, "removed": len(removed),
                    "d_set": len(d_set), "d_threshold": d_threshold,
                    "epsilon": str(eps)}
@@ -596,14 +525,14 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
 
 
 def replay_cut(g: Graph, cut: Cut, rule: BudgetRule,
-               cls: Optional[VertexClassification] = None,
                k: Optional[int] = None) -> dict:
     """Self-verification of a certificate: recompute H from the cut, check
     the budget, and check that removing H (and the separator) disconnects.
     """
     cut.validate_for(g)
     h = crossing_edges(g, cut)
-    allowed = budget_allows(g, h, rule, cls)
+    deg_h = _h_degrees(g, h)
+    allowed = _within(deg_h, rule.caps(g))
     h_set = set(h)
     survivors = [v for v in range(g.n) if v not in cut.separator]
     index = {v: i for i, v in enumerate(survivors)}
@@ -615,11 +544,7 @@ def replay_cut(g: Graph, cut: Cut, rule: BudgetRule,
     disconnected = len(connected_components(rest)) > 1 if rest.n else False
     keep_ok = True
     if k is not None and rule.kind == "fraction_keep_degree":
-        deg_h = [0] * g.n
-        for u, v in h:
-            deg_h[u] += 1
-            deg_h[v] += 1
-        keep_ok = all(g.degree(v) - deg_h[v] >= rule.k for v in range(g.n))
+        keep_ok = all(d - dh >= rule.k for d, dh in zip(g.degrees, deg_h))
     return {
         "budget_allowed": allowed,
         "disconnects": disconnected,

@@ -14,6 +14,8 @@ sets built from ``g.edges``, without the library's ``ball``,
 from __future__ import annotations
 
 import math
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -257,6 +259,60 @@ def exists_kconn_attack_h_literal(g: Graph, caps, k: int) -> bool:
         if any(not _connected_on_mask(adj, full & ~s) for s in sep_masks):
             return True
     return False
+
+
+# -- canonical cut witnesses ----------------------------------------------
+#
+# The library reports the first witness in a fixed order, so these slow
+# references walk that order from its definition: drop the separator, pin
+# the smallest remaining vertex to side A, and take the B sides among the
+# other remaining vertices in ascending bitmask order (bit i stands for the
+# i-th of them in increasing vertex order).
+
+def _bipartitions_in_mask_order(n: int, separator):
+    remaining = sorted(frozenset(range(n)) - frozenset(separator))
+    others = remaining[1:]
+    for mask in range(1, 1 << len(others)):
+        side_b = frozenset(v for i, v in enumerate(others) if mask >> i & 1)
+        yield frozenset(remaining) - side_b, side_b
+
+
+def crossing_counts(g: Graph, side_a, side_b) -> Counter:
+    """counts[v]: edges of g from v to the other side, one edge at a time."""
+    counts = Counter()
+    for u, v in g.edges:
+        if (u in side_a and v in side_b) or (u in side_b and v in side_a):
+            counts[u] += 1
+            counts[v] += 1
+    return counts
+
+
+def first_cut_in_mask_order(g: Graph, caps, separator=()):
+    """(S, A, B) for the first bipartition (A, B) of V - S in canonical
+    order whose crossing degrees all stay within caps, else None."""
+    for side_a, side_b in _bipartitions_in_mask_order(g.n, separator):
+        counts = crossing_counts(g, side_a, side_b)
+        if all(counts[v] <= caps[v] for v in range(g.n)):
+            return frozenset(separator), side_a, side_b
+    return None
+
+
+def min_max_ratio_cut(g: Graph):
+    """(alpha*, A, B): the least max_v cross(v)/deg(v) over the
+    bipartitions of V, and the first bipartition in canonical order that
+    reaches it."""
+    degree = Counter()
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    best = None
+    for side_a, side_b in _bipartitions_in_mask_order(g.n, ()):
+        counts = crossing_counts(g, side_a, side_b)
+        worst = max((Fraction(counts[v], d) for v, d in degree.items()),
+                    default=Fraction(0))
+        if best is None or worst < best[0]:
+            best = (worst, side_a, side_b)
+    return best
 
 
 # -- structural-audit recounts --------------------------------------------

@@ -234,6 +234,13 @@ def test_threshold_command(capsys, c6_file):
     assert payload["method"] == "exact"
 
 
+def test_local_search_without_restarts_is_usage_error(capsys, c6_file):
+    code, _, err = run(capsys, "threshold", "--graph", c6_file,
+                       "--mode", "local-search", "--restarts", "0")
+    assert code == 2
+    assert "restarts >= 1" in err
+
+
 # -- error paths --------------------------------------------------------------
 
 def test_malformed_graph_reports_line(tmp_path, capsys):

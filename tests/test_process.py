@@ -77,6 +77,14 @@ def test_descriptor_round_trip():
         trace_from_descriptor({"n": 4, "seed": 1, "generator": "other"})
 
 
+def test_trace_rejects_pair_counts_from_2_pow_53():
+    # the draw i + int(u * (N - i)) is exact only while N < 2**53; no pair
+    # is streamed here
+    assert sample_process(2 ** 27, 0).num_pairs == 2 ** 53 - 2 ** 26
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        sample_process(2 ** 27 + 1, 0)
+
+
 # -- graph_at --------------------------------------------------------------
 
 def test_graph_at_extremes():

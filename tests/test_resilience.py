@@ -1,9 +1,13 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from process_resilience.classify import VertexClassification, classify_vertices
-from process_resilience.graphs import build_graph, connected_components, is_connected
+from process_resilience.graphs import (build_graph, connected_components,
+                                       is_connected, is_k_connected)
 from process_resilience.process import sample_gnm, pair_count
 from process_resilience.resilience import (
     AttackError,
@@ -13,6 +17,7 @@ from process_resilience.resilience import (
     budget_allows,
     cherry_attack,
     connectivity_resilience_threshold,
+    crossing_degrees,
     crossing_edges,
     cut_from_json_dict,
     cut_to_json_dict,
@@ -25,10 +30,14 @@ from process_resilience.resilience import (
 from conftest import cherry_gadget, complete, cycle, path, star
 from oracles import (
     budget_caps,
+    connected_graphs_up_to_iso,
+    crossing_counts,
     exists_disconnecting_h,
     exists_disconnecting_h_literal,
     exists_kconn_attack_h,
     exists_kconn_attack_h_literal,
+    first_cut_in_mask_order,
+    min_max_ratio_cut,
 )
 
 
@@ -71,25 +80,12 @@ def test_keep_degree_budget():
     assert not budget_allows(k4, h, BudgetRule.fraction_keep_degree("2/3", 3))
 
 
-def test_piecewise_budget_requires_classification():
-    g = star(6)
-    rule = BudgetRule.piecewise("1/2", 0.5, 1, 0.5, 2)
-    with pytest.raises(ValueError, match="classification"):
-        budget_allows(g, [(0, 1)], rule)
-    cls = manual_cls(g, tiny={1, 2, 3, 4, 5}, atyp=set(range(6)))
-    # tiny leaves have degree 1: cap deg - K_t = 0, so any leaf edge is out
-    assert not budget_allows(g, [(0, 1)], rule, cls)
-    assert budget_allows(g, [], rule, cls)
-
-
 @pytest.mark.parametrize("alpha", ["-1/10", "11/10", 2])
 def test_budget_rejects_alpha_outside_unit_interval(alpha):
     with pytest.raises(ValueError, match="alpha"):
         BudgetRule.fraction(alpha)
     with pytest.raises(ValueError, match="alpha"):
         BudgetRule.fraction_keep_degree(alpha, 2)
-    with pytest.raises(ValueError, match="alpha"):
-        BudgetRule.piecewise(alpha, 0.5, 1, 0.5, 2)
 
 
 def test_budget_accepts_alpha_endpoints():
@@ -199,6 +195,13 @@ def test_local_search_upper_bounds_exact():
     assert equal / total >= 0.9, (equal, total)
 
 
+@pytest.mark.parametrize("restarts", [0, -1])
+def test_local_search_rejects_restarts_below_one(restarts):
+    with pytest.raises(ValueError, match="restarts"):
+        connectivity_resilience_threshold(cycle(6), mode="local_search",
+                                          restarts=restarts)
+
+
 # -- oracle agreement (small corpus; acceptance covers the full one) -------
 
 def test_pruned_oracle_matches_literal_enumeration():
@@ -249,6 +252,79 @@ def test_kconn_attack_agrees_with_naive_oracle_random():
             if cut is not None:
                 verdict = replay_cut(g, cut, rule, k=k)
                 assert verdict["valid"]
+
+
+# -- crossing degrees ------------------------------------------------------
+
+@st.composite
+def graphs_with_sides(draw):
+    """Any graph on 0..9 vertices (empty, disconnected and isolated
+    vertices included) with each vertex on side 0, side 1 or unplaced."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    side = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))
+    return build_graph(n, edges), side
+
+
+@given(graphs_with_sides())
+@settings(max_examples=300, deadline=None)
+def test_crossing_degrees_match_edge_recount(case):
+    g, side = case
+    counts = crossing_counts(
+        g, frozenset(v for v in range(g.n) if side[v] == 0),
+        frozenset(v for v in range(g.n) if side[v] == 1))
+    assert crossing_degrees(g, side) == [counts[v] for v in range(g.n)]
+
+
+# -- canonical witnesses ---------------------------------------------------
+
+def _witness_corpus():
+    """Every connected graph on 2..6 vertices up to isomorphism, then
+    seeded random connected graphs on 4..9 vertices."""
+    graphs = list(connected_graphs_up_to_iso(6))
+    for seed in range(60):
+        n = 4 + seed % 6
+        m = min(pair_count(n), n - 1 + seed % (2 * n))
+        g = sample_gnm(n, m, 7000 + seed)
+        if is_connected(g):
+            graphs.append(g)
+    return graphs
+
+
+def _as_triple(cut):
+    return None if cut is None else (cut.separator, cut.side_a, cut.side_b)
+
+
+def test_witnesses_match_mask_order_references():
+    """The threshold witness and both attack certificates are the first
+    ones in canonical order, as the slow references in oracles.py find."""
+    alphas = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+    kconn_checked = 0
+    for g in _witness_corpus():
+        rep = connectivity_resilience_threshold(g)
+        alpha_star, side_a, side_b = min_max_ratio_cut(g)
+        assert rep.threshold == alpha_star, g.edges
+        assert _as_triple(rep.witness) == (frozenset(), side_a, side_b), g.edges
+        for alpha in alphas:
+            cut = find_disconnecting_attack(g, BudgetRule.fraction(alpha))
+            expected = first_cut_in_mask_order(g, budget_caps(g, alpha))
+            assert _as_triple(cut) == expected, (g.edges, alpha)
+        for k in (2, 3):
+            if not is_k_connected(g, k):
+                continue
+            kconn_checked += 1
+            for alpha in alphas:
+                caps = budget_caps(g, alpha, k)
+                expected = next(
+                    (found for size in range(k)
+                     for sep in combinations(range(g.n), size)
+                     if (found := first_cut_in_mask_order(g, caps, sep))),
+                    None)
+                cut = find_k_conn_attack(
+                    g, BudgetRule.fraction_keep_degree(alpha, k), k)
+                assert _as_triple(cut) == expected, (g.edges, k, alpha)
+    assert kconn_checked >= 50, kconn_checked
 
 
 # -- k-connectivity attack fixtures ----------------------------------------
