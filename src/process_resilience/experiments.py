@@ -93,13 +93,21 @@ class ExperimentConfig:
     threads: int = 1
     subset_trials: int = 200
     p0_factor: float = 1.5              # times log(n)/(3n)
-    p_prime_factor: float = 0.3         # times p0
+    p_prime_factor: Optional[float] = None  # times p0; see __post_init__
     d_threshold_factor: Optional[float] = None  # times n*p1; default (1/2+delta)
     exact_n_limit: int = 20
     restarts: int = 8
     measure_resilience: bool = True
     out_json: Optional[str] = None
     out_csv: Optional[str] = None
+
+    def __post_init__(self):
+        # The audit study needs p' <= epsilon * p0, so its default is 0.1,
+        # within the default epsilon 1/10. The other studies never read p'
+        # and keep echoing 0.3, the value their JSON has always carried.
+        if self.p_prime_factor is None:
+            default = 0.1 if self.study == "audit" else 0.3
+            object.__setattr__(self, "p_prime_factor", default)
 
     def m_grid(self, n: int) -> tuple:
         if self.ms is not None:

@@ -9,6 +9,8 @@ and all ratios are handled in exact rational arithmetic.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -17,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .classify import VertexClassification
-from .graphs import Graph, VertexSet, connected_components, is_connected, is_k_connected
+from .graphs import Graph, VertexSet, is_connected, is_k_connected
 from .rng import generator
 
 # Exact-mode size caps: configuration, not physics. Worst cases at these
@@ -206,27 +208,34 @@ def crossing_degrees(g: Graph, side) -> list:
     return cross
 
 
-def _bipartitions(n: int, separator=()):
-    """Side vectors of the nontrivial bipartitions of the vertices outside
-    the separator, which stay at -1.
+# Masks scored per numpy chunk; larger chunks buy little speed and raise
+# peak memory.
+_CHUNK = 1 << 12
 
-    The smallest remaining vertex is pinned to side A and the B sides of the
-    others come in ascending mask order (bit i for the i-th of them), the
-    canonical witness order. One list is yielded, updated in place.
+
+def _cut_chunks(g: Graph, remaining: list):
+    """Every nontrivial bipartition of the sorted vertex list remaining, in
+    canonical order, as chunks (masks, cross).
+
+    Bit j of a uint32 mask puts remaining[j] on side B. Bit 0, the smallest
+    remaining vertex, stays on side A, and the masks ascend, so the B sides
+    come in the canonical witness order. cross[j, c] is the crossing degree
+    of remaining[j] under masks[c]; edges to other vertices do not count.
     """
-    remaining = [v for v in range(n) if v not in separator]
-    side = [-1] * n
-    for v in remaining:
-        side[v] = 0
-    rest = remaining[1:]
-    for _ in range(1, 1 << len(rest)):
-        # mask + 1: clear the trailing ones, then set the next bit
-        i = 0
-        while side[rest[i]]:
-            side[rest[i]] = 0
-            i += 1
-        side[rest[i]] = 1
-        yield side
+    if len(remaining) > 32:
+        raise ValueError(f"the exact cut scan packs a side into 32 bits; "
+                         f"{len(remaining)} vertices do not fit")
+    bit = {v: j for j, v in enumerate(remaining)}
+    nbr = [sum(1 << bit[u] for u in g.adj[v] if u in bit) for v in remaining]
+    end = 1 << max(len(remaining) - 1, 0)  # masks are 2 * (1 .. end - 1)
+    for lo in range(1, end, _CHUNK):
+        masks = np.arange(lo, min(lo + _CHUNK, end), dtype=np.uint32) << 1
+        cross = np.empty((len(remaining), len(masks)), dtype=np.uint8)
+        for j, nb in enumerate(nbr):
+            # all ones where remaining[j] is on side B (unsigned negation wraps)
+            on_b = -((masks >> j) & 1)
+            np.bitwise_count(nb & (masks ^ on_b), out=cross[j])
+        yield masks, cross
 
 
 def _sides(side) -> tuple:
@@ -235,12 +244,23 @@ def _sides(side) -> tuple:
             frozenset(v for v, s in enumerate(side) if s == 1))
 
 
+def _mask_cut(remaining: list, mask: int, separator=()) -> Cut:
+    side_b = frozenset(v for j, v in enumerate(remaining) if mask >> j & 1)
+    return Cut(frozenset(separator), frozenset(remaining) - side_b, side_b)
+
+
 def _first_feasible_cut(g: Graph, caps: list, separator=()) -> Optional[Cut]:
     """The first bipartition of V - separator, in canonical order, whose
-    crossing degrees all stay within caps."""
-    for side in _bipartitions(g.n, separator):
-        if _within(crossing_degrees(g, side), caps):
-            return Cut(frozenset(separator), *_sides(side))
+    crossing degrees all stay within caps. Separator vertices cross nothing,
+    so they pass iff their cap is not negative."""
+    if any(caps[s] < 0 for s in separator):
+        return None
+    remaining = [v for v in range(g.n) if v not in separator]
+    limit = np.array([caps[v] for v in remaining], dtype=np.int64)[:, None]
+    for masks, cross in _cut_chunks(g, remaining):
+        ok = (cross <= limit).all(axis=0)
+        if ok.any():
+            return _mask_cut(remaining, int(masks[ok.argmax()]), separator)
     return None
 
 
@@ -252,13 +272,11 @@ def find_disconnecting_attack(g: Graph, rule: BudgetRule,
     Returns a certificate that g is NOT rule-resilient with respect to
     connectivity, or None if no bipartition works (exact: removing any
     feasible H exactly equal to a crossing edge set is the adversary's best
-    move, since budgets are monotone under shrinking H). Graphs with n <= 2
-    have no nontrivial certificate under budgets < 1 and return None.
+    move, since budgets are monotone under shrinking H). A single vertex has
+    no bipartition and returns None.
     """
     if not is_connected(g):
         raise ValueError("attack search expects a connected graph")
-    if g.n <= 2:
-        return None
     if g.n > exact_limit:
         raise ValueError(
             f"n={g.n} exceeds the exact-mode bipartition limit {exact_limit}; "
@@ -286,18 +304,22 @@ def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
         if g.n > exact_limit:
             raise ValueError(f"n={g.n} exceeds exact-mode limit {exact_limit}; "
                              f"use mode='local_search'")
-        deg = g.degrees
-        best_num = best_den = None  # max-ratio of the best bipartition
-        for side in _bipartitions(g.n):
-            mnum, mden = 0, 1
-            for c, d in zip(crossing_degrees(g, side), deg):
-                if c * mden > mnum * d:
-                    mnum, mden = c, d
-            if best_num is None or mnum * best_den < best_num * mden:
-                best_num, best_den = mnum, mden
-                best_side = side[:]
-        return ResilienceReport(Fraction(best_num, best_den),
-                                Cut(frozenset(), *_sides(best_side)), "exact")
+        # max_v cross/deg in exact integers: cross * (L / deg), L = lcm(deg)
+        lcm = math.lcm(*g.degrees)
+        # int64 scalars, so that the uint8 rows widen instead of overflowing
+        weight = [np.int64(lcm // d) for d in g.degrees]
+        remaining = list(range(g.n))
+        best_top = best_mask = None
+        for masks, cross in _cut_chunks(g, remaining):
+            top = np.zeros(len(masks), dtype=np.int64)
+            for row, w in zip(cross, weight):
+                np.maximum(top, row * w, out=top)
+            i = int(top.argmin())
+            # only a strictly better chunk replaces: the first witness stays
+            if best_top is None or top[i] < best_top:
+                best_top, best_mask = int(top[i]), int(masks[i])
+        return ResilienceReport(Fraction(best_top, lcm),
+                                _mask_cut(remaining, best_mask), "exact")
     if mode != "local_search":
         raise ValueError(f"unknown mode {mode!r}")
     if restarts < 1:
@@ -305,58 +327,119 @@ def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
     return _local_search_threshold(g, restarts, seed)
 
 
+class _RatioTally:
+    """Every vertex's ratio cross/deg, grouped: the vertices holding each
+    distinct value, and the distinct values in ascending order."""
+
+    def __init__(self, ratio: list):
+        self.holders = {}
+        for v, x in enumerate(ratio):
+            self.holders.setdefault(x, set()).add(v)
+        self.keys = sorted(self.holders)
+
+    def move(self, v: int, old: float, new: float) -> None:
+        """Vertex v's ratio changes from old to new."""
+        if old == new:
+            return
+        holders, keys = self.holders, self.keys
+        holders[old].discard(v)
+        if not holders[old]:
+            del holders[old]
+            del keys[bisect_left(keys, old)]
+        if new in holders:
+            holders[new].add(v)
+        else:
+            holders[new] = {v}
+            insort(keys, new)
+
+    def _top_keys(self) -> list:
+        """The values within 1e-12 of the top."""
+        keys = self.keys
+        floor = keys[-1] - 1e-12
+        i = len(keys) - 1
+        while i > 0 and keys[i - 1] >= floor:
+            i -= 1
+        return keys[i:]
+
+    def objective(self) -> tuple:
+        """(top ratio, number of vertices within 1e-12 of it)."""
+        return self.keys[-1], sum(len(self.holders[x]) for x in self._top_keys())
+
+    def at_top(self) -> set:
+        return set().union(*(self.holders[x] for x in self._top_keys()))
+
+
 def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceReport:
     """Hill-climb single-vertex moves minimizing the max cross/deg ratio.
 
     Acceptance is lexicographic on (max ratio, number of vertices at the
     max) so the search can walk off plateaus where several vertices share
-    the worst ratio.
+    the worst ratio. A flip is scored by moving only the ratios of v and its
+    neighbours in a tally of all ratios, and only flips next to or at a top
+    vertex are scored: any other leaves the top vertices as they are, so it
+    cannot lower the objective.
     """
-    deg = np.array([g.degree(v) for v in range(g.n)], dtype=np.int64)
-    safe_deg = np.maximum(deg, 1)
+    n, adj = g.n, g.adj
+    deg = g.degrees
+    safe_deg = [max(d, 1) for d in deg]
 
-    def objective(cross):
-        ratios = cross / safe_deg
-        top = ratios.max()
-        return (top, int((ratios >= top - 1e-12).sum()))
+    def near_top(tally):
+        near = set()
+        for u in tally.at_top():
+            near.add(u)
+            near.update(adj[u])
+        return near
 
     best = None  # (max_ratio Fraction, cut)
     for r in range(restarts):
-        rng = generator(seed, r)
-        perm = rng.permutation(g.n)
-        side = np.zeros(g.n, dtype=np.int8)
-        side[perm[g.n // 2:]] = 1
-        cross = np.array(crossing_degrees(g, side.tolist()), dtype=np.int64)
-        cur = objective(cross)
+        perm = generator(seed, r).permutation(n).tolist()
+        side = [0] * n
+        for v in perm[n // 2:]:
+            side[v] = 1
+        on_b = n - n // 2
+        cross = crossing_degrees(g, side)
+        ratio = [c / d for c, d in zip(cross, safe_deg)]
+        tally = _RatioTally(ratio)
+        cur = tally.objective()
+        near = near_top(tally)
         improved = True
         passes = 0
         while improved and passes < 64:
             improved = False
             passes += 1
-            for v in range(g.n):
+            for v in range(n):
+                if v not in near:
+                    continue
+                s = side[v]
+                if (s == 1 and on_b == 1) or (s == 0 and on_b == n - 1):
+                    continue  # the flip would empty a side
                 # flipping v: its own cross complements, neighbours shift by 1
-                new_cross = cross.copy()
-                new_cross[v] = deg[v] - cross[v]
-                nbrs = np.fromiter(g.adj[v], dtype=np.int64, count=deg[v])
-                same = side[nbrs] == side[v]
-                new_cross[nbrs[same]] += 1
-                new_cross[nbrs[~same]] -= 1
-                cand = objective(new_cross)
+                moved = [(v, deg[v] - cross[v])]
+                moved.extend((u, cross[u] + 1 if side[u] == s else cross[u] - 1)
+                             for u in adj[v])
+                new_ratio = [c / safe_deg[u] for u, c in moved]
+                if max(new_ratio) > cur[0]:
+                    continue  # the top would rise
+                for (u, _), new in zip(moved, new_ratio):
+                    tally.move(u, ratio[u], new)
+                cand = tally.objective()
                 if cand < cur:
-                    one_side = int(side.sum())
-                    if side[v] == 1 and one_side == 1:
-                        continue
-                    if side[v] == 0 and one_side == g.n - 1:
-                        continue
-                    side[v] = 1 - side[v]
-                    cross = new_cross
+                    side[v] = 1 - s
+                    on_b += 1 if s == 0 else -1
+                    for (u, c), new in zip(moved, new_ratio):
+                        cross[u] = c
+                        ratio[u] = new
                     cur = cand
+                    near = near_top(tally)
                     improved = True
-        ratio = max((Fraction(int(cross[v]), int(deg[v]))
-                     for v in range(g.n) if deg[v] > 0), default=Fraction(0))
-        cut = Cut(frozenset(), *_sides(side.tolist()))
-        if best is None or ratio < best[0]:
-            best = (ratio, cut)
+                else:
+                    for (u, _), new in zip(moved, new_ratio):
+                        tally.move(u, new, ratio[u])
+        # the exact max is among the vertices whose float ratio is the top
+        top = max(Fraction(cross[u], safe_deg[u]) for u in tally.at_top())
+        cut = Cut(frozenset(), *_sides(side))
+        if best is None or top < best[0]:
+            best = (top, cut)
     return ResilienceReport(best[0], best[1], "local-search-upper-bound")
 
 
@@ -526,29 +609,21 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
 
 def replay_cut(g: Graph, cut: Cut, rule: BudgetRule,
                k: Optional[int] = None) -> dict:
-    """Self-verification of a certificate: recompute H from the cut, check
-    the budget, and check that removing H (and the separator) disconnects.
+    """Self-verification of a certificate: recompute H from the cut and
+    check the budget. Removing H and the separator always disconnects a cut
+    that covers g, since A and B are nonempty and H is every A-B edge.
     """
     cut.validate_for(g)
     h = crossing_edges(g, cut)
     deg_h = _h_degrees(g, h)
     allowed = _within(deg_h, rule.caps(g))
-    h_set = set(h)
-    survivors = [v for v in range(g.n) if v not in cut.separator]
-    index = {v: i for i, v in enumerate(survivors)}
-    from .graphs import _graph_from_pairs
-    rest = _graph_from_pairs(
-        len(survivors),
-        ((index[u], index[v]) for u, v in g.edges
-         if u in index and v in index and (u, v) not in h_set))
-    disconnected = len(connected_components(rest)) > 1 if rest.n else False
     keep_ok = True
     if k is not None and rule.kind == "fraction_keep_degree":
         keep_ok = all(d - dh >= rule.k for d, dh in zip(g.degrees, deg_h))
     return {
         "budget_allowed": allowed,
-        "disconnects": disconnected,
+        "disconnects": True,
         "keep_degree_ok": keep_ok,
-        "valid": allowed and disconnected and keep_ok,
+        "valid": allowed and keep_ok,
         "h_size": len(h),
     }

@@ -22,6 +22,7 @@ import numpy as np
 
 from process_resilience.graphs import Graph, build_graph
 from process_resilience.process import index_from_pair, pair_count
+from process_resilience.rng import generator
 
 
 # -- connectivity of bitmask-encoded graphs -------------------------------
@@ -312,6 +313,84 @@ def min_max_ratio_cut(g: Graph):
                     default=Fraction(0))
         if best is None or worst < best[0]:
             best = (worst, side_a, side_b)
+    return best
+
+
+def removal_disconnects(g: Graph, separator, side_a, side_b) -> bool:
+    """Does deleting the separator and every A-B edge leave G disconnected?
+    Rebuilds the remaining graph edge by edge and searches it from one
+    vertex."""
+    removed = frozenset(separator)
+    adj = {v: set() for v in range(g.n) if v not in removed}
+    for u, v in g.edges:
+        crossing = (u in side_a and v in side_b) or (u in side_b and v in side_a)
+        if u in adj and v in adj and not crossing:
+            adj[u].add(v)
+            adj[v].add(u)
+    if not adj:
+        return False
+    start = min(adj)
+    seen = {start}
+    stack = [start]
+    while stack:
+        for u in adj[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return len(seen) < len(adj)
+
+
+def local_search_threshold_reference(g: Graph, restarts: int, seed: int):
+    """(upper bound, A, B) of the local-search threshold, scored the slow
+    way: every candidate flip copies the whole crossing vector and
+    recomputes (max ratio, number of vertices within 1e-12 of it) with
+    numpy. Same seeded starts, visiting order, guards and 64-pass cap as the
+    library."""
+    deg = np.array([g.degree(v) for v in range(g.n)], dtype=np.int64)
+    safe_deg = np.maximum(deg, 1)
+
+    def objective(cross):
+        ratios = cross / safe_deg
+        top = ratios.max()
+        return (top, int((ratios >= top - 1e-12).sum()))
+
+    best = None
+    for r in range(restarts):
+        perm = generator(seed, r).permutation(g.n)
+        side = np.zeros(g.n, dtype=np.int8)
+        side[perm[g.n // 2:]] = 1
+        counts = crossing_counts(g, frozenset(np.flatnonzero(side == 0).tolist()),
+                                 frozenset(np.flatnonzero(side == 1).tolist()))
+        cross = np.array([counts[v] for v in range(g.n)], dtype=np.int64)
+        cur = objective(cross)
+        improved = True
+        passes = 0
+        while improved and passes < 64:
+            improved = False
+            passes += 1
+            for v in range(g.n):
+                new_cross = cross.copy()
+                new_cross[v] = deg[v] - cross[v]
+                nbrs = np.fromiter(g.adj[v], dtype=np.int64, count=deg[v])
+                same = side[nbrs] == side[v]
+                new_cross[nbrs[same]] += 1
+                new_cross[nbrs[~same]] -= 1
+                cand = objective(new_cross)
+                if cand < cur:
+                    one_side = int(side.sum())
+                    if side[v] == 1 and one_side == 1:
+                        continue
+                    if side[v] == 0 and one_side == g.n - 1:
+                        continue
+                    side[v] = 1 - side[v]
+                    cross = new_cross
+                    cur = cand
+                    improved = True
+        ratio = max((Fraction(int(cross[v]), int(deg[v]))
+                     for v in range(g.n) if deg[v] > 0), default=Fraction(0))
+        if best is None or ratio < best[0]:
+            best = (ratio, frozenset(np.flatnonzero(side == 0).tolist()),
+                    frozenset(np.flatnonzero(side == 1).tolist()))
     return best
 
 

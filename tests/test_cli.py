@@ -266,6 +266,12 @@ def test_study_command(tmp_path, capsys):
     assert len(payload["records"]) == 3
 
 
+def test_audit_study_runs_with_defaults(capsys):
+    code, out, _ = run(capsys, "study", "audit", "--ns", "64", "--trials", "1")
+    assert code == 0
+    assert json.loads(out)["config"]["p_prime_factor"] == 0.1
+
+
 def test_study_config_file(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("study = hitting\nns = 16\ntrials = 2\nseed = 9\n"

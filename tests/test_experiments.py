@@ -150,6 +150,17 @@ def test_audit_study_runs_and_respects_regime():
         run_study(bad)
 
 
+def test_p_prime_factor_default_depends_on_study():
+    # the audit default fits the default epsilon 1/10; the other studies
+    # never read it and keep the value their JSON has always echoed
+    assert ExperimentConfig(study="audit").p_prime_factor == 0.1
+    for study in ("hitting", "sweep", "kcore"):
+        assert ExperimentConfig(study=study).p_prime_factor == 0.3
+    assert ExperimentConfig(study="audit", p_prime_factor=0.4).p_prime_factor == 0.4
+    cfg = ExperimentConfig(study="audit")
+    assert parse_config_text(cfg.to_text()) == cfg
+
+
 @pytest.mark.parametrize("epsilon", ["-1/10", "3/5"])
 def test_kcore_study_rejects_epsilon_outside_budget_range(epsilon):
     # alpha = 1/2 - epsilon must lie in [0, 1]; rejected before any trial

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,6 +27,8 @@ from process_resilience.resilience import (
     greedy_partition_attack,
     replay_cut,
     verify_star_condition,
+    _CHUNK,
+    _first_feasible_cut,
 )
 from conftest import cherry_gadget, complete, cycle, path, star
 from oracles import (
@@ -37,7 +40,9 @@ from oracles import (
     exists_kconn_attack_h,
     exists_kconn_attack_h_literal,
     first_cut_in_mask_order,
+    local_search_threshold_reference,
     min_max_ratio_cut,
+    removal_disconnects,
 )
 
 
@@ -127,8 +132,23 @@ def test_k4_attack_threshold_behaviour():
 
 
 def test_attack_degenerate_small_graphs():
-    assert find_disconnecting_attack(build_graph(2, [(0, 1)]),
+    k2 = build_graph(2, [(0, 1)])
+    cut = find_disconnecting_attack(k2, BudgetRule.fraction(1))
+    assert cut == Cut(frozenset(), frozenset({0}), frozenset({1}))
+    assert find_disconnecting_attack(k2, BudgetRule.fraction("99/100")) is None
+    assert find_disconnecting_attack(build_graph(1, []),
                                      BudgetRule.fraction(1)) is None
+
+
+@pytest.mark.parametrize("g", [build_graph(2, [(0, 1)]), path(3)],
+                         ids=["K_2", "P_3"])
+def test_attack_exists_iff_alpha_reaches_threshold_small(g):
+    alpha_star = connectivity_resilience_threshold(g).threshold
+    assert alpha_star == 1
+    for alpha in (Fraction(0), Fraction(1, 2), Fraction(2, 3),
+                  Fraction(99, 100), Fraction(1)):
+        cut = find_disconnecting_attack(g, BudgetRule.fraction(alpha))
+        assert (cut is not None) == (alpha >= alpha_star), alpha
 
 
 def test_attack_requires_connected_input():
@@ -141,6 +161,14 @@ def test_attack_exact_limit_guidance():
     g = cycle(30)
     with pytest.raises(ValueError, match="local_search"):
         find_disconnecting_attack(g, BudgetRule.fraction("1/2"))
+
+
+def test_exact_scan_rejects_more_than_32_vertices():
+    with pytest.raises(ValueError, match="32 bits"):
+        connectivity_resilience_threshold(cycle(33), exact_limit=40)
+    with pytest.raises(ValueError, match="32 bits"):
+        find_disconnecting_attack(cycle(33), BudgetRule.fraction("1/2"),
+                                  exact_limit=40)
 
 
 def test_threshold_k2():
@@ -195,11 +223,80 @@ def test_local_search_upper_bounds_exact():
     assert equal / total >= 0.9, (equal, total)
 
 
+@st.composite
+def connected_graphs(draw, max_n):
+    """A connected graph: a random spanning tree plus random extra edges."""
+    n = draw(st.integers(2, max_n))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    tree = [(p, v) for v, p in enumerate(parents, start=1)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    return build_graph(n, tree + extra)
+
+
+@given(connected_graphs(max_n=24), st.integers(1, 4), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_local_search_matches_slow_reference(g, restarts, seed):
+    rep = connectivity_resilience_threshold(g, mode="local_search",
+                                            restarts=restarts, seed=seed)
+    expected = local_search_threshold_reference(g, restarts, seed)
+    assert (rep.threshold, rep.witness.side_a, rep.witness.side_b) == expected
+
+
 @pytest.mark.parametrize("restarts", [0, -1])
 def test_local_search_rejects_restarts_below_one(restarts):
     with pytest.raises(ValueError, match="restarts"):
         connectivity_resilience_threshold(cycle(6), mode="local_search",
                                           restarts=restarts)
+
+
+# -- exact scan across chunks ----------------------------------------------
+
+def _side_b(n, mask):
+    """B side of a mask in the canonical order (bit i: vertex i + 1)."""
+    return frozenset(i + 1 for i in range(n - 1) if mask >> i & 1)
+
+
+# (graph, mask of a later optimum): the first optimum and this tie lie in
+# different chunks of the scan
+_CHUNKED_CASES = [
+    ("C_16", cycle(16), 0b110000000000000),              # B = {14, 15}
+    ("G(15, 40) seed 0", sample_gnm(15, 40, 0), 11604),
+    ("G(16, 40) seed 23", sample_gnm(16, 40, 23), 21790),
+]
+
+
+@pytest.mark.parametrize("name, g, tie", _CHUNKED_CASES,
+                         ids=[case[0] for case in _CHUNKED_CASES])
+def test_exact_scan_over_several_chunks(name, g, tie):
+    alpha_star, side_a, side_b = min_max_ratio_cut(g)
+    rep = connectivity_resilience_threshold(g)
+    assert rep.threshold == alpha_star
+    assert _as_triple(rep.witness) == (frozenset(), side_a, side_b)
+    # the later tie reaches alpha* too, in a later chunk
+    first = sum(1 << (v - 1) for v in side_b)
+    assert (first - 1) // _CHUNK < (tie - 1) // _CHUNK
+    tie_b = _side_b(g.n, tie)
+    counts = crossing_counts(g, frozenset(range(g.n)) - tie_b, tie_b)
+    assert max(Fraction(counts[v], g.degree(v)) for v in range(g.n)) == alpha_star
+    for alpha in (alpha_star, alpha_star - Fraction(1, 1000)):
+        cut = find_disconnecting_attack(g, BudgetRule.fraction(alpha))
+        assert _as_triple(cut) == first_cut_in_mask_order(
+            g, budget_caps(g, alpha)), alpha
+
+
+def test_first_feasible_cut_matches_reference_on_any_caps():
+    """Caps may be negative, also at separator vertices, which cross
+    nothing and so pass iff their cap is at least 0."""
+    rng = random.Random(11)
+    for seed in range(60):
+        g = sample_gnm(7, 6 + seed % 12, 900 + seed)
+        for _ in range(5):
+            caps = [rng.randint(-1, 3) for _ in range(g.n)]
+            sep = tuple(sorted(rng.sample(range(g.n), rng.randint(0, 2))))
+            cut = _first_feasible_cut(g, caps, sep)
+            assert _as_triple(cut) == first_cut_in_mask_order(g, caps, sep), \
+                (g.edges, caps, sep)
 
 
 # -- oracle agreement (small corpus; acceptance covers the full one) -------
@@ -491,6 +588,30 @@ def test_every_attack_cut_is_self_verifying():
         assert verdict["valid"]
         rest_edges = [e for e in g.edges if e not in set(crossing_edges(g, cut))]
         assert len(connected_components(build_graph(g.n, rest_edges))) > 1
+
+
+def test_replay_disconnects_matches_rebuild():
+    """Random covering cuts, with and without a separator, always
+    disconnect once H is removed; the oracle rebuilds G - S - H to check."""
+    rng = random.Random(5)
+    checked = 0
+    for seed in range(40):
+        g = sample_gnm(9, 10 + seed % 20, 300 + seed)
+        for _ in range(10):
+            order = list(range(g.n))
+            rng.shuffle(order)
+            s_size = rng.randint(0, 3) if seed % 2 else 0
+            rest = order[s_size:]
+            split = rng.randint(1, len(rest) - 1)
+            cut = Cut(frozenset(order[:s_size]), frozenset(rest[:split]),
+                      frozenset(rest[split:]))
+            rule = BudgetRule.fraction(Fraction(rng.randint(0, 4), 4))
+            verdict = replay_cut(g, cut, rule)
+            assert verdict["disconnects"] is True
+            assert removal_disconnects(g, cut.separator, cut.side_a, cut.side_b)
+            assert verdict["valid"] == verdict["budget_allowed"]
+            checked += 1
+    assert checked == 400
 
 
 def test_cut_json_round_trip():
