@@ -281,8 +281,7 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
     else:
         smalls_mode = "sampled"  # folded into the random-subset stage below
 
-    eu = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=g.m)
-    ev = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=g.m)
+    eu, ev = g._ends
 
     # (b) seeded random subsets of random sizes
     rng = generator(seed)

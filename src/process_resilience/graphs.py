@@ -14,8 +14,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, compress, repeat
 from typing import Iterable, Optional
+
+import numpy as np
 
 VertexSet = frozenset
 
@@ -37,6 +39,8 @@ class Graph:
     edges: tuple  # lexicographically sorted (u, v) pairs with u < v
     adj: tuple = field(compare=False, repr=False)  # adj[v]: sorted neighbour tuple
     labels: Optional[tuple] = field(default=None, compare=False, repr=False)
+    # (eu, ev): read-only int64 arrays of the edges' endpoints, in edge order
+    _ends: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def m(self) -> int:
@@ -66,14 +70,38 @@ class Graph:
         return v if self.labels is None else self.labels[v]
 
 
-def _graph_from_pairs(n: int, pairs: Iterable, labels=None) -> Graph:
-    """Trusted constructor: pairs must be distinct, in-range, loop-free."""
-    edges = sorted((u, v) if u < v else (v, u) for u, v in pairs)
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(n, tuple(edges), tuple(tuple(sorted(a)) for a in adj), labels)
+def _graph_from_arrays(n: int, us, vs, labels=None) -> Graph:
+    """Trusted constructor: the pairs (us[i], vs[i]) must be distinct,
+    in-range and loop-free; their order and orientation are free.
+
+    One sort of the keys lo*n + hi gives the edges; one sort of the keys
+    owner*n + neighbour, over both orientations, gives the adjacency rows,
+    cut at the cumulative degrees. Every index goes through one ``verts``
+    list, so each vertex is one int object however often it appears.
+    """
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    base = max(n, 1)
+    eu, ev = np.divmod(np.sort(np.minimum(us, vs) * base + np.maximum(us, vs)), base)
+    owner, nbr = np.divmod(np.sort(np.concatenate((eu * base + ev, ev * base + eu))), base)
+    bounds = np.cumsum(np.bincount(owner, minlength=n)).tolist()
+    verts = list(range(n))
+    nbrs = list(map(verts.__getitem__, nbr.tolist()))
+    adj = tuple(tuple(nbrs[a:b]) for a, b in zip([0] + bounds, bounds))
+    # edge (u, v) is u repeated once per upper neighbour, zipped with the
+    # upper neighbours, in row order
+    edges = tuple(zip(
+        chain.from_iterable(map(repeat, verts, np.bincount(eu, minlength=n).tolist())),
+        compress(nbrs, (nbr > owner).tolist())))
+    eu.setflags(write=False)
+    ev.setflags(write=False)
+    return Graph(n, edges, adj, labels, (eu, ev))
+
+
+def _pair_arrays(pairs) -> tuple:
+    """(us, vs) int64 arrays of a collection of vertex pairs."""
+    arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return arr[:, 0], arr[:, 1]
 
 
 def build_graph(n: int, edge_list: Iterable) -> Graph:
@@ -91,7 +119,7 @@ def build_graph(n: int, edge_list: Iterable) -> Graph:
         if not (0 <= u < n) or not (0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         seen.add((u, v) if u < v else (v, u))
-    return _graph_from_pairs(n, seen)
+    return _graph_from_arrays(n, *_pair_arrays(seen))
 
 
 # -- text format ---------------------------------------------------------
@@ -137,7 +165,7 @@ def parse_graph_text(text: str) -> Graph:
         if (u, v) in pairs:
             raise GraphFormatError(f"duplicate edge ({u}, {v})", line=i)
         pairs.add((u, v))
-    return _graph_from_pairs(n, pairs)
+    return _graph_from_arrays(n, *_pair_arrays(pairs))
 
 
 # -- components and induced subgraphs ------------------------------------
@@ -173,10 +201,15 @@ def is_connected(g: Graph) -> bool:
 def induced_subgraph(g: Graph, vertices: Iterable) -> Graph:
     """Subgraph induced on ``vertices``; labels map back to g's originals."""
     keep = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(keep)}
-    pairs = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    if keep and not (0 <= keep[0] and keep[-1] < g.n):
+        raise ValueError(f"vertices must be in [0, {g.n}), got {keep[0]}..{keep[-1]}")
+    index = np.full(g.n, -1, dtype=np.int64)
+    index[keep] = np.arange(len(keep), dtype=np.int64)
+    eu, ev = g._ends
+    iu, iv = index[eu], index[ev]
+    inside = (iu >= 0) & (iv >= 0)
     labels = tuple(g.original_label(v) for v in keep)
-    return _graph_from_pairs(len(keep), pairs, labels=labels)
+    return _graph_from_arrays(len(keep), iu[inside], iv[inside], labels)
 
 
 def giant_component(g: Graph) -> Graph:

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterator
 
-from .graphs import Graph, _graph_from_pairs
+import numpy as np
+
+from .graphs import Graph, _graph_from_arrays
 from .rng import GENERATOR_ID, derive_seed, generator
 
 
@@ -31,15 +34,21 @@ def index_from_pair(n: int, u: int, v: int) -> int:
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
-def pair_from_index(n: int, idx: int):
-    """Inverse of index_from_pair."""
-    u = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * idx)) // 2
-    while u * (2 * n - u - 1) // 2 > idx:
-        u -= 1
-    while (u + 1) * (2 * n - u - 2) // 2 <= idx:
-        u += 1
-    v = idx - u * (2 * n - u - 1) // 2 + u + 1
-    return u, v
+def _pairs_from_indices(n: int, idx) -> tuple:
+    """Inverse of index_from_pair over an int64 array: (us, vs).
+
+    A float square root guesses each row u; integer passes then step u
+    until row_start(u) <= idx < row_start(u + 1), so the result is exact
+    wherever (2n - 1)**2 fits in int64, n <= 2**27 included.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    b = 2 * n - 1
+    u = ((b - np.sqrt((b * b - 8 * idx).astype(np.float64))) // 2).astype(np.int64)
+    while (high := u * (b - u) // 2 > idx).any():
+        u -= high
+    while (low := (u + 1) * (b - u - 1) // 2 <= idx).any():
+        u += low
+    return u, idx - u * (b - u) // 2 + u + 1
 
 
 _BATCH = 8192
@@ -68,30 +77,58 @@ class ProcessTrace:
     def num_pairs(self) -> int:
         return pair_count(self.n)
 
+    def _index_chunks(self, sizes) -> Iterator[np.ndarray]:
+        """Pair indices of the permutation, in consecutive chunks of the
+        given sizes (the last chunk stops at N).
+
+        Partial Fisher-Yates: step i draws one double u and swaps position
+        i with j = i + floor(u (N - i)), the same IEEE product and
+        truncation as ``int(u * (N - i))``. The draws are vectorized; only
+        the sparse swap map, carried from chunk to chunk, is walked in
+        Python. Philox doubles do not depend on how the draws are chunked.
+        """
+        N = self.num_pairs
+        rng = generator(self.seed)
+        swap = {}
+        get, pop = swap.get, swap.pop
+        start = 0
+        for size in sizes:
+            stop = min(start + size, N)
+            steps = np.arange(start, stop, dtype=np.int64)
+            draws = steps + (rng.random(stop - start)
+                             * (N - steps).astype(np.float64)).astype(np.int64)
+            picked = []
+            append = picked.append
+            for i, j in zip(range(start, stop), draws.tolist()):
+                append(get(j, j))
+                swap[j] = pop(i, i)
+            yield np.array(picked, dtype=np.int64)
+            start = stop
+            if start == N:
+                return
+
     def iter_pairs(self) -> Iterator[tuple]:
         """Stream the permutation: pair arriving at step i+1 is the i-th yield.
 
-        Partial Fisher-Yates with a sparse swap map; memory grows only with
-        the number of steps consumed.
+        Memory grows only with the number of steps consumed. The draws come
+        in chunks of 64, 128, ... up to _BATCH, so a consumer that stops
+        early wastes at most about as many draws as it used.
         """
-        N = self.num_pairs
-        swap = {}
-        doubles = _uniform_doubles(self.seed)
-        for i in range(N):
-            j = i + int(next(doubles) * (N - i))
-            picked = swap.get(j, j)
-            swap[j] = swap.pop(i, i)
-            yield pair_from_index(self.n, picked)
+        sizes = chain((64 << k for k in range(7)), repeat(_BATCH))
+        for chunk in self._index_chunks(sizes):
+            us, vs = _pairs_from_indices(self.n, chunk)
+            yield from zip(us.tolist(), vs.tolist())
+
+    def _endpoints(self, m: int) -> tuple:
+        """(us, vs) int64 arrays of the first m pairs; exactly m draws."""
+        if not (0 <= m <= self.num_pairs):
+            raise ValueError(f"m must be in [0, {self.num_pairs}], got {m}")
+        return _pairs_from_indices(self.n, next(self._index_chunks((m,))))
 
     def pairs(self, m: int) -> list:
         """First m pairs of the permutation."""
-        if not (0 <= m <= self.num_pairs):
-            raise ValueError(f"m must be in [0, {self.num_pairs}], got {m}")
-        out = []
-        it = self.iter_pairs()
-        for _ in range(m):
-            out.append(next(it))
-        return out
+        us, vs = self._endpoints(m)
+        return list(zip(us.tolist(), vs.tolist()))
 
     def descriptor(self) -> dict:
         return {"n": self.n, "seed": self.seed, "generator": GENERATOR_ID}
@@ -112,7 +149,7 @@ def sample_process(n: int, seed: int) -> ProcessTrace:
 
 def graph_at(trace: ProcessTrace, m: int) -> Graph:
     """The process graph after m edge arrivals (distributed as G(n,m))."""
-    return _graph_from_pairs(trace.n, trace.pairs(m))
+    return _graph_from_arrays(trace.n, *trace._endpoints(m))
 
 
 def hitting_time_min_degree(trace: ProcessTrace, k: int) -> int:
@@ -196,28 +233,34 @@ def sample_gnm(n: int, m: int, seed: int) -> Graph:
     return graph_at(trace, m)
 
 
-def sample_gnp(n: int, p: float, seed: int) -> Graph:
-    """Binomial random graph; geometric skipping, runtime ~ output edges."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must be in [0, 1], got {p}")
+def _gnp_indices(n: int, p: float, seed: int) -> np.ndarray:
+    """Ascending pair indices of G(n,p) by geometric skipping."""
     N = pair_count(n)
     if p == 0.0 or N == 0:
-        return _graph_from_pairs(n, ())
+        return np.empty(0, dtype=np.int64)
     if p == 1.0:
-        return _graph_from_pairs(n, (pair_from_index(n, i) for i in range(N)))
+        return np.arange(N, dtype=np.int64)
+    # math.log, not np.log: the skips must round as they always have
     log_q = math.log1p(-p)
     doubles = _uniform_doubles(seed)
-    pairs = []
-    idx = -1
+    idx = []
+    i = -1
     while True:
         u = next(doubles)
         if u <= 0.0:
             break
-        idx += 1 + int(math.log(u) / log_q)
-        if idx >= N:
+        i += 1 + int(math.log(u) / log_q)
+        if i >= N:
             break
-        pairs.append(pair_from_index(n, idx))
-    return _graph_from_pairs(n, pairs)
+        idx.append(i)
+    return np.array(idx, dtype=np.int64)
+
+
+def sample_gnp(n: int, p: float, seed: int) -> Graph:
+    """Binomial random graph; geometric skipping, runtime ~ output edges."""
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    return _graph_from_arrays(n, *_pairs_from_indices(n, _gnp_indices(n, p, seed)))
 
 
 @dataclass(frozen=True)
@@ -236,10 +279,13 @@ def sample_coupled(n: int, p0: float, p_prime: float, seed: int) -> CoupledSampl
     for name, p in (("p0", p0), ("p_prime", p_prime)):
         if not (0.0 <= p <= 1.0):
             raise ValueError(f"{name} must be in [0, 1], got {p}")
-    g_minus = sample_gnp(n, p0, derive_seed(seed, 0))
-    extra = sample_gnp(n, p_prime, derive_seed(seed, 1))
-    merged = set(g_minus.edges) | set(extra.edges)
-    g_plus = _graph_from_pairs(n, merged)
+    below = _gnp_indices(n, p0, derive_seed(seed, 0))
+    # union of the two index sets; np.union1d would pull in about 1 MB more
+    # resident memory on first use
+    both = np.sort(np.concatenate((below, _gnp_indices(n, p_prime, derive_seed(seed, 1)))))
+    union = both[np.diff(both, prepend=-1) != 0]
+    g_minus = _graph_from_arrays(n, *_pairs_from_indices(n, below))
+    g_plus = _graph_from_arrays(n, *_pairs_from_indices(n, union))
     if p_prime == 0.0:
         p1 = p0
     elif p0 == 0.0:

@@ -200,12 +200,11 @@ def crossing_degrees(g: Graph, side) -> list:
     side[v] is 0 for side A, 1 for side B, and -1 for a separator or
     unplaced vertex, whose edges neither count nor are counted.
     """
-    cross = [0] * g.n
-    for u, v in g.edges:
-        if side[u] + side[v] == 1:  # one endpoint on each side
-            cross[u] += 1
-            cross[v] += 1
-    return cross
+    eu, ev = g._ends
+    at = np.asarray(side, dtype=np.int64)
+    cut = at[eu] + at[ev] == 1  # one endpoint on each side
+    return (np.bincount(eu[cut], minlength=g.n)
+            + np.bincount(ev[cut], minlength=g.n)).tolist()
 
 
 # Masks scored per numpy chunk; larger chunks buy little speed and raise

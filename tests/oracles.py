@@ -394,6 +394,31 @@ def local_search_threshold_reference(g: Graph, restarts: int, seed: int):
     return best
 
 
+# -- tuple graph construction ----------------------------------------------
+
+def graph_from_pairs(n: int, pairs, labels=None) -> Graph:
+    """The library's original tuple constructor: sorted edges and sorted
+    adjacency rows from Python lists, one pair at a time. Pairs must be
+    distinct, in range and loop-free. The graph carries no endpoint
+    arrays, so compare its edges, adj and labels only."""
+    edges = sorted((u, v) if u < v else (v, u) for u, v in pairs)
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(n, tuple(edges), tuple(tuple(sorted(a)) for a in adj), labels)
+
+
+def induced_subgraph_by_edges(g: Graph, vertices) -> Graph:
+    """Induced subgraph by relabelling g.edges one edge at a time."""
+    keep = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(keep)}
+    pairs = [(index[u], index[v]) for u, v in g.edges
+             if u in index and v in index]
+    labels = tuple(g.original_label(v) for v in keep)
+    return graph_from_pairs(len(keep), pairs, labels)
+
+
 # -- structural-audit recounts --------------------------------------------
 
 def adjacency_sets(g: Graph):

@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from process_resilience.graphs import (
     GraphFormatError,
+    _graph_from_arrays,
     ball,
     build_graph,
     connected_components,
@@ -17,9 +19,12 @@ from process_resilience.graphs import (
     parse_graph_text,
 )
 from process_resilience.process import sample_gnm, pair_count
+from process_resilience.resilience import crossing_degrees
 
 from conftest import complete, cycle, path, star
-from oracles import is_k_connected_oracle, peel_k_core_random_order
+from oracles import (crossing_counts, graph_from_pairs,
+                     induced_subgraph_by_edges, is_k_connected_oracle,
+                     peel_k_core_random_order)
 
 
 # -- construction ----------------------------------------------------------
@@ -52,6 +57,96 @@ def test_adjacency_symmetric_and_sorted():
         for v in g.adj[u]:
             assert u in g.adj[v]
     assert sum(g.degrees) == 2 * g.m
+
+
+def _assert_same_graph(g, ref):
+    assert (g.n, g.edges, g.adj, g.labels) == (ref.n, ref.edges, ref.adj, ref.labels)
+    eu, ev = g._ends
+    assert list(zip(eu.tolist(), ev.tolist())) == list(g.edges)
+    assert eu.dtype == ev.dtype == np.int64
+    assert not (eu.flags.writeable or ev.flags.writeable)
+
+
+@st.composite
+def pair_lists(draw, max_n=12):
+    """n, then pairs with repeats and both orientations (isolated vertices
+    and the empty list included)."""
+    n = draw(st.integers(0, max_n))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    return n, draw(st.lists(pair, max_size=3 * n))
+
+
+@given(pair_lists())
+@settings(max_examples=300, deadline=None)
+def test_build_graph_matches_tuple_reference(case):
+    n, pairs = case
+    distinct = {(u, v) if u < v else (v, u) for u, v in pairs}
+    _assert_same_graph(build_graph(n, pairs), graph_from_pairs(n, distinct))
+
+
+@given(pair_lists(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_array_constructor_matches_tuple_reference(case, rnd):
+    n, pairs = case
+    # distinct pairs in a random order, each in a random orientation
+    distinct = sorted({(u, v) if u < v else (v, u) for u, v in pairs})
+    rnd.shuffle(distinct)
+    oriented = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in distinct]
+    us = [u for u, _ in oriented]
+    vs = [v for _, v in oriented]
+    labels = tuple(rnd.sample(range(100), n))
+    _assert_same_graph(_graph_from_arrays(n, us, vs, labels),
+                       graph_from_pairs(n, oriented, labels))
+
+
+def test_array_constructor_small_extremes():
+    for n in (0, 1, 2):
+        _assert_same_graph(_graph_from_arrays(n, [], []), graph_from_pairs(n, []))
+    _assert_same_graph(_graph_from_arrays(2, [1], [0]), graph_from_pairs(2, [(0, 1)]))
+    g = _graph_from_arrays(5, [4], [3])
+    assert g.adj == ((), (), (), (4,), (3,))
+
+
+def _relabelled_giants():
+    """(g, vertices, sub): giants of sparse G(n, m) and their 2-cores, with
+    the vertices of g they keep. Their labels point into a larger graph,
+    and many isolated vertices are cut away."""
+    for n, m, seed in ((60, 50, 1), (300, 320, 2), (1000, 1100, 3)):
+        g = sample_gnm(n, m, seed)
+        giant = giant_component(g)
+        yield g, connected_components(g)[0], giant
+        yield giant, peel_k_core_random_order(giant, 2, range(giant.n)), k_core(giant, 2)
+
+
+def test_induced_subgraph_matches_edge_relabelling():
+    rng = random.Random(7)
+    for g, vertices, sub in _relabelled_giants():
+        _assert_same_graph(sub, induced_subgraph_by_edges(g, vertices))
+        for size in (0, 1, g.n // 3, g.n):
+            keep = rng.sample(range(g.n), size)
+            _assert_same_graph(induced_subgraph(g, keep),
+                               induced_subgraph_by_edges(g, keep))
+
+
+def test_induced_subgraph_rejects_foreign_vertices():
+    g = cycle(4)
+    for bad in ([4], [-1, 0]):
+        with pytest.raises(ValueError, match="vertices"):
+            induced_subgraph(g, bad)
+
+
+def test_crossing_degrees_match_recount_on_relabelled_giants():
+    rng = random.Random(11)
+    for _, _, g in _relabelled_giants():
+        for _ in range(5):
+            side = [rng.choice((-1, 0, 1)) for _ in range(g.n)]
+            counts = crossing_counts(
+                g, frozenset(v for v in range(g.n) if side[v] == 0),
+                frozenset(v for v in range(g.n) if side[v] == 1))
+            assert crossing_degrees(g, side) == [counts[v] for v in range(g.n)]
 
 
 # -- text format -----------------------------------------------------------

@@ -1,13 +1,18 @@
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
+import numpy as np
 import pytest
 
 from process_resilience.process import (
+    ProcessTrace,
+    _pairs_from_indices,
     graph_at,
     hitting_time_k_connectivity,
     hitting_time_min_degree,
+    index_from_pair,
     pair_count,
     sample_coupled,
     sample_gnm,
@@ -37,8 +42,18 @@ class _FixedTrace:
     def pairs(self, m):
         return list(self.order[:m])
 
+    def _endpoints(self, m):  # what graph_at reads
+        us = np.array([u for u, _ in self.order[:m]], dtype=np.int64)
+        vs = np.array([v for _, v in self.order[:m]], dtype=np.int64)
+        return us, vs
+
 
 TRIANGLE_ORDER = _FixedTrace(3, ((0, 1), (0, 2), (1, 2)))
+
+# two triangles sharing vertex 2: min degree 2 after six arrivals, but 2 is
+# a cut vertex until the seventh, (0, 3), arrives
+BOWTIE_ORDER = _FixedTrace(5, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4),
+                               (0, 3), (0, 4), (1, 3), (1, 4)))
 
 
 # -- process trace ---------------------------------------------------------
@@ -75,6 +90,60 @@ def test_descriptor_round_trip():
     assert again == trace
     with pytest.raises(ValueError, match="generator"):
         trace_from_descriptor({"n": 4, "seed": 1, "generator": "other"})
+
+
+def _chunk_ends(N):
+    """Cumulative ends of the chunks iter_pairs draws: 64, 128, ... 8192."""
+    ends, size, end = [], 64, 0
+    while end < N:
+        end = min(end + size, N)
+        ends.append(end)
+        size = min(2 * size, 8192)
+    return ends
+
+
+def test_pairs_equal_iter_pairs_across_chunk_boundaries():
+    trace = sample_process(260, 3)
+    ms = sorted({0, 1, trace.num_pairs - 1, trace.num_pairs}
+                | {e + d for e in _chunk_ends(trace.num_pairs)[:9] for d in (-1, 0, 1)})
+    full = list(trace.iter_pairs())
+    assert len(full) == trace.num_pairs
+    for m in ms:
+        assert trace.pairs(m) == list(islice(trace.iter_pairs(), m)) == full[:m], m
+
+
+def _decode_check(n, idx):
+    idx = np.asarray(idx, dtype=np.int64)
+    us, vs = _pairs_from_indices(n, idx)
+    assert ((0 <= us) & (us < vs) & (vs < n)).all()
+    for i, u, v in zip(idx.tolist(), us.tolist(), vs.tolist()):
+        assert index_from_pair(n, u, v) == i, (n, i, u, v)
+
+
+def _row_starts(n, rows):
+    rows = np.asarray(rows, dtype=np.int64)
+    return rows * (2 * n - 1 - rows) // 2
+
+
+def test_pair_decode_at_every_row_start_for_small_n():
+    for n in (2, 3, 4, 5, 7, 64, 1000):
+        N = pair_count(n)
+        starts = _row_starts(n, np.arange(n - 1))
+        idx = np.concatenate((starts - 1, starts, starts + 1, [N - 1]))
+        _decode_check(n, idx[(0 <= idx) & (idx < N)])
+        _decode_check(n, np.arange(N))
+
+
+@pytest.mark.parametrize("n", [4096, 2 ** 20 + 7, 2 ** 26 + 1, 2 ** 27 - 1, 2 ** 27])
+def test_pair_decode_is_exact_up_to_n_2_pow_27(n):
+    N = pair_count(n)
+    rng = np.random.default_rng(n)
+    rows = np.concatenate((np.arange(300), n - 2 - np.arange(300),
+                           rng.integers(0, n - 1, 3000)))
+    starts = _row_starts(n, rows)
+    idx = np.concatenate((starts - 1, starts, starts + 1, [N - 1],
+                          rng.integers(0, N, 3000)))
+    _decode_check(n, idx[(0 <= idx) & (idx < N)])
 
 
 def test_trace_rejects_pair_counts_from_2_pow_53():
@@ -119,6 +188,9 @@ def test_hitting_min_degree_fixed_order():
 def test_hitting_k_connectivity_fixed_order():
     assert hitting_time_k_connectivity(TRIANGLE_ORDER, 1) == 2
     assert hitting_time_k_connectivity(TRIANGLE_ORDER, 2) == 3
+    # the bisection reads the stub's prefixes through graph_at
+    assert hitting_time_min_degree(BOWTIE_ORDER, 2) == 6
+    assert hitting_time_k_connectivity(BOWTIE_ORDER, 2) == 7
 
 
 def test_hitting_min_degree_matches_recomputation():
@@ -227,6 +299,11 @@ def test_coupled_degenerate_cases():
     c = sample_coupled(20, 0.0, 0.25, 5)
     assert c.g_minus.m == 0
     assert c.p1 == 0.25
+    for n in (0, 1, 20):
+        c = sample_coupled(n, 0.0, 0.0, 5)
+        assert c.g_plus.n == n and c.g_plus.m == 0
+    c = sample_coupled(3, 1.0, 1.0, 5)
+    assert c.g_minus.m == c.g_plus.m == 3
 
 
 def test_coupled_containment_and_p1():
