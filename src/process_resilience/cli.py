@@ -234,7 +234,7 @@ def _cmd_verify_cut(args) -> int:
         rule = BudgetRule.fraction_keep_degree(args.alpha, args.keep_degree)
     else:
         rule = BudgetRule.fraction(args.alpha)
-    verdict = replay_cut(g, cut, rule, k=args.keep_degree)
+    verdict = replay_cut(g, cut, rule)
     _print_json(verdict)
     return 0 if verdict["valid"] else 1
 

@@ -31,7 +31,7 @@ from .process import (ProcessTrace, graph_at, hitting_time_k_connectivity,
 from .resilience import (AttackError, BudgetRule,
                          connectivity_resilience_threshold,
                          cherry_attack, crossing_degrees, find_k_conn_attack,
-                         greedy_partition_attack)
+                         greedy_partition_attack, random_equipartition)
 from .rng import derive_seed, generator
 
 RECORDS_SCHEMA = "process-resilience/records/v1"
@@ -348,11 +348,7 @@ def _audit_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
                            cfg.subset_trials, derive_seed(trial_seed, 1))
 
     # empirical D-set (equipartition crossing degrees above (1/2+delta)*n*p1)
-    rng = generator(derive_seed(trial_seed, 2))
-    perm = rng.permutation(n).tolist()
-    side = [0] * n
-    for v in perm[n // 2:]:
-        side[v] = 1
+    side = random_equipartition(n, generator(derive_seed(trial_seed, 2)))
     cross = crossing_degrees(coupled.g_plus, side)
     d_cut = (0.5 + cfg.delta) * n * coupled.p1
     in_d = [cross[v] > d_cut for v in range(n)]

@@ -267,24 +267,6 @@ def ball(g: Graph, v: int, radius: int):
 
 # -- k-connectivity ------------------------------------------------------
 
-def _connected_after_removal(g: Graph, removed) -> bool:
-    alive = [True] * g.n
-    for v in removed:
-        alive[v] = False
-    start = next((v for v in range(g.n) if alive[v]), None)
-    if start is None:
-        return False
-    seen = {start}
-    queue = deque((start,))
-    while queue:
-        x = queue.popleft()
-        for y in g.adj[x]:
-            if alive[y] and y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == g.n - len(removed)
-
-
 def _has_articulation_point(g: Graph) -> bool:
     """Iterative Tarjan lowpoint scan (assumes g connected, n >= 3)."""
     disc = [-1] * g.n
@@ -387,12 +369,11 @@ class _SplitNetwork:
         return True
 
 
-def is_k_connected(g: Graph, k: int, exhaustive: bool = False) -> bool:
+def is_k_connected(g: Graph, k: int) -> bool:
     """True iff n >= k+1 and no removal of <= k-1 vertices disconnects g.
 
-    The default path uses articulation points (k=2) or an Even-style
-    disjoint-paths test (k >= 3); ``exhaustive=True`` forces the literal
-    enumeration of all separators (the oracle path, small n only).
+    Uses articulation points (k=2) or an Even-style disjoint-paths test
+    (k >= 3).
 
     For k >= 3 the split-vertex flow network is built once per call, as
     flat arc lists; each of the C(k, 2) + n - k local checks copies its
@@ -403,12 +384,6 @@ def is_k_connected(g: Graph, k: int, exhaustive: bool = False) -> bool:
         raise ValueError(f"k must be >= 1, got {k}")
     if g.n < k + 1:
         return False
-    if exhaustive:
-        for size in range(k):
-            for sep in combinations(range(g.n), size):
-                if not _connected_after_removal(g, sep):
-                    return False
-        return True
     if g.min_degree() < k:
         return False
     if not is_connected(g):

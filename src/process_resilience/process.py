@@ -68,6 +68,8 @@ class ProcessTrace:
     seed: int
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"n must be >= 0, got n={self.n}")
         # a draw i + int(u * (N - i)) is exact only while N < 2**53
         if pair_count(self.n) >= 2 ** 53:
             raise ValueError(f"n={self.n} has {pair_count(self.n)} vertex "
@@ -138,6 +140,9 @@ def trace_from_descriptor(d: dict) -> ProcessTrace:
     if d.get("generator") != GENERATOR_ID:
         raise ValueError(f"unsupported generator id {d.get('generator')!r}; "
                          f"this build produces {GENERATOR_ID!r}")
+    missing = [key for key in ("n", "seed") if key not in d]
+    if missing:
+        raise ValueError(f"process descriptor lacks {', '.join(missing)}")
     return ProcessTrace(int(d["n"]), int(d["seed"]))
 
 
@@ -235,6 +240,8 @@ def sample_gnm(n: int, m: int, seed: int) -> Graph:
 
 def _gnp_indices(n: int, p: float, seed: int) -> np.ndarray:
     """Ascending pair indices of G(n,p) by geometric skipping."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got n={n}")
     N = pair_count(n)
     if p == 0.0 or N == 0:
         return np.empty(0, dtype=np.int64)

@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Iterable, Optional
 
 import numpy as np
@@ -51,40 +51,39 @@ class PartitionCollapsedError(AttackError):
 
 @dataclass(frozen=True)
 class BudgetRule:
-    """Per-vertex cap on removable edges.
+    """Per-vertex cap on removable edges: deg_H(v) <= alpha * deg_G(v) and
+    deg_{G-H}(v) >= k, so cap(v) = min(floor(alpha * deg(v)), deg(v) - k).
 
-    fraction:            deg_H(v) <= alpha * deg_G(v)
-    fraction_keep_degree: additionally deg_{G-H}(v) >= k
+    k = 0 is the plain fraction rule: alpha <= 1 makes its second bound
+    deg(v) >= floor(alpha * deg(v)) always hold.
     """
 
-    kind: str
     alpha: Fraction
-    k: Optional[int] = None
+    k: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", Fraction(self.alpha))
         if not (0 <= self.alpha <= 1):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.k < 0:
+            raise ValueError(f"k must be >= 0, got {self.k}")
 
     @staticmethod
     def fraction(alpha) -> "BudgetRule":
-        return BudgetRule("fraction", Fraction(alpha))
+        return BudgetRule(alpha)
 
     @staticmethod
     def fraction_keep_degree(alpha, k: int) -> "BudgetRule":
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        return BudgetRule("fraction_keep_degree", Fraction(alpha), k=k)
+        return BudgetRule(alpha, k)
 
     def caps(self, g: Graph) -> list:
         """Exact per-vertex caps on deg_H; can be negative where the rule is
         unsatisfiable at a vertex (then no H, not even the empty one, passes).
         """
         num, den = self.alpha.numerator, self.alpha.denominator
-        if self.kind == "fraction":
-            return [num * d // den for d in g.degrees]
-        if self.kind == "fraction_keep_degree":
-            return [min(num * d // den, d - self.k) for d in g.degrees]
-        raise ValueError(f"unknown budget rule kind {self.kind!r}")
+        return [min(num * d // den, d - self.k) for d in g.degrees]
 
 
 def _h_degrees(g: Graph, h_edges: Iterable) -> list:
@@ -135,10 +134,8 @@ class Cut:
 
 
 def crossing_edges(g: Graph, cut: Cut) -> tuple:
-    """E_G(A, B), the adversary subgraph of the cut."""
-    a, b = cut.side_a, cut.side_b
-    return tuple((u, v) for u, v in g.edges
-                 if (u in a and v in b) or (u in b and v in a))
+    """E_G(A, B), the adversary subgraph of the cut, in edge order."""
+    return tuple(compress(g.edges, _crosses(g, _side_vector(g.n, cut)).tolist()))
 
 
 def cut_to_json_dict(g: Graph, cut: Cut, satisfied: Optional[bool] = None,
@@ -158,7 +155,18 @@ def cut_to_json_dict(g: Graph, cut: Cut, satisfied: Optional[bool] = None,
 
 
 def cut_from_json_dict(d: dict) -> Cut:
-    return Cut(frozenset(d.get("S", ())), frozenset(d["A"]), frozenset(d["B"]))
+    """The cut of a JSON object whose "A", "B" and optional "S" are lists
+    of integers; ValueError for anything else."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a cut must be a JSON object, got {type(d).__name__}")
+    parts = []
+    for key, part in (("S", d.get("S", [])), ("A", d.get("A")), ("B", d.get("B"))):
+        if not (isinstance(part, list) and all(
+                isinstance(v, int) and not isinstance(v, bool) for v in part)):
+            raise ValueError(f"cut field {key!r} must be a list of integers, "
+                             f"got {part!r}")
+        parts.append(frozenset(part))
+    return Cut(*parts)
 
 
 def attack_ratios(g: Graph, h_edges: Iterable) -> dict:
@@ -194,6 +202,31 @@ class ResilienceReport:
     method: str
 
 
+def _crosses(g: Graph, side) -> np.ndarray:
+    """Mask over g's edges: True where one endpoint is on each side."""
+    eu, ev = g._ends
+    at = np.asarray(side, dtype=np.int64)
+    return at[eu] + at[ev] == 1
+
+
+def _side_vector(n: int, cut: Cut) -> np.ndarray:
+    """The cut as a crossing_degrees side vector: 0 on A, 1 on B, -1 in
+    the separator."""
+    side = np.full(n, -1, dtype=np.int64)
+    side[list(cut.side_a)] = 0
+    side[list(cut.side_b)] = 1
+    return side
+
+
+def random_equipartition(n: int, rng) -> list:
+    """A side vector splitting 0..n-1 uniformly at random: the last n - n//2
+    vertices of rng's permutation go to side B (1), the rest to A (0)."""
+    side = [0] * n
+    for v in rng.permutation(n).tolist()[n // 2:]:
+        side[v] = 1
+    return side
+
+
 def crossing_degrees(g: Graph, side) -> list:
     """cross[v]: the neighbours of v on the other side of the cut.
 
@@ -201,8 +234,7 @@ def crossing_degrees(g: Graph, side) -> list:
     unplaced vertex, whose edges neither count nor are counted.
     """
     eu, ev = g._ends
-    at = np.asarray(side, dtype=np.int64)
-    cut = at[eu] + at[ev] == 1  # one endpoint on each side
+    cut = _crosses(g, side)
     return (np.bincount(eu[cut], minlength=g.n)
             + np.bincount(ev[cut], minlength=g.n)).tolist()
 
@@ -391,10 +423,7 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
 
     best = None  # (max_ratio Fraction, cut)
     for r in range(restarts):
-        perm = generator(seed, r).permutation(n).tolist()
-        side = [0] * n
-        for v in perm[n // 2:]:
-            side[v] = 1
+        side = random_equipartition(n, generator(seed, r))
         on_b = n - n // 2
         cross = crossing_degrees(g, side)
         ratio = [c / d for c, d in zip(cross, safe_deg)]
@@ -495,17 +524,13 @@ def verify_star_condition(g: Graph, cut: Cut, epsilon) -> bool:
     cut.validate_for(g)
     eps = Fraction(epsilon)
     p, q = eps.numerator, eps.denominator
-    side = [0] * g.n
-    for v in cut.side_b:
-        side[v] = 1
+    cross = crossing_degrees(g, _side_vector(g.n, cut))
     # cross <= (1/2 + p/q) deg  <=>  2 q cross <= (q + 2 p) deg
-    return all(2 * q * c <= (q + 2 * p) * d
-               for c, d in zip(crossing_degrees(g, side), g.degrees))
+    return all(2 * q * c <= (q + 2 * p) * d for c, d in zip(cross, g.degrees))
 
 
 def greedy_partition_attack(g: Graph, cls: VertexClassification,
-                            d_threshold: float, epsilon, seed: int,
-                            sweep_cap: Optional[int] = None) -> AttackOutcome:
+                            d_threshold: float, epsilon, seed: int) -> AttackOutcome:
     """Constructive bipartition attack.
 
     (1) seeded random equipartition; (2) mark D, the vertices whose crossing
@@ -531,14 +556,8 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     if g.n < 2:
         raise ValueError("attack needs at least two vertices")
     ep, eq = eps.numerator, eps.denominator
-    cap = g.n if sweep_cap is None else sweep_cap
 
-    rng = generator(seed)
-    perm = rng.permutation(g.n).tolist()
-    side = [0] * g.n
-    for v in perm[g.n // 2:]:
-        side[v] = 1
-
+    side = random_equipartition(g.n, generator(seed))
     deg = g.degrees
     cross = crossing_degrees(g, side)
     d_set = frozenset(v for v in range(g.n) if cross[v] > d_threshold)
@@ -567,9 +586,9 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     moves = sweeps = 0
     while True:
         sweeps += 1
-        if sweeps > cap:
+        if sweeps > g.n:
             raise RearrangementOverflowError(
-                f"rearrangement did not converge within {cap} sweeps",
+                f"rearrangement did not converge within {g.n} sweeps",
                 partial_sides=_sides(side),
                 diagnostics={"moves": moves, "sweeps": sweeps,
                              "removed": len(removed)})
@@ -606,23 +625,19 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
         diagnostics=diagnostics)
 
 
-def replay_cut(g: Graph, cut: Cut, rule: BudgetRule,
-               k: Optional[int] = None) -> dict:
-    """Self-verification of a certificate: recompute H from the cut and
+def replay_cut(g: Graph, cut: Cut, rule: BudgetRule) -> dict:
+    """Self-verification of a certificate: recount deg_H from the cut and
     check the budget. Removing H and the separator always disconnects a cut
     that covers g, since A and B are nonempty and H is every A-B edge.
     """
     cut.validate_for(g)
-    h = crossing_edges(g, cut)
-    deg_h = _h_degrees(g, h)
+    deg_h = crossing_degrees(g, _side_vector(g.n, cut))
     allowed = _within(deg_h, rule.caps(g))
-    keep_ok = True
-    if k is not None and rule.kind == "fraction_keep_degree":
-        keep_ok = all(d - dh >= rule.k for d, dh in zip(g.degrees, deg_h))
+    keep_ok = all(d - dh >= rule.k for d, dh in zip(g.degrees, deg_h))
     return {
         "budget_allowed": allowed,
         "disconnects": True,
         "keep_degree_ok": keep_ok,
         "valid": allowed and keep_ok,
-        "h_size": len(h),
+        "h_size": sum(deg_h) // 2,
     }

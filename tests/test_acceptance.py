@@ -306,7 +306,7 @@ def test_criterion_7_kcore_attack_oracle_loop():
                 if (cut is not None) != oracle:
                     mismatches.append((n, m, t))
                 if cut is not None:
-                    assert replay_cut(core, cut, rule, k=2)["valid"]
+                    assert replay_cut(core, cut, rule)["valid"]
     elapsed = time.time() - t0
     ok = not mismatches and instances >= 40 and elapsed < 600
     report(7, ok, f"{instances} instances agree with the oracle, "

@@ -256,6 +256,22 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("payload", [{"B": [2]}, [[0, 1], [2]], {"A": 5, "B": [2]}])
+def test_malformed_cut_file_is_usage_error(tmp_path, capsys, c6_file, payload):
+    cut_path = tmp_path / "cut.json"
+    cut_path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "verify-cut", "--graph", c6_file,
+                       "--cut", str(cut_path), "--alpha", "1/2")
+    assert code == 2
+    assert "cut" in err
+
+
+def test_negative_vertex_count_is_usage_error(capsys):
+    code, _, err = run(capsys, "sample", "gnp", "--n", "-3", "--p", "0.5")
+    assert code == 2
+    assert "n=-3" in err
+
+
 def test_study_command(tmp_path, capsys):
     out_path = tmp_path / "study.json"
     code, out, _ = run(capsys, "study", "hitting", "--ns", "16", "--trials",

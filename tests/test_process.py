@@ -20,7 +20,7 @@ from process_resilience.process import (
     sample_process,
     trace_from_descriptor,
 )
-from process_resilience.rng import derive_seed
+from process_resilience.rng import GENERATOR_ID, derive_seed
 
 from oracles import is_k_connected_oracle
 
@@ -90,6 +90,24 @@ def test_descriptor_round_trip():
     assert again == trace
     with pytest.raises(ValueError, match="generator"):
         trace_from_descriptor({"n": 4, "seed": 1, "generator": "other"})
+    for key in ("n", "seed"):
+        d = {"n": 4, "seed": 1, "generator": GENERATOR_ID}
+        del d[key]
+        with pytest.raises(ValueError, match=f"lacks {key}"):
+            trace_from_descriptor(d)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ProcessTrace(-3, 0),
+    lambda: trace_from_descriptor({"n": -3, "seed": 0, "generator": GENERATOR_ID}),
+    lambda: sample_gnm(-3, 0, 1),
+    lambda: sample_gnp(-3, 0.0, 1),
+    lambda: sample_gnp(-3, 0.5, 1),
+    lambda: sample_coupled(-3, 0.1, 0.2, 1),
+])
+def test_negative_vertex_count_is_rejected(make):
+    with pytest.raises(ValueError, match="n=-3"):
+        make()
 
 
 def _chunk_ends(N):

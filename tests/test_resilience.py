@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -96,6 +97,18 @@ def test_budget_rejects_alpha_outside_unit_interval(alpha):
 def test_budget_accepts_alpha_endpoints():
     assert BudgetRule.fraction(0).caps(cycle(4)) == [0, 0, 0, 0]
     assert BudgetRule.fraction(1).caps(cycle(4)) == [2, 2, 2, 2]
+
+
+def test_fraction_caps_are_the_floor_of_alpha_deg():
+    g = sample_gnm(12, 30, 3)
+    for alpha in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), 1):
+        assert (BudgetRule.fraction(alpha).caps(g)
+                == [math.floor(alpha * d) for d in g.degrees])
+
+
+def test_budget_rejects_negative_k():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        BudgetRule(Fraction(1, 2), -1)
 
 
 def test_budget_rejects_non_edges():
@@ -347,7 +360,7 @@ def test_kconn_attack_agrees_with_naive_oracle_random():
             oracle = exists_kconn_attack_h(g, budget_caps(g, rule_alpha, k), k)
             assert (cut is not None) == oracle, (g.edges, k)
             if cut is not None:
-                verdict = replay_cut(g, cut, rule, k=k)
+                verdict = replay_cut(g, cut, rule)
                 assert verdict["valid"]
 
 
@@ -439,7 +452,7 @@ def test_k5_keep_degree_fixture():
     cut = find_k_conn_attack(k5, rule, 2)
     assert cut is not None
     assert len(cut.separator) == 1
-    assert replay_cut(k5, cut, rule, k=2)["valid"]
+    assert replay_cut(k5, cut, rule)["valid"]
     assert exists_kconn_attack_h(k5, budget_caps(k5, Fraction(9, 10), 2), 2)
 
 
@@ -592,7 +605,8 @@ def test_every_attack_cut_is_self_verifying():
 
 def test_replay_disconnects_matches_rebuild():
     """Random covering cuts, with and without a separator, always
-    disconnect once H is removed; the oracle rebuilds G - S - H to check."""
+    disconnect once H is removed; the oracle rebuilds G - S - H to check.
+    H and the budget verdicts match the edge-by-edge recount."""
     rng = random.Random(5)
     checked = 0
     for seed in range(40):
@@ -605,11 +619,25 @@ def test_replay_disconnects_matches_rebuild():
             split = rng.randint(1, len(rest) - 1)
             cut = Cut(frozenset(order[:s_size]), frozenset(rest[:split]),
                       frozenset(rest[split:]))
-            rule = BudgetRule.fraction(Fraction(rng.randint(0, 4), 4))
-            verdict = replay_cut(g, cut, rule)
-            assert verdict["disconnects"] is True
+            a, b = cut.side_a, cut.side_b
+            assert crossing_edges(g, cut) == tuple(
+                (u, v) for u, v in g.edges
+                if (u in a and v in b) or (u in b and v in a))
+            counts = crossing_counts(g, a, b)
+            alpha = Fraction(rng.randint(0, 4), 4)
+            k = rng.randint(1, 3)
+            for rule, keep in ((BudgetRule.fraction(alpha), 0),
+                               (BudgetRule.fraction_keep_degree(alpha, k), k)):
+                verdict = replay_cut(g, cut, rule)
+                assert verdict["disconnects"] is True
+                assert verdict["h_size"] == sum(counts.values()) // 2
+                assert verdict["budget_allowed"] == all(
+                    counts[v] <= cap
+                    for v, cap in enumerate(budget_caps(g, alpha, keep or None)))
+                assert verdict["keep_degree_ok"] == all(
+                    g.degree(v) - counts[v] >= keep for v in range(g.n))
+                assert verdict["valid"] == verdict["budget_allowed"]
             assert removal_disconnects(g, cut.separator, cut.side_a, cut.side_b)
-            assert verdict["valid"] == verdict["budget_allowed"]
             checked += 1
     assert checked == 400
 
