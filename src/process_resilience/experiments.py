@@ -416,6 +416,13 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     if cfg.study == "kcore" and not (0 <= cfg.epsilon_fraction() <= Fraction(1, 2)):
         raise ValueError(f"kcore budget alpha = 1/2 - epsilon needs epsilon "
                          f"in [0, 1/2], got {cfg.epsilon}")
+    if cfg.study in ("hitting", "kcore"):
+        for n in cfg.ns:
+            if n < 2:
+                raise ValueError(f"{cfg.study} study needs n >= 2, got n={n}")
+            if cfg.study == "kcore" and not 2 <= cfg.k <= n - 1:
+                raise ValueError(f"kcore study needs k in [2, n-1], "
+                                 f"got k={cfg.k} for n={n}")
     tasks = _tasks(cfg)
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:

@@ -309,15 +309,16 @@ class _SplitNetwork:
     arc 2v, of capacity 1; each edge uv becomes arcs 2u+1 -> 2v and
     2v+1 -> 2u of capacity 1; node 2n is a super-source with a unit arc to
     each of ``sources``. Arcs are flat lists: arc e runs to ``head[e]`` with
-    base capacity ``base[e]``, its reverse is arc ``e ^ 1``, and ``out[x]``
-    lists the arcs leaving node x. The super-source arcs can carry flow
-    only in queries that start at node 2n: no other query reaches it.
+    base capacity ``base[e]`` (1 on even arcs, 0 on odd ones), its reverse
+    is arc ``e ^ 1``, and ``out[x]`` lists the arcs leaving node x. ``cap``
+    holds the residual capacities; every query leaves it equal to ``base``.
+    No arc into the super-source has capacity until a query from node 2n
+    sends flow out of it, so no other query routes through it.
     """
 
     def __init__(self, g: Graph, sources):
-        self.size = 2 * g.n + 1
         head, base = [], []
-        out = [[] for _ in range(self.size)]
+        out = [[] for _ in range(2 * g.n + 1)]
 
         def add_arc(x, y):
             out[x].append(len(head))
@@ -335,38 +336,77 @@ class _SplitNetwork:
         for s in sources:
             add_arc(2 * g.n, 2 * s)
         self.head, self.base, self.out = head, base, out
+        self.cap = base[:]
 
     def paths_at_least(self, source: int, sink: int, k: int, uncapped) -> bool:
         """At least k arc-disjoint source->sink paths once the inner arcs of
         the ``uncapped`` vertices get capacity k+1 (unit-capacity
-        augmenting paths, one breadth-first search each).
+        augmenting paths). The arcs each path augments go to an undo log;
+        on exit they, their reverses and the uncapped inner arcs are reset
+        to ``base``.
         """
-        head, out = self.head, self.out
-        cap = self.base[:]
+        cap, base = self.cap, self.base
+        touched = []
         for v in uncapped:
             cap[2 * v] = k + 1
-        for _ in range(k):
-            prev = [-1] * self.size
-            prev[source] = -2
-            queue = [source]
-            for x in queue:
+        try:
+            for _ in range(k):
+                path = self._augmenting_path(source, sink)
+                if path is None:
+                    return False
+                for e in path:
+                    cap[e] -= 1
+                    cap[e ^ 1] += 1
+                touched += path
+            return True
+        finally:
+            for e in touched:
+                cap[e] = base[e]
+                cap[e ^ 1] = base[e ^ 1]
+            for v in uncapped:
+                cap[2 * v] = base[2 * v]
+
+    def _augmenting_path(self, source: int, sink: int):
+        """The arcs of one source->sink path of positive residual capacity,
+        or None. The path is grown from both ends (Pohl 1971), always
+        expanding the smaller frontier by one level, and spliced at the
+        first node reached from both sides.
+        """
+        head, out, cap = self.head, self.out, self.cap
+        # seen[0][y]: the arc that reached y from the source;
+        # seen[1][y]: the arc that leads from y towards the sink
+        seen = ({source: -1}, {sink: -1})
+        fronts = [[source], [sink]]
+        while fronts[0] and fronts[1]:
+            # side 0 takes arc e out of x; side 1 takes arc e ^ 1 into x
+            side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+            mine, other = seen[side], seen[1 - side]
+            grown = []
+            for x in fronts[side]:
                 for e in out[x]:
-                    if cap[e]:
-                        y = head[e]
-                        if prev[y] == -1:
-                            prev[y] = e
-                            queue.append(y)
-                if prev[sink] != -1:
-                    break
-            else:
-                return False
-            y = sink
-            while y != source:
-                e = prev[y]
-                cap[e] -= 1
-                cap[e ^ 1] += 1
-                y = head[e ^ 1]
-        return True
+                    arc = e ^ side
+                    y = head[e]
+                    if cap[arc] and y not in mine:
+                        mine[y] = arc
+                        if y in other:
+                            return self._splice(y, source, sink, *seen)
+                        grown.append(y)
+            fronts[side] = grown
+        return None
+
+    def _splice(self, meet, source, sink, to_source, to_sink):
+        """The source->meet half, then the meet->sink half, as arcs."""
+        head = self.head
+        path = []
+        y = meet
+        while y != source:
+            path.append(to_source[y])
+            y = head[to_source[y] ^ 1]
+        y = meet
+        while y != sink:
+            path.append(to_sink[y])
+            y = head[to_sink[y]]
+        return path
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
@@ -376,9 +416,10 @@ def is_k_connected(g: Graph, k: int) -> bool:
     (k >= 3).
 
     For k >= 3 the split-vertex flow network is built once per call, as
-    flat arc lists; each of the C(k, 2) + n - k local checks copies its
-    base capacities, uncaps the inner arcs of its endpoints and runs at
-    most k breadth-first augmentations.
+    flat arc lists. The C(k, 2) pivot-pair checks always run; a vertex's
+    super-source check runs only if the fan lemma has not already settled
+    it. Each check uncaps the inner arcs of its endpoints, runs at most k
+    bidirectional augmentations and undoes them on exit.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -400,9 +441,28 @@ def is_k_connected(g: Graph, k: int) -> bool:
     for a, b in combinations(pivots, 2):
         if not net.paths_at_least(2 * a + 1, 2 * b, k, (a, b)):
             return False
-    # with the super-source every graph vertex except the sink is an
-    # internal vertex of some source-sink path and must stay unit-capacity
+    # A vertex is settled once it is a pivot or has passed its super-source
+    # check. Fan lemma: a vertex u with k settled neighbours passes without
+    # a check, since any <= k-1 removed vertices miss one such neighbour w,
+    # and w is a pivot or still reaches one. ``ready`` holds settled
+    # vertices whose neighbours have not yet counted them.
+    adj = g.adj
+    settled = [v < k for v in range(g.n)]
+    count = [0] * g.n
+    ready = list(pivots)
     for u in range(k, g.n):
+        while ready:
+            for w in adj[ready.pop()]:
+                count[w] += 1
+                if count[w] == k and not settled[w]:
+                    settled[w] = True
+                    ready.append(w)
+        if settled[u]:
+            continue
+        # with the super-source every graph vertex except the sink is an
+        # internal vertex of some source-sink path and must stay unit-capacity
         if not net.paths_at_least(2 * g.n, 2 * u, k, (u,)):
             return False
+        settled[u] = True
+        ready.append(u)
     return True

@@ -67,6 +67,49 @@ def is_k_connected_oracle(g: Graph, k: int) -> bool:
     return True
 
 
+def split_network_flow(g: Graph, sources, source: int, sink: int,
+                       inner_caps) -> int:
+    """Maximum source->sink flow in Even's split-vertex network of g.
+
+    Node 2v -> 2v+1 is vertex v's inner arc, of capacity ``inner_caps.get(v,
+    1)``; edge uv gives unit arcs 2u+1 -> 2v and 2v+1 -> 2u; node 2n has a
+    unit arc to 2s for each s in ``sources``. The network is a nested dict
+    of residual capacities, augmented by one-directional breadth-first
+    searches (Edmonds-Karp) until the sink is unreachable.
+    """
+    residual = {x: {} for x in range(2 * g.n + 1)}
+
+    def arc(x, y, c):
+        residual[x][y] = residual[x].get(y, 0) + c
+        residual[y].setdefault(x, 0)
+
+    for v in range(g.n):
+        arc(2 * v, 2 * v + 1, inner_caps.get(v, 1))
+    for u, v in g.edges:
+        arc(2 * u + 1, 2 * v, 1)
+        arc(2 * v + 1, 2 * u, 1)
+    for s in sources:
+        arc(2 * g.n, 2 * s, 1)
+    flow = 0
+    while True:
+        parent = {source: None}
+        queue = [source]
+        for x in queue:
+            for y, c in residual[x].items():
+                if c > 0 and y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+        if sink not in parent:
+            return flow
+        y = sink
+        while parent[y] is not None:
+            x = parent[y]
+            residual[x][y] -= 1
+            residual[y][x] += 1
+            y = x
+        flow += 1
+
+
 def peel_k_core_random_order(g: Graph, k: int, order) -> set:
     """Single-vertex peeling in the given vertex priority order; returns the
     surviving vertex set (independent oracle for k_core).

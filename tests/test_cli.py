@@ -272,6 +272,17 @@ def test_negative_vertex_count_is_usage_error(capsys):
     assert "n=-3" in err
 
 
+
+@pytest.mark.parametrize("argv, named", [
+    (("kcore", "--ns", "256", "8", "--k", "9"), "k=9 for n=8"),
+    (("kcore", "--ns", "16", "--k", "1"), "k=1 for n=16"),
+    (("hitting", "--ns", "1"), "n=1"),
+])
+def test_study_domain_is_usage_error(capsys, argv, named):
+    code, _, err = run(capsys, "study", *argv, "--trials", "1")
+    assert code == 2
+    assert named in err
+
 def test_study_command(tmp_path, capsys):
     out_path = tmp_path / "study.json"
     code, out, _ = run(capsys, "study", "hitting", "--ns", "16", "--trials",

@@ -4,6 +4,7 @@ import math
 import jsonschema
 import pytest
 
+import process_resilience.experiments as experiments
 from process_resilience.experiments import (
     RESULT_JSON_SCHEMA,
     ExperimentConfig,
@@ -169,6 +170,31 @@ def test_kcore_study_rejects_epsilon_outside_budget_range(epsilon):
     with pytest.raises(ValueError, match="epsilon"):
         run_study(bad)
 
+
+
+@pytest.mark.parametrize("k, ns, named", [
+    (9, (8,), "k=9 for n=8"), (9, (256, 8), "k=9 for n=8"),
+    (1, (16,), "k=1 for n=16"), (3, (3,), "k=3 for n=3"),
+])
+def test_kcore_study_rejects_k_outside_domain_before_any_trial(
+        monkeypatch, k, ns, named):
+    # k must lie in [2, n-1] for every n; no trial may start first
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the domain check")
+
+    monkeypatch.setattr(experiments, "_run_one", no_trial)
+    bad = ExperimentConfig(study="kcore", ns=ns, m_factors=(1.0,), k=k,
+                           trials=2)
+    with pytest.raises(ValueError, match=named):
+        run_study(bad)
+
+
+@pytest.mark.parametrize("study", ["hitting", "kcore"])
+@pytest.mark.parametrize("n", [0, 1])
+def test_process_studies_reject_n_below_two(study, n):
+    bad = ExperimentConfig(study=study, ns=(16, n), trials=1)
+    with pytest.raises(ValueError, match=f"n >= 2, got n={n}"):
+        run_study(bad)
 
 # -- emit / parse ----------------------------------------------------------
 

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from process_resilience.graphs import (
     GraphFormatError,
+    _SplitNetwork,
     _graph_from_arrays,
     ball,
     build_graph,
@@ -18,13 +21,14 @@ from process_resilience.graphs import (
     k_core,
     parse_graph_text,
 )
-from process_resilience.process import sample_gnm, pair_count
+from process_resilience.process import (graph_at, pair_count, sample_gnm,
+                                        sample_process)
 from process_resilience.resilience import crossing_degrees
 
 from conftest import complete, cycle, path, star
 from oracles import (crossing_counts, graph_from_pairs,
                      induced_subgraph_by_edges, is_k_connected_oracle,
-                     peel_k_core_random_order)
+                     peel_k_core_random_order, split_network_flow)
 
 
 # -- construction ----------------------------------------------------------
@@ -359,12 +363,15 @@ def planted_separator_graph(n, k, layout, seed):
 
     ``layout`` places the separator relative to the pivots {0..k-1} of
     Even's test: "avoids" them, "contains" pivot 0, or "splits" them, with
-    pivot 0 on side A and the others on side B.
+    pivot 0 on side A and the others on side B. "hub" avoids them too and
+    joins one side-B vertex to every separator vertex, so that vertex has
+    k-1 settled neighbours once the separator has passed its checks: one
+    short of the fan lemma's k.
     """
     rng = random.Random(seed)
     others = list(range(k, n))
     rng.shuffle(others)
-    if layout == "avoids":
+    if layout in ("avoids", "hub"):
         sep, pivots_a = others[:k - 1], list(range(k))
     elif layout == "contains":
         sep, pivots_a = [0] + others[:k - 2], list(range(1, k))
@@ -387,10 +394,12 @@ def planted_separator_graph(n, k, layout, seed):
         for side in (side_a, side_b):
             for v in rng.sample(side, k):
                 edges.add(tuple(sorted((s, v))))
+    if layout == "hub":
+        edges.update(tuple(sorted((s, side_b[0]))) for s in sep)
     return build_graph(n, edges), sep
 
 
-@pytest.mark.parametrize("layout", ["avoids", "contains", "splits"])
+@pytest.mark.parametrize("layout", ["avoids", "contains", "splits", "hub"])
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("n", [20, 29, 40])
 def test_k_connectivity_finds_planted_separator(n, k, layout):
@@ -418,6 +427,131 @@ def test_k_connectivity_matches_oracle_dense_larger(seed, n):
     for k in (3, 4):
         assert is_k_connected(g, k) == is_k_connected_oracle(g, k), (g.edges, k)
 
+
+@pytest.fixture
+def flow_checks(monkeypatch):
+    """The argument tuples of every ``paths_at_least`` call in the test."""
+    calls = []
+    original = _SplitNetwork.paths_at_least
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(_SplitNetwork, "paths_at_least", counted)
+    return calls
+
+
+def test_k_connectivity_matches_oracle_on_random_cores(flow_checks):
+    # k-cores of G(n, m) with n = 12-24 are where the fan lemma settles
+    # vertices without a flow check; the verdict must not change
+    skipped = 0
+    for seed in range(40):
+        n = 12 + seed % 13
+        g = sample_gnm(n, (2 + seed % 3) * n, seed)
+        for k in (3, 4):
+            core = k_core(g, k)
+            flow_checks.clear()
+            verdict = is_k_connected(core, k)
+            assert verdict == is_k_connected_oracle(core, k), (core.edges, k)
+            if verdict:
+                skipped += math.comb(k, 2) + core.n - k - len(flow_checks)
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fan_lemma_skips_most_flow_checks(flow_checks, seed):
+    # deterministic guard on the work done: without the fan lemma the
+    # 3-core of a 1024-vertex process graph runs one check per vertex
+    n = 1024
+    core = k_core(graph_at(sample_process(n, seed),
+                           round(n * math.log(n) / 2)), 3)
+    assert is_k_connected(core, 3)
+    assert len(flow_checks) < n / 8
+
+
+# -- split-vertex flow network ------------------------------------------------
+
+_SMALL_NETWORK_GRAPHS = [
+    build_graph(1, []), build_graph(2, []), build_graph(2, [(0, 1)]),
+    build_graph(4, [(0, 1), (2, 3)]),                 # disconnected
+    build_graph(4, [(0, 1), (0, 2), (1, 2)]),         # isolated vertex 3
+    complete(4), cycle(5),
+]
+
+
+@pytest.mark.parametrize("g", _SMALL_NETWORK_GRAPHS + [hypercube(3)])
+def test_split_network_arc_layout(g):
+    net = _SplitNetwork(g, range(min(3, g.n)))
+    assert len(net.out) == 2 * g.n + 1
+    assert len(net.head) == 2 * (g.n + 2 * g.m + min(3, g.n))
+    for v in range(g.n):
+        assert 2 * v in net.out[2 * v] and net.head[2 * v] == 2 * v + 1
+    for x, arcs in enumerate(net.out):
+        for e in arcs:
+            assert net.head[e ^ 1] == x  # e ^ 1 runs back from head[e] to x
+    assert net.base == [1 - (e & 1) for e in range(len(net.head))]
+    assert net.cap == net.base
+
+
+def test_undo_log_restores_capacities():
+    g = hypercube(3)  # 3-connected, not 4-connected
+    net = _SplitNetwork(g, range(3))
+    assert net.paths_at_least(2 * 0 + 1, 2 * 7, 3, (0, 7))
+    assert net.cap == net.base
+    assert not net.paths_at_least(2 * 0 + 1, 2 * 7, 4, (0, 7))
+    assert net.cap == net.base
+    assert net.paths_at_least(2 * g.n, 2 * 5, 3, (5,))
+    assert net.cap == net.base
+    assert not net.paths_at_least(2 * g.n, 2 * 5, 4, (5,))
+    assert net.cap == net.base
+
+
+def _check_against_flow_oracle(net, g, sources, source, sink, uncapped, k):
+    flow = split_network_flow(g, sources, source, sink,
+                              {v: k + 1 for v in uncapped})
+    assert net.paths_at_least(source, sink, k, uncapped) is (flow >= k), (
+        g.edges, sources, source, sink, uncapped, k)
+    assert net.cap == net.base
+
+
+@pytest.mark.parametrize("g", _SMALL_NETWORK_GRAPHS)
+def test_paths_at_least_matches_flow_oracle_on_small_graphs(g):
+    sources = range(min(2, g.n))
+    net = _SplitNetwork(g, sources)
+    nodes = range(len(net.out))
+    for source, sink in ((s, t) for s in nodes for t in nodes if s != t):
+        for size in range(3):
+            for uncapped in combinations(range(g.n), size):
+                for k in range(1, 6):
+                    _check_against_flow_oracle(net, g, sources, source, sink,
+                                               uncapped, k)
+
+
+@st.composite
+def flow_queries(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 0.8]))
+    rnd = random.Random(draw(st.integers(0, 2 ** 31)))
+    g = build_graph(n, [e for e in pairs if rnd.random() < density])
+    sources = sorted(rnd.sample(range(n), draw(st.integers(0, n))))
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        source, sink = rnd.sample(range(2 * n + 1), 2)
+        uncapped = tuple(rnd.sample(range(n), rnd.randint(0, min(2, n))))
+        queries.append((source, sink, uncapped, rnd.randint(1, 5)))
+    return g, sources, queries
+
+
+@given(flow_queries())
+@settings(max_examples=200, deadline=None)
+def test_paths_at_least_matches_flow_oracle(case):
+    # several queries on one network also check that no state leaks
+    g, sources, queries = case
+    net = _SplitNetwork(g, sources)
+    for source, sink, uncapped, k in queries:
+        _check_against_flow_oracle(net, g, sources, source, sink, uncapped, k)
 
 # -- balls -----------------------------------------------------------------
 
