@@ -263,13 +263,13 @@ def _hitting_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
         "tau_equal": tau1 == tau_conn,
         "tau1_norm": tau1 / (0.5 * n * math.log(n)),
     }
-    if n <= cfg.exact_n_limit:
+    if n <= cfg.exact_n_limit or cfg.measure_resilience:
         giant = giant_component(graph_at(trace, tau1))
+    if n <= cfg.exact_n_limit:
         rep = connectivity_resilience_threshold(giant)
         metrics["alpha_star"] = str(rep.threshold)
         metrics["alpha_star_float"] = float(rep.threshold)
     elif cfg.measure_resilience:
-        giant = giant_component(graph_at(trace, tau1))
         p1 = tau1 / pair_count(n)
         metrics.update(_greedy_metrics(cfg, giant, p1, trial_seed))
         rep = connectivity_resilience_threshold(
@@ -302,7 +302,7 @@ def _sweep_trial(cfg: ExperimentConfig, n: int, m: int, trial: int) -> TrialReco
     metrics = {}
     if g.m == 0:
         metrics.update({"cherry_present": False, "greedy_satisfied": False,
-                        "giant_frac": 1.0 / n if n else 0.0})
+                        "giant_frac": 1.0 / n})
     else:
         giant = giant_component(g)
         metrics["giant_frac"] = giant.n / n
@@ -416,13 +416,12 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     if cfg.study == "kcore" and not (0 <= cfg.epsilon_fraction() <= Fraction(1, 2)):
         raise ValueError(f"kcore budget alpha = 1/2 - epsilon needs epsilon "
                          f"in [0, 1/2], got {cfg.epsilon}")
-    if cfg.study in ("hitting", "kcore"):
-        for n in cfg.ns:
-            if n < 2:
-                raise ValueError(f"{cfg.study} study needs n >= 2, got n={n}")
-            if cfg.study == "kcore" and not 2 <= cfg.k <= n - 1:
-                raise ValueError(f"kcore study needs k in [2, n-1], "
-                                 f"got k={cfg.k} for n={n}")
+    for n in cfg.ns:
+        if n < 2:
+            raise ValueError(f"{cfg.study} study needs n >= 2, got n={n}")
+        if cfg.study == "kcore" and not 2 <= cfg.k <= n - 1:
+            raise ValueError(f"kcore study needs k in [2, n-1], "
+                             f"got k={cfg.k} for n={n}")
     tasks = _tasks(cfg)
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:

@@ -1,13 +1,15 @@
 """The random graph process and its relatives: seeded samplers for the
 nested process {G_i}, G(n,m), G(n,p), and coupled pairs G- <= G+, plus
-hitting-time computation along a trace.
+hitting times along a trace.
 
 A ProcessTrace never materializes the full permutation of the N = n(n-1)/2
 vertex pairs: it is stored implicitly as (n, seed) and streamed by a partial
-Fisher-Yates shuffle, so hitting-time scans use O(steps) memory. Replaying
-the same trace always yields the identical permutation. ``sample_gnm(n, m,
-seed)`` takes the first m pairs of that same permutation, so it coincides
-with ``graph_at(sample_process(n, seed), m)`` by construction.
+Fisher-Yates shuffle. Every hitting time is one monotone prefix search,
+``_first_hit``, which draws fewer than 1.25 m + n pairs for an answer m.
+Replaying the same trace always yields the identical permutation.
+``sample_gnm(n, m, seed)`` takes the first m pairs of that same
+permutation, so it coincides with ``graph_at(sample_process(n, seed), m)``
+by construction.
 """
 
 from __future__ import annotations
@@ -15,11 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, _graph_from_arrays
+from .graphs import Graph, _graph_from_arrays, is_k_connected
 from .rng import GENERATOR_ID, derive_seed, generator
 
 
@@ -157,77 +159,74 @@ def graph_at(trace: ProcessTrace, m: int) -> Graph:
     return _graph_from_arrays(trace.n, *trace._endpoints(m))
 
 
+def _growing(lo: int, n: int) -> Iterator[int]:
+    """Chunk sizes of a prefix that starts at lo pairs and then grows by a
+    quarter of its length, but at least n pairs, per chunk: a search that
+    stops at m draws fewer than 1.25 m + n pairs and checks O(log m)
+    prefixes."""
+    yield lo
+    while True:
+        step = max(lo // 4, n)
+        yield step
+        lo += step
+
+
+def _first_hit(trace: ProcessTrace, lo: int, *tests: Callable) -> int:
+    """Smallest m >= lo at which every test ``holds(us, vs)`` is true of the
+    first m arrivals.
+
+    Each test must be monotone in m and true at m = N. The tests share one
+    prefix, drawn once and grown by ``_growing`` only while a test is false
+    of all of it. Each test is searched from the hit of the test before it,
+    probed there first, then bisected on slices of the prefix, so a cheap
+    test placed first spares a costly one most of its probes.
+    """
+    chunks = trace._index_chunks(_growing(lo, trace.n))
+    us, vs = _pairs_from_indices(trace.n, next(chunks))
+    for holds in tests:
+        hi = lo
+        while not holds(us[:hi], vs[:hi]):
+            lo = hi + 1
+            if hi == len(us):
+                cu, cv = _pairs_from_indices(trace.n, next(chunks))
+                us, vs = np.concatenate((us, cu)), np.concatenate((vs, cv))
+            hi = len(us)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if holds(us[:mid], vs[:mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+    return lo
+
+
+def _min_degree_test(n: int, k: int) -> Callable:
+    return lambda us, vs: np.bincount(np.concatenate((us, vs)), minlength=n).min() >= k
+
+
 def hitting_time_min_degree(trace: ProcessTrace, k: int) -> int:
-    """Smallest m with min degree >= k, in one streaming pass."""
+    """Smallest m with min degree >= k. The search starts at ceil(k n / 2),
+    since min degree k needs 2m >= k n."""
     if not (1 <= k <= trace.n - 1):
         raise ValueError(f"k must be in [1, {trace.n - 1}], got {k}")
-    deg = [0] * trace.n
-    below = trace.n
-    for step, (u, v) in enumerate(trace.iter_pairs(), start=1):
-        deg[u] += 1
-        if deg[u] == k:
-            below -= 1
-        deg[v] += 1
-        if deg[v] == k:
-            below -= 1
-        if below == 0:
-            return step
-    raise AssertionError("unreachable: K_n has min degree n-1 >= k")
-
-
-def _hitting_time_connectivity(trace: ProcessTrace) -> int:
-    """Smallest m with G_m connected, via incremental union-find."""
-    parent = list(range(trace.n))
-    rank = [0] * trace.n
-    ncomp = trace.n
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for step, (u, v) in enumerate(trace.iter_pairs(), start=1):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if rank[ru] < rank[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            if rank[ru] == rank[rv]:
-                rank[ru] += 1
-            ncomp -= 1
-            if ncomp == 1:
-                return step
-    raise AssertionError("unreachable: K_n is connected")
+    return _first_hit(trace, -(-k * trace.n // 2), _min_degree_test(trace.n, k))
 
 
 def hitting_time_k_connectivity(trace: ProcessTrace, k: int) -> int:
     """Smallest m with G_m k-connected.
 
-    k = 1 is maintained incrementally (union-find). For k >= 2 we binary
-    search over m, which is valid because k-connectivity is monotone under
-    edge addition; the upper bracket is found by doubling from the
-    min-degree hitting time to keep graph prefixes short.
+    k-connectivity is monotone under edge addition and needs min degree
+    >= k, so the search first finds the min-degree hitting time and checks
+    k-connectivity only from there on, on the same prefix.
     """
-    from .graphs import is_k_connected
-
     if not (1 <= k <= trace.n - 1):
         raise ValueError(f"k must be in [1, {trace.n - 1}], got {k}")
-    if k == 1:
-        return _hitting_time_connectivity(trace)
-    N = trace.num_pairs
-    lo = hitting_time_min_degree(trace, k)
-    hi = lo
-    while hi < N and not is_k_connected(graph_at(trace, hi), k):
-        lo = hi + 1
-        hi = min(N, max(2 * hi, hi + trace.n))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if is_k_connected(graph_at(trace, mid), k):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+
+    def k_connected(us, vs):
+        return is_k_connected(_graph_from_arrays(trace.n, us, vs), k)
+
+    return _first_hit(trace, -(-k * trace.n // 2),
+                      _min_degree_test(trace.n, k), k_connected)
 
 
 def sample_gnm(n: int, m: int, seed: int) -> Graph:

@@ -277,6 +277,8 @@ def test_negative_vertex_count_is_usage_error(capsys):
     (("kcore", "--ns", "256", "8", "--k", "9"), "k=9 for n=8"),
     (("kcore", "--ns", "16", "--k", "1"), "k=1 for n=16"),
     (("hitting", "--ns", "1"), "n=1"),
+    (("sweep", "--ns", "0"), "sweep study needs n >= 2, got n=0"),
+    (("audit", "--ns", "1"), "audit study needs n >= 2, got n=1"),
 ])
 def test_study_domain_is_usage_error(capsys, argv, named):
     code, _, err = run(capsys, "study", *argv, "--trials", "1")

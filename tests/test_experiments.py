@@ -189,7 +189,7 @@ def test_kcore_study_rejects_k_outside_domain_before_any_trial(
         run_study(bad)
 
 
-@pytest.mark.parametrize("study", ["hitting", "kcore"])
+@pytest.mark.parametrize("study", ["hitting", "kcore", "sweep", "audit"])
 @pytest.mark.parametrize("n", [0, 1])
 def test_process_studies_reject_n_below_two(study, n):
     bad = ExperimentConfig(study=study, ns=(16, n), trials=1)

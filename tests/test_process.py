@@ -1,11 +1,12 @@
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
 
+from process_resilience import process
 from process_resilience.process import (
     ProcessTrace,
     _pairs_from_indices,
@@ -36,16 +37,26 @@ class _FixedTrace:
     def num_pairs(self):
         return pair_count(self.n)
 
-    def iter_pairs(self):
-        return iter(self.order)
-
-    def pairs(self, m):
-        return list(self.order[:m])
+    def _index_chunks(self, sizes):  # what the hitting-time search reads
+        idx = np.array([index_from_pair(self.n, u, v) for u, v in self.order],
+                       dtype=np.int64)
+        start = 0
+        for size in sizes:
+            yield idx[start:start + size]
+            start += size
+            if start >= len(idx):
+                return
 
     def _endpoints(self, m):  # what graph_at reads
-        us = np.array([u for u, _ in self.order[:m]], dtype=np.int64)
-        vs = np.array([v for _, v in self.order[:m]], dtype=np.int64)
-        return us, vs
+        return _pairs_from_indices(self.n, next(self._index_chunks((m,))))
+
+
+def _order_of(n, first):
+    """The pairs ``first`` (repeats dropped), then every other pair in
+    lexicographic order."""
+    first = tuple(dict.fromkeys(first))
+    rest = tuple(p for p in combinations(range(n), 2) if p not in first)
+    return _FixedTrace(n, first + rest)
 
 
 TRIANGLE_ORDER = _FixedTrace(3, ((0, 1), (0, 2), (1, 2)))
@@ -54,6 +65,21 @@ TRIANGLE_ORDER = _FixedTrace(3, ((0, 1), (0, 2), (1, 2)))
 # a cut vertex until the seventh, (0, 3), arrives
 BOWTIE_ORDER = _FixedTrace(5, ((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4),
                                (0, 3), (0, 4), (1, 3), (1, 4)))
+
+# two disjoint edges cover every vertex; the third arrival connects them
+PATH_ORDER = _order_of(4, ((0, 1), (2, 3), (1, 2)))
+
+# a perfect matching, then two disjoint K4s: min degree 1 after 4 arrivals,
+# connected only at the 13th, two prefix extensions past the first chunk
+TWO_K4_ORDER = _order_of(8, ((0, 1), (2, 3), (4, 5), (6, 7))
+                         + tuple(p for p in combinations(range(8), 2)
+                                 if (p[0] < 4) == (p[1] < 4)))
+
+# K5 on 0..4 first: vertex 5 is isolated until the 11th arrival, two prefix
+# extensions past the min-degree search's first chunk of 3
+K5_ORDER = _order_of(6, tuple(combinations(range(5), 2)))
+
+FIXED_ORDERS = (TRIANGLE_ORDER, BOWTIE_ORDER, PATH_ORDER, TWO_K4_ORDER, K5_ORDER)
 
 
 # -- process trace ---------------------------------------------------------
@@ -206,9 +232,72 @@ def test_hitting_min_degree_fixed_order():
 def test_hitting_k_connectivity_fixed_order():
     assert hitting_time_k_connectivity(TRIANGLE_ORDER, 1) == 2
     assert hitting_time_k_connectivity(TRIANGLE_ORDER, 2) == 3
-    # the bisection reads the stub's prefixes through graph_at
     assert hitting_time_min_degree(BOWTIE_ORDER, 2) == 6
     assert hitting_time_k_connectivity(BOWTIE_ORDER, 2) == 7
+    assert hitting_time_min_degree(PATH_ORDER, 1) == 2
+    assert hitting_time_k_connectivity(PATH_ORDER, 1) == 3
+    assert hitting_time_min_degree(TWO_K4_ORDER, 1) == 4
+    assert hitting_time_k_connectivity(TWO_K4_ORDER, 1) == 13
+    assert hitting_time_min_degree(K5_ORDER, 1) == 11
+    assert hitting_time_k_connectivity(K5_ORDER, 1) == 11
+
+
+@pytest.mark.parametrize("trace", FIXED_ORDERS, ids=lambda t: f"n={t.n}")
+def test_hitting_times_of_fixed_orders_match_linear_scan(trace):
+    assert sorted(trace.order) == list(combinations(range(trace.n), 2))
+    prefixes = [graph_at(trace, m) for m in range(trace.num_pairs + 1)]
+    for k in range(1, trace.n):
+        assert hitting_time_min_degree(trace, k) == next(
+            m for m, g in enumerate(prefixes) if g.min_degree() >= k), k
+        assert hitting_time_k_connectivity(trace, k) == next(
+            m for m, g in enumerate(prefixes) if is_k_connected_oracle(g, k)), k
+
+
+def test_hitting_times_of_a_single_pair_and_of_k_n_minus_one():
+    for seed in range(4):
+        trace = sample_process(2, seed)
+        assert hitting_time_min_degree(trace, 1) == 1
+        assert hitting_time_k_connectivity(trace, 1) == 1
+        trace = sample_process(5, seed)
+        assert hitting_time_min_degree(trace, 4) == trace.num_pairs
+        assert hitting_time_k_connectivity(trace, 4) == trace.num_pairs
+
+
+def test_hitting_searches_draw_each_pair_once(monkeypatch):
+    """A search grows one prefix by a quarter of its length, at least n
+    pairs, so it draws fewer than 1.25 tau + n pairs; k-connectivity shares
+    that prefix with its min-degree start, never redraws one through
+    _endpoints, and builds one graph when tau_conn = tau_1."""
+    drawn = []
+    draw_chunks = ProcessTrace._index_chunks
+    builds = []
+    build = process._graph_from_arrays
+
+    def counted_build(n, us, vs):
+        builds.append(len(us))
+        return build(n, us, vs)
+
+    def counted(self, sizes):
+        for chunk in draw_chunks(self, sizes):
+            drawn.append(len(chunk))
+            yield chunk
+
+    def no_redraw(self, m):
+        raise AssertionError(f"_endpoints({m}) redrew a prefix")
+
+    monkeypatch.setattr(ProcessTrace, "_index_chunks", counted)
+    monkeypatch.setattr(ProcessTrace, "_endpoints", no_redraw)
+    monkeypatch.setattr(process, "_graph_from_arrays", counted_build)
+    for seed in range(5):
+        trace = sample_process(1024, seed)
+        drawn.clear()
+        tau = hitting_time_min_degree(trace, 1)
+        assert sum(drawn) < 1.25 * tau + trace.n, seed
+        drawn.clear()
+        tau_conn = hitting_time_k_connectivity(trace, 1)
+        assert sum(drawn) < 1.25 * tau_conn + trace.n, seed
+        assert tau_conn == tau and builds == [tau], seed
+        builds.clear()
 
 
 def test_hitting_min_degree_matches_recomputation():
@@ -232,7 +321,7 @@ def test_hitting_min_degree_lower_bound_and_monotone_in_k():
 
 
 def test_hitting_k_connectivity_matches_linear_scan():
-    for n, k in ((7, 2), (8, 3)):
+    for n, k in ((6, 1), (7, 1), (7, 2), (8, 3)):
         for seed in range(8):
             trace = sample_process(n, seed)
             tau = hitting_time_k_connectivity(trace, k)
