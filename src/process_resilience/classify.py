@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, VertexSet, connected_components
+from .graphs import Graph, VertexSet, connected_components, neighbours_in
 from .rng import generator
 
 
@@ -136,33 +137,33 @@ def audit_atyp_size(cls: VertexClassification) -> AuditReport:
     )
 
 
-def _triangles(g: Graph):
-    """Triangles (u < v < w) via sorted-adjacency intersection."""
-    for u, v in g.edges:
-        row_u, row_v = g.adj[u], g.adj[v]
-        i = j = 0
-        while i < len(row_u) and j < len(row_v):
-            a, b = row_u[i], row_v[j]
-            if a == b:
-                if a > v:
-                    yield (u, v, a)
-                i += 1
-                j += 1
-            elif a < b:
-                i += 1
-            else:
-                j += 1
+def _tiny_triangles(g: Graph, tiny) -> dict:
+    """{(u, v, w): tiny corners} over the triangles u < v < w of g with a
+    tiny corner, found from each tiny vertex's neighbour pairs; a triangle
+    is found once from each of its tiny corners. A triangle with no tiny
+    corner counts 0, so these are all that can violate or set the maximum.
+    """
+    out = {}
+    for t in tiny:
+        for a, b in combinations(g.adj[t], 2):
+            if g.has_edge(a, b):
+                tri = tuple(sorted((t, a, b)))
+                out[tri] = out.get(tri, 0) + 1
+    return out
 
 
 def audit_neighbourhoods(g_plus: Graph, cls: VertexClassification, L: int):
     """The three clumping audits on g_plus against classes from the coupled
     reference graph: (C2) at most 2 tiny vertices in any radius-3 ball and at
     most L atypical neighbours of any vertex; (C3) at most 1 tiny vertex per
-    triangle. Returns the three reports in that order.
+    triangle, searched from the tiny corners only. Returns the three reports
+    in that order.
     """
     if g_plus.n != cls.n:
         raise ValueError(f"vertex universes differ: graph has {g_plus.n}, "
                          f"classification has {cls.n}")
+    if L < 0:
+        raise ValueError(f"L must be nonnegative, got {L}")
     tiny, atyp = cls.tiny, cls.atyp
     params = {"p": cls.p, "delta": cls.delta, "L": L}
 
@@ -189,27 +190,21 @@ def audit_neighbourhoods(g_plus: Graph, cls: VertexClassification, L: int):
         violations=tuple(ball_viol), params=params,
     )]
 
-    nbr_viol, nbr_max = [], 0
-    for v in range(g_plus.n):
-        cnt = sum(1 for u in g_plus.adj[v] if u in atyp)
-        nbr_max = max(nbr_max, cnt)
-        if cnt > L:
-            nbr_viol.append({"vertex": v, "measured": cnt, "bound": L})
+    nbr_counts = neighbours_in(g_plus, atyp)
+    nbr_viol = [{"vertex": v, "measured": cnt, "bound": L}
+                for v, cnt in enumerate(nbr_counts) if cnt > L]
     reports.append(AuditReport(
         property_id="atyp-neighbourhood", condition="C2", holds=not nbr_viol,
-        max_observed=float(nbr_max), bound=float(L),
+        max_observed=float(max(nbr_counts, default=0)), bound=float(L),
         violations=tuple(nbr_viol), params=params,
     ))
 
-    tri_viol, tri_max = [], 0
-    for u, v, w in _triangles(g_plus):
-        cnt = (u in tiny) + (v in tiny) + (w in tiny)
-        tri_max = max(tri_max, cnt)
-        if cnt > 1:
-            tri_viol.append({"triangle": [u, v, w], "measured": cnt, "bound": 1})
+    tris = _tiny_triangles(g_plus, tiny)
+    tri_viol = [{"triangle": list(tri), "measured": cnt, "bound": 1}
+                for tri, cnt in sorted(tris.items()) if cnt > 1]
     reports.append(AuditReport(
         property_id="triangle-tiny", condition="C3", holds=not tri_viol,
-        max_observed=float(tri_max), bound=1.0,
+        max_observed=float(max(tris.values(), default=0)), bound=1.0,
         violations=tuple(tri_viol), params=params,
     ))
     return reports
@@ -228,13 +223,17 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
     of size <= 4 — analytically when the bound is slack enough that the
     extreme counts 0 and C(|X|,2) both pass, exhaustively when n is small,
     by sampling otherwise — (b) ``subset_trials`` seeded random subsets, and
-    (c) structured extremes: every component, the giant, and top-degree
-    vertex neighbourhoods. A sound-but-incomplete check by design.
+    (c) structured extremes: every component, the giant, and the distinct
+    closed neighbourhoods of the five top-degree vertices. Each subset is
+    checked once per kind, and listed, sorted, only when it violates. A
+    sound-but-incomplete check by design.
     """
     if c <= 0:
         raise ValueError(f"c must be positive, got {c}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p}")
+    if subset_trials < 0:
+        raise ValueError(f"subset_trials must be nonnegative, got {subset_trials}")
     n = g.n
     scale = math.sqrt(n * p)
     params = {"p": p, "c": c, "subset_trials": subset_trials, "seed": seed}
@@ -242,9 +241,10 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
     violations = []
     max_norm = 0.0
 
-    def check(label, subset_sorted, count):
+    def check(label, subset, count):
+        # subset: the members in any order; sorted only for a witness
         nonlocal max_norm
-        s = len(subset_sorted)
+        s = len(subset)
         if s < 2 or scale == 0.0:
             return
         expect = s * (s - 1) / 2 * p
@@ -252,7 +252,7 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
         if norm > max_norm:
             max_norm = norm
         if norm > c:
-            violations.append({"subset": list(subset_sorted), "kind": label,
+            violations.append({"subset": sorted(map(int, subset)), "kind": label,
                                "measured": count, "expected": expect,
                                "bound": c * s * scale})
 
@@ -271,13 +271,12 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
         smalls_mode = "analytic"
     elif n <= 40:
         smalls_mode = "exhaustive"
-        from itertools import combinations
         adj = [set(a) for a in g.adj]
         for s in (2, 3, 4):
-            for X in combinations(range(n), min(s, n)):
+            for X in combinations(range(n), s):
                 cnt = sum(1 for i in range(len(X)) for j in range(i + 1, len(X))
                           if X[j] in adj[X[i]])
-                check("small", list(X), cnt)
+                check("small", X, cnt)
     else:
         smalls_mode = "sampled"  # folded into the random-subset stage below
 
@@ -286,14 +285,13 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
     # (b) seeded random subsets of random sizes
     rng = generator(seed)
     lo_size = 2 if smalls_mode == "sampled" else 5
-    if n >= 2:
-        for _ in range(subset_trials):
-            s = int(rng.integers(lo_size, n + 1)) if n + 1 > lo_size else n
-            idx = rng.permutation(n)[:s]
-            mask = np.zeros(n, dtype=bool)
-            mask[idx] = True
-            check("random", sorted(int(i) for i in idx),
-                  _edge_count_within(eu, ev, mask))
+    # below lo_size the one subset left to draw is V itself: check it once
+    for _ in range(subset_trials if n >= lo_size else min(subset_trials, 1)):
+        s = int(rng.integers(lo_size, n + 1)) if n >= lo_size else n
+        idx = rng.permutation(n)[:s]
+        mask = np.zeros(n, dtype=bool)
+        mask[idx] = True
+        check("random", idx, _edge_count_within(eu, ev, mask))
 
     # (c) structured extremes
     comps = connected_components(g)
@@ -301,12 +299,12 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
         mask = np.zeros(n, dtype=bool)
         mask[list(comp)] = True
         label = "giant" if i == 0 else "component"
-        check(label, sorted(comp), _edge_count_within(eu, ev, mask))
+        check(label, comp, _edge_count_within(eu, ev, mask))
     top = sorted(range(n), key=lambda v: (-g.degree(v), v))[:5]
-    for v in top:
-        closed = sorted(set(g.adj[v]) | {v})
+    # twins share a closed neighbourhood: check each distinct one once
+    for closed in dict.fromkeys(frozenset((v, *g.adj[v])) for v in top):
         mask = np.zeros(n, dtype=bool)
-        mask[closed] = True
+        mask[list(closed)] = True
         check("neighbourhood", closed, _edge_count_within(eu, ev, mask))
 
     violations.sort(key=lambda rec: rec["subset"])

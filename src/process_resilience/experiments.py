@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from . import __version__ as _code_version
 from .classify import (audit_atyp_size, audit_edge_counts,
                        audit_neighbourhoods, classify_vertices)
-from .graphs import Graph, giant_component, is_k_connected, k_core
+from .graphs import Graph, giant_component, is_k_connected, k_core, neighbours_in
 from .process import (ProcessTrace, graph_at, hitting_time_k_connectivity,
                       hitting_time_min_degree, pair_count, sample_coupled,
                       sample_gnm)
@@ -351,9 +351,8 @@ def _audit_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
     side = random_equipartition(n, generator(derive_seed(trial_seed, 2)))
     cross = crossing_degrees(coupled.g_plus, side)
     d_cut = (0.5 + cfg.delta) * n * coupled.p1
-    in_d = [cross[v] > d_cut for v in range(n)]
-    max_d_nbrs = max((sum(1 for u in coupled.g_plus.adj[v] if in_d[u])
-                      for v in range(n)), default=0)
+    d_set = [v for v in range(n) if cross[v] > d_cut]
+    max_d_nbrs = max(neighbours_in(coupled.g_plus, d_set), default=0)
 
     metrics = {
         "c1_holds": c1.holds,
@@ -413,6 +412,10 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
             raise ValueError(
                 f"audit regime violated: p_prime = {cfg.p_prime_factor} * p0 "
                 f"exceeds epsilon = {eps} * p0")
+        for name in ("subset_trials", "L"):
+            if getattr(cfg, name) < 0:
+                raise ValueError(f"audit study needs {name} >= 0, "
+                                 f"got {name}={getattr(cfg, name)}")
     if cfg.study == "kcore" and not (0 <= cfg.epsilon_fraction() <= Fraction(1, 2)):
         raise ValueError(f"kcore budget alpha = 1/2 - epsilon needs epsilon "
                          f"in [0, 1/2], got {cfg.epsilon}")

@@ -265,6 +265,15 @@ def ball(g: Graph, v: int, radius: int):
     return VertexSet(out)
 
 
+def neighbours_in(g: Graph, members) -> list:
+    """counts[v]: the neighbours of v among the vertices ``members``."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(members)] = True
+    eu, ev = g._ends
+    return (np.bincount(eu[inside[ev]], minlength=g.n)
+            + np.bincount(ev[inside[eu]], minlength=g.n)).tolist()
+
+
 # -- k-connectivity ------------------------------------------------------
 
 def _has_articulation_point(g: Graph) -> bool:

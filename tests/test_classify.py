@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -279,6 +280,16 @@ _HAND_BUILT = [
     ("K4 three tiny", complete(4), {0, 1, 2}, {3}, 0),
     ("star atypical leaves", star(8), (), set(range(1, 8)), 3),
     ("star all atypical", star(8), {1, 2, 3}, set(range(8)), 7),
+    ("triangles without a tiny corner",
+     build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)]),
+     {4}, {0}, 2),
+    ("edgeless", build_graph(5, []), {0, 1}, {0, 1, 2}, 0),
+    ("n = 2", build_graph(2, [(0, 1)]), {0}, {0, 1}, 0),
+    ("tiny = V", complete(4), set(range(4)), set(range(4)), 2),
+    # vertex 1's triangle is found before vertex 2's, but sorts after it
+    ("triangles out of discovery order",
+     build_graph(7, [(1, 5), (1, 6), (5, 6), (0, 2), (0, 3), (2, 3)]),
+     {1, 2, 3, 5}, (), 1),
 ]
 
 
@@ -348,6 +359,44 @@ def test_edge_count_violations_are_recheckable():
         cnt = sum(1 for i in X for j in X if i < j and g.has_edge(i, j))
         assert cnt == wit["measured"]
         assert abs(cnt - wit["expected"]) > wit["bound"] - 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_edge_count_witnesses_are_distinct_below_five_vertices(n):
+    # every subset of size >= 2 is checked exhaustively, each once per kind;
+    # V is the one subset the random stage can draw, so it is checked once
+    p, c = 0.01, 0.01
+    scale = math.sqrt(n * p)
+
+    def norm(g, X):
+        cnt = sum(1 for i in X for j in X if i < j and g.has_edge(i, j))
+        s = len(X)
+        return abs(cnt - s * (s - 1) / 2 * p) / (s * scale)
+
+    for g in (complete(n), path(n), star(n), build_graph(n, [])):
+        subsets = [X for s in range(2, n + 1) for X in combinations(range(n), s)]
+        for trials in (0, 3):
+            rep = audit_edge_counts(g, p, c=c, subset_trials=trials, seed=0)
+            assert rep.params["smalls_mode"] == "exhaustive"
+            keys = [(v["kind"], tuple(v["subset"])) for v in rep.violations]
+            assert len(keys) == len(set(keys))
+            assert sorted(k for k in keys if k[0] == "small") == sorted(
+                ("small", X) for X in subsets if norm(g, X) > c)
+            assert [k for k in keys if k[0] == "random"] == (
+                [("random", tuple(range(n)))]
+                if trials and norm(g, range(n)) > c else [])
+            assert rep.max_observed == pytest.approx(
+                max(norm(g, X) for X in subsets), rel=1e-12)
+
+
+def test_audits_reject_negative_counts():
+    g = complete(5)
+    with pytest.raises(ValueError, match="subset_trials must be nonnegative"):
+        audit_edge_counts(g, 0.5, c=1.0, subset_trials=-1, seed=0)
+    with pytest.raises(ValueError, match="L must be nonnegative"):
+        audit_neighbourhoods(g, _manual_cls(g), -1)
+    assert audit_edge_counts(g, 0.5, c=1.0, subset_trials=0, seed=0).holds
+    assert len(audit_neighbourhoods(g, _manual_cls(g), 0)) == 3
 
 
 def test_audit_report_json_shape():

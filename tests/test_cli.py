@@ -285,6 +285,25 @@ def test_study_domain_is_usage_error(capsys, argv, named):
     assert code == 2
     assert named in err
 
+@pytest.mark.parametrize("field, value", [("subset_trials", -3), ("L", -1)])
+def test_audit_study_negative_count_is_usage_error(tmp_path, capsys, field,
+                                                   value):
+    cfg = tmp_path / "audit.cfg"
+    cfg.write_text(f"study = audit\nns = 64\ntrials = 1\n{field} = {value}\n")
+    code, _, err = run(capsys, "study", "audit", "--config", str(cfg))
+    assert code == 2
+    assert f"{field}={value}" in err
+
+
+@pytest.mark.parametrize("flag, named", [("--subset-trials", "subset_trials"),
+                                         ("--L", "L must")])
+def test_audit_negative_count_is_usage_error(c6_file, capsys, flag, named):
+    code, _, err = run(capsys, "audit", "--minus", c6_file, "--plus", c6_file,
+                       flag, "-1")
+    assert code == 2
+    assert named in err
+
+
 def test_study_command(tmp_path, capsys):
     out_path = tmp_path / "study.json"
     code, out, _ = run(capsys, "study", "hitting", "--ns", "16", "--trials",

@@ -151,6 +151,18 @@ def test_audit_study_runs_and_respects_regime():
         run_study(bad)
 
 
+@pytest.mark.parametrize("field, value", [("subset_trials", -3), ("L", -1)])
+def test_audit_study_rejects_negative_counts_before_any_trial(monkeypatch,
+                                                              field, value):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "_audit_trial", no_trial)
+    bad = ExperimentConfig(study="audit", ns=(64,), trials=1, **{field: value})
+    with pytest.raises(ValueError, match=f"{field} >= 0, got {field}={value}"):
+        run_study(bad)
+
+
 def test_p_prime_factor_default_depends_on_study():
     # the audit default fits the default epsilon 1/10; the other studies
     # never read it and keep the value their JSON has always echoed

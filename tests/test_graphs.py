@@ -19,6 +19,7 @@ from process_resilience.graphs import (
     induced_subgraph,
     is_k_connected,
     k_core,
+    neighbours_in,
     parse_graph_text,
 )
 from process_resilience.process import (graph_at, pair_count, sample_gnm,
@@ -26,7 +27,7 @@ from process_resilience.process import (graph_at, pair_count, sample_gnm,
 from process_resilience.resilience import crossing_degrees
 
 from conftest import complete, cycle, path, star
-from oracles import (crossing_counts, graph_from_pairs,
+from oracles import (atyp_neighbour_counts, crossing_counts, graph_from_pairs,
                      induced_subgraph_by_edges, is_k_connected_oracle,
                      peel_k_core_random_order, split_network_flow)
 
@@ -151,6 +152,30 @@ def test_crossing_degrees_match_recount_on_relabelled_giants():
                 g, frozenset(v for v in range(g.n) if side[v] == 0),
                 frozenset(v for v in range(g.n) if side[v] == 1))
             assert crossing_degrees(g, side) == [counts[v] for v in range(g.n)]
+
+
+@given(pair_lists(max_n=9), st.data())
+@settings(max_examples=300, deadline=None)
+def test_neighbours_in_matches_recount(case, data):
+    n, pairs = case
+    g = build_graph(n, pairs)
+    members = data.draw(st.one_of(st.just(frozenset(range(n))),
+                                  st.frozensets(st.integers(0, max(n - 1, 0)),
+                                                max_size=n)))
+    assert neighbours_in(g, members) == atyp_neighbour_counts(g, members)
+
+
+def test_neighbours_in_extremes():
+    graphs = (build_graph(0, []), build_graph(1, []), build_graph(2, []),
+              build_graph(2, [(0, 1)]), build_graph(6, [(1, 3), (3, 4)]), star(5))
+    for g in graphs:
+        for members in (frozenset(), frozenset(range(g.n)),
+                        frozenset(range(0, g.n, 2))):
+            want = atyp_neighbour_counts(g, members)
+            assert neighbours_in(g, members) == want
+            assert neighbours_in(g, sorted(members)) == want
+            assert neighbours_in(g, np.array(sorted(members), dtype=np.int64)) == want
+    assert neighbours_in(star(5), {0}) == [0, 1, 1, 1, 1]
 
 
 # -- text format -----------------------------------------------------------
