@@ -13,7 +13,9 @@ import math
 from fractions import Fraction
 
 from process_resilience import (
+    attack_ratios,
     classify_vertices,
+    crossing_edges,
     giant_component,
     greedy_partition_attack,
     pair_count,
@@ -35,10 +37,11 @@ def main():
         cls = classify_vertices(giant, p1, 0.5)
         outcome = greedy_partition_attack(giant, cls, 0.7 * giant.n * p1,
                                           eps, seed)
-        worst = max(outcome.ratios.values())
+        h = crossing_edges(giant, outcome.cut)
+        worst = max(attack_ratios(giant, h).values())
         d = outcome.diagnostics
         print(f"  seed {seed}: sides {len(outcome.cut.side_a)}/"
-              f"{len(outcome.cut.side_b)}, |H| = {len(outcome.h_edges)}, "
+              f"{len(outcome.cut.side_b)}, |H| = {len(h)}, "
               f"worst ratio {worst} ({float(worst):.3f}), "
               f"reinserted {d['removed']}, moves {d['moves']}, "
               f"star condition: {outcome.satisfied}")

@@ -10,6 +10,7 @@ natural logarithm throughout.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -17,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, VertexSet, connected_components, neighbours_in
+from .graphs import Graph, VertexSet, ball, connected_components, neighbours_in
 from .rng import generator
 
 
@@ -38,17 +39,6 @@ class VertexClassification:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    def restricted_to_subgraph(self, sub: Graph) -> "VertexClassification":
-        """Re-express the classes in the index space of an induced subgraph.
-
-        ``sub.labels`` must map back into this classification's universe.
-        """
-        if sub.labels is None:
-            raise ValueError("subgraph carries no relabeling map")
-        tiny = frozenset(i for i, orig in enumerate(sub.labels) if orig in self.tiny)
-        atyp = frozenset(i for i, orig in enumerate(sub.labels) if orig in self.atyp)
-        return VertexClassification(sub, self.p, self.delta, tiny, atyp)
 
 
 def chernoff_tail_bounds(n: int, p: float, delta: float):
@@ -171,17 +161,8 @@ def audit_neighbourhoods(g_plus: Graph, cls: VertexClassification, L: int):
     # exactly when the one from t holds v: search from the tiny vertices only
     ball_counts = [0] * g_plus.n
     for t in tiny:
-        seen = {t}
-        frontier = [t]
-        for _ in range(3):
-            nxt = []
-            for x in frontier:
-                for y in g_plus.adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-                        ball_counts[y] += 1
-            frontier = nxt
+        for v in ball(g_plus, t, 3):
+            ball_counts[v] += 1
     ball_viol = [{"vertex": v, "measured": cnt, "bound": 2}
                  for v, cnt in enumerate(ball_counts) if cnt > 2]
     reports = [AuditReport(
@@ -293,14 +274,12 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
         mask[idx] = True
         check("random", idx, _edge_count_within(eu, ev, mask))
 
-    # (c) structured extremes
-    comps = connected_components(g)
-    for i, comp in enumerate(comps):
-        mask = np.zeros(n, dtype=bool)
-        mask[list(comp)] = True
-        label = "giant" if i == 0 else "component"
-        check(label, comp, _edge_count_within(eu, ev, mask))
-    top = sorted(range(n), key=lambda v: (-g.degree(v), v))[:5]
+    # (c) structured extremes; a component holds every edge at its vertices
+    deg = g.degrees
+    for i, comp in enumerate(connected_components(g)):
+        check("giant" if i == 0 else "component", comp,
+              sum(map(deg.__getitem__, comp)) // 2)
+    top = heapq.nsmallest(5, range(n), key=lambda v: (-deg[v], v))
     # twins share a closed neighbourhood: check each distinct one once
     for closed in dict.fromkeys(frozenset((v, *g.adj[v])) for v in top):
         mask = np.zeros(n, dtype=bool)

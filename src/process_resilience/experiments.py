@@ -28,7 +28,7 @@ from .graphs import Graph, giant_component, is_k_connected, k_core, neighbours_i
 from .process import (ProcessTrace, graph_at, hitting_time_k_connectivity,
                       hitting_time_min_degree, pair_count, sample_coupled,
                       sample_gnm)
-from .resilience import (AttackError, BudgetRule,
+from .resilience import (EXACT_SEPARATOR_LIMIT, AttackError, BudgetRule,
                          connectivity_resilience_threshold,
                          cherry_attack, crossing_degrees, find_k_conn_attack,
                          greedy_partition_attack, random_equipartition)
@@ -326,7 +326,7 @@ def _kcore_trial(cfg: ExperimentConfig, n: int, m: int, trial: int) -> TrialReco
     if core.n:
         metrics["core_k_connected"] = is_k_connected(core, k)
         alpha = Fraction(1, 2) - cfg.epsilon_fraction()
-        if core.n <= 16 and metrics["core_k_connected"]:
+        if core.n <= EXACT_SEPARATOR_LIMIT and metrics["core_k_connected"]:
             attack = find_k_conn_attack(
                 core, BudgetRule.fraction_keep_degree(alpha, k), k)
             metrics["kconn_attack_absent"] = attack is None

@@ -23,7 +23,8 @@ from .graphs import Graph, VertexSet, is_connected, is_k_connected
 from .rng import generator
 
 # Exact-mode size caps: configuration, not physics. Worst cases at these
-# sizes finish in minutes; pass a larger limit explicitly if you mean it.
+# sizes finish in minutes. Both stay <= 32: the scan packs a side into
+# uint32 masks.
 EXACT_BIPARTITION_LIMIT = 24
 EXACT_SEPARATOR_LIMIT = 16
 
@@ -138,12 +139,9 @@ def crossing_edges(g: Graph, cut: Cut) -> tuple:
     return tuple(compress(g.edges, _crosses(g, _side_vector(g.n, cut)).tolist()))
 
 
-def cut_to_json_dict(g: Graph, cut: Cut, satisfied: Optional[bool] = None,
-                     ratios: Optional[dict] = None) -> dict:
+def cut_to_json_dict(g: Graph, cut: Cut, satisfied: Optional[bool] = None) -> dict:
     h = crossing_edges(g, cut)
-    if ratios is None:
-        ratios = attack_ratios(g, h)
-    max_ratio = max(ratios.values(), default=Fraction(0))
+    max_ratio = max(attack_ratios(g, h).values(), default=Fraction(0))
     return {
         "S": sorted(cut.separator),
         "A": sorted(cut.side_a),
@@ -178,17 +176,15 @@ def attack_ratios(g: Graph, h_edges: Iterable) -> dict:
 
 @dataclass(frozen=True)
 class AttackOutcome:
-    """A constructed cut with its adversary subgraph and verification bits."""
+    """A constructed cut with its verification bit; the adversary subgraph
+    and its ratios follow from the cut (crossing_edges, attack_ratios)."""
 
     cut: Cut
-    h_edges: tuple
-    ratios: dict = field(repr=False)
     satisfied: bool
     diagnostics: dict = field(default_factory=dict, repr=False)
 
     def to_json_dict(self, g: Graph) -> dict:
-        d = cut_to_json_dict(g, self.cut, satisfied=self.satisfied,
-                             ratios=self.ratios)
+        d = cut_to_json_dict(g, self.cut, satisfied=self.satisfied)
         d["diagnostics"] = dict(self.diagnostics)
         return d
 
@@ -253,9 +249,6 @@ def _cut_chunks(g: Graph, remaining: list):
     come in the canonical witness order. cross[j, c] is the crossing degree
     of remaining[j] under masks[c]; edges to other vertices do not count.
     """
-    if len(remaining) > 32:
-        raise ValueError(f"the exact cut scan packs a side into 32 bits; "
-                         f"{len(remaining)} vertices do not fit")
     bit = {v: j for j, v in enumerate(remaining)}
     nbr = [sum(1 << bit[u] for u in g.adj[v] if u in bit) for v in remaining]
     end = 1 << max(len(remaining) - 1, 0)  # masks are 2 * (1 .. end - 1)
@@ -295,9 +288,7 @@ def _first_feasible_cut(g: Graph, caps: list, separator=()) -> Optional[Cut]:
     return None
 
 
-def find_disconnecting_attack(g: Graph, rule: BudgetRule,
-                              exact_limit: int = EXACT_BIPARTITION_LIMIT,
-                              ) -> Optional[Cut]:
+def find_disconnecting_attack(g: Graph, rule: BudgetRule) -> Optional[Cut]:
     """Exact search for a budget-feasible disconnecting cut (S empty).
 
     Returns a certificate that g is NOT rule-resilient with respect to
@@ -308,9 +299,10 @@ def find_disconnecting_attack(g: Graph, rule: BudgetRule,
     """
     if not is_connected(g):
         raise ValueError("attack search expects a connected graph")
-    if g.n > exact_limit:
+    if g.n > EXACT_BIPARTITION_LIMIT:
         raise ValueError(
-            f"n={g.n} exceeds the exact-mode bipartition limit {exact_limit}; "
+            f"n={g.n} exceeds the exact-mode bipartition limit "
+            f"{EXACT_BIPARTITION_LIMIT}; "
             f"use connectivity_resilience_threshold in local_search mode or "
             f"greedy_partition_attack instead")
     return _first_feasible_cut(g, rule.caps(g))
@@ -318,7 +310,6 @@ def find_disconnecting_attack(g: Graph, rule: BudgetRule,
 
 def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
                                       restarts: int = 32, seed: int = 0,
-                                      exact_limit: int = EXACT_BIPARTITION_LIMIT,
                                       ) -> ResilienceReport:
     """alpha* = min over nontrivial bipartitions of max_v cross(v)/deg(v).
 
@@ -332,9 +323,9 @@ def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
     if g.n < 2:
         raise ValueError("threshold needs n >= 2")
     if mode == "exact":
-        if g.n > exact_limit:
-            raise ValueError(f"n={g.n} exceeds exact-mode limit {exact_limit}; "
-                             f"use mode='local_search'")
+        if g.n > EXACT_BIPARTITION_LIMIT:
+            raise ValueError(f"n={g.n} exceeds exact-mode limit "
+                             f"{EXACT_BIPARTITION_LIMIT}; use mode='local_search'")
         # max_v cross/deg in exact integers: cross * (L / deg), L = lcm(deg)
         lcm = math.lcm(*g.degrees)
         # int64 scalars, so that the uint8 rows widen instead of overflowing
@@ -471,9 +462,7 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
     return ResilienceReport(best[0], best[1], "local-search-upper-bound")
 
 
-def find_k_conn_attack(g: Graph, rule: BudgetRule, k: int,
-                       exact_limit: int = EXACT_SEPARATOR_LIMIT,
-                       ) -> Optional[Cut]:
+def find_k_conn_attack(g: Graph, rule: BudgetRule, k: int) -> Optional[Cut]:
     """Exact search for (S, A, B) with |S| <= k-1 and budget-feasible
     crossing edges: a certificate that g is not rule-resilient w.r.t.
     k-connectivity. None iff no certificate exists.
@@ -482,9 +471,9 @@ def find_k_conn_attack(g: Graph, rule: BudgetRule, k: int,
         raise ValueError(f"k must be >= 1, got {k}")
     if not is_k_connected(g, k):
         raise ValueError("attack expects a k-connected input graph")
-    if g.n > exact_limit:
+    if g.n > EXACT_SEPARATOR_LIMIT:
         raise ValueError(f"n={g.n} exceeds the exact separator-mode limit "
-                         f"{exact_limit}")
+                         f"{EXACT_SEPARATOR_LIMIT}")
     caps = rule.caps(g)
     for s_size in range(k):
         for sep in combinations(range(g.n), s_size):
@@ -514,19 +503,18 @@ def cherry_attack(g: Graph) -> Optional[tuple]:
 
 
 def verify_star_condition(g: Graph, cut: Cut, epsilon) -> bool:
-    """True iff every vertex has crossing degree <= (1/2 + epsilon) * degree.
+    """True iff every vertex has crossing degree <= (1/2 + epsilon) * degree,
+    that is, the crossing edges respect BudgetRule(1/2 + epsilon); an integer
+    crossing degree is within alpha * deg iff it is within floor(alpha * deg).
 
-    Exact comparison: epsilon is converted to a rational. The separator must
-    be empty and the sides must cover the graph.
+    epsilon is taken as a rational and must lie in [-1/2, 1/2]. The
+    separator must be empty and the sides must cover the graph.
     """
     if cut.separator:
         raise ValueError("star condition is defined for separator-free cuts")
     cut.validate_for(g)
-    eps = Fraction(epsilon)
-    p, q = eps.numerator, eps.denominator
-    cross = crossing_degrees(g, _side_vector(g.n, cut))
-    # cross <= (1/2 + p/q) deg  <=>  2 q cross <= (q + 2 p) deg
-    return all(2 * q * c <= (q + 2 * p) * d for c, d in zip(cross, g.degrees))
+    caps = BudgetRule(Fraction(1, 2) + Fraction(epsilon)).caps(g)
+    return _within(crossing_degrees(g, _side_vector(g.n, cut)), caps)
 
 
 def greedy_partition_attack(g: Graph, cls: VertexClassification,
@@ -555,7 +543,6 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
         raise ValueError(f"epsilon must be in (0, 1/2), got {eps}")
     if g.n < 2:
         raise ValueError("attack needs at least two vertices")
-    ep, eq = eps.numerator, eps.denominator
 
     side = random_equipartition(g.n, generator(seed))
     deg = g.degrees
@@ -577,11 +564,11 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
         side[v] = 0 if in_a >= in_b else 1
 
     cross = crossing_degrees(g, side)
-
-    def violates(v):
-        if v in tiny:
-            return 2 * cross[v] > deg[v]
-        return 2 * eq * cross[v] > (eq + 2 * ep) * deg[v]
+    # star budgets: deg/2 on tiny vertices, (1/2 + epsilon) deg elsewhere
+    half = BudgetRule(Fraction(1, 2)).caps(g)
+    caps = BudgetRule(Fraction(1, 2) + eps).caps(g)
+    for v in tiny:
+        caps[v] = half[v]
 
     moves = sweeps = 0
     while True:
@@ -594,7 +581,7 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
                              "removed": len(removed)})
         moved = False
         for v in range(g.n):
-            if violates(v):
+            if cross[v] > caps[v]:
                 s = side[v]
                 for u in g.adj[v]:
                     if side[u] == s:
@@ -618,11 +605,8 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
             f"removed={len(removed)}); the input is outside the regime "
             f"where the construction converges")
     cut = Cut(frozenset(), side_a, side_b)
-    h = crossing_edges(g, cut)
-    return AttackOutcome(
-        cut=cut, h_edges=h, ratios=attack_ratios(g, h),
-        satisfied=verify_star_condition(g, cut, eps),
-        diagnostics=diagnostics)
+    return AttackOutcome(cut=cut, satisfied=verify_star_condition(g, cut, eps),
+                         diagnostics=diagnostics)
 
 
 def replay_cut(g: Graph, cut: Cut, rule: BudgetRule) -> dict:

@@ -331,6 +331,19 @@ def crossing_counts(g: Graph, side_a, side_b) -> Counter:
     return counts
 
 
+def star_condition_holds(g: Graph, side_a, side_b, epsilon) -> bool:
+    """cross(v) <= (1/2 + epsilon) deg(v) at every vertex, compared as
+    2 q cross <= (q + 2 p) deg for epsilon = p / q."""
+    eps = Fraction(epsilon)
+    p, q = eps.numerator, eps.denominator
+    counts = crossing_counts(g, side_a, side_b)
+    degree = Counter()
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    return all(2 * q * counts[v] <= (q + 2 * p) * degree[v] for v in range(g.n))
+
+
 def first_cut_in_mask_order(g: Graph, caps, separator=()):
     """(S, A, B) for the first bipartition (A, B) of V - S in canonical
     order whose crossing degrees all stay within caps, else None."""

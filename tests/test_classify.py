@@ -14,7 +14,7 @@ from process_resilience.classify import (
     chernoff_tail_bounds,
     classify_vertices,
 )
-from process_resilience.graphs import ball, build_graph, giant_component
+from process_resilience.graphs import ball, build_graph
 from process_resilience.process import sample_gnm, sample_coupled, sample_gnp
 from process_resilience.rng import generator
 
@@ -101,15 +101,6 @@ def test_tiny_usually_empty_above_connectivity_scale():
         not classify_vertices(sample_gnp(n, p, seed), p, 0.05).tiny
         for seed in range(40))
     assert empty >= 24  # ~78% expected
-
-
-def test_restricted_to_subgraph_relabels():
-    g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
-    cls = classify_vertices(g, 0.5, 0.5)  # np = 2.5: tiny = deg < 1.25
-    giant = giant_component(g)  # vertices {0,1,2}
-    sub_cls = cls.restricted_to_subgraph(giant)
-    assert sub_cls.n == 3
-    assert all(v < 3 for v in sub_cls.tiny | sub_cls.atyp)
 
 
 # -- atypical-size audit ---------------------------------------------------

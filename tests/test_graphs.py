@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from process_resilience.graphs import (
@@ -333,6 +333,7 @@ def test_k_connectivity_matches_oracle_exhaustively(n):
 
 
 @given(st.integers(0, 2 ** 31), st.integers(6, 10))
+@example(662, 6)  # k = 3 goes wrong if a settled vertex can be settled again
 @settings(max_examples=80, deadline=None)
 def test_k_connectivity_matches_oracle_random(seed, n):
     m = min(pair_count(n), n + seed % 7)
@@ -342,6 +343,7 @@ def test_k_connectivity_matches_oracle_random(seed, n):
 
 
 @given(st.integers(0, 2 ** 31), st.integers(7, 10))
+@example(397, 9)  # k = 3 goes wrong if a settled vertex can be settled again
 @settings(max_examples=60, deadline=None)
 def test_k_connectivity_matches_oracle_dense(seed, n):
     # dense graphs keep the min degree high enough to exercise the
@@ -445,6 +447,7 @@ def test_k_connectivity_controls(g, k):
 
 
 @given(st.integers(0, 2 ** 31), st.integers(11, 16))
+@example(1163, 11)  # k = 4 goes wrong if a settled vertex can be settled again
 @settings(max_examples=60, deadline=None)
 def test_k_connectivity_matches_oracle_dense_larger(seed, n):
     m = min(pair_count(n), 2 * n + seed % (3 * n))

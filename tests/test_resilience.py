@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from process_resilience.classify import VertexClassification, classify_vertices
 from process_resilience.graphs import (build_graph, connected_components,
-                                       is_connected, is_k_connected)
+                                       giant_component, is_connected,
+                                       is_k_connected)
 from process_resilience.process import sample_gnm, pair_count
 from process_resilience.resilience import (
+    EXACT_BIPARTITION_LIMIT,
+    EXACT_SEPARATOR_LIMIT,
     AttackError,
     BudgetRule,
     Cut,
@@ -44,6 +47,7 @@ from oracles import (
     local_search_threshold_reference,
     min_max_ratio_cut,
     removal_disconnects,
+    star_condition_holds,
 )
 
 
@@ -176,12 +180,10 @@ def test_attack_exact_limit_guidance():
         find_disconnecting_attack(g, BudgetRule.fraction("1/2"))
 
 
-def test_exact_scan_rejects_more_than_32_vertices():
-    with pytest.raises(ValueError, match="32 bits"):
-        connectivity_resilience_threshold(cycle(33), exact_limit=40)
-    with pytest.raises(ValueError, match="32 bits"):
-        find_disconnecting_attack(cycle(33), BudgetRule.fraction("1/2"),
-                                  exact_limit=40)
+def test_exact_limits_fit_the_32_bit_scan():
+    # the exact scan packs one side of the remaining vertices into uint32
+    assert EXACT_BIPARTITION_LIMIT <= 32
+    assert EXACT_SEPARATOR_LIMIT <= 32
 
 
 def test_threshold_k2():
@@ -519,6 +521,61 @@ def test_star_condition_rejects_separator():
         verify_star_condition(complete(4), cut, Fraction(1, 10))
 
 
+def test_star_condition_boundary_ties():
+    c6 = cycle(6)
+    alternating = Cut(frozenset(), frozenset({0, 2, 4}), frozenset({1, 3, 5}))
+    # every vertex crosses 2 of 2 edges: over deg/2, exactly at deg
+    assert not verify_star_condition(c6, alternating, Fraction(0))
+    assert verify_star_condition(c6, alternating, Fraction(1, 2))
+    # K_4 split 2/2 crosses 2 of 3 edges: 2 <= (1/2 + 1/6) * 3 is a tie
+    balanced = Cut(frozenset(), frozenset({0, 1}), frozenset({2, 3}))
+    assert verify_star_condition(complete(4), balanced, Fraction(1, 6))
+    assert not verify_star_condition(complete(4), balanced, Fraction(1, 7))
+
+
+def test_star_condition_with_isolated_vertices():
+    g = build_graph(4, [(0, 1)])  # 2 and 3 isolated
+    apart = Cut(frozenset(), frozenset({0, 2}), frozenset({1, 3}))
+    together = Cut(frozenset(), frozenset({0, 1, 3}), frozenset({2}))
+    assert verify_star_condition(g, together, Fraction(-1, 2))
+    assert not verify_star_condition(g, apart, Fraction(0))
+    assert verify_star_condition(g, apart, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("epsilon", [Fraction(-3, 5), Fraction(51, 100), 1, -1])
+def test_star_condition_rejects_epsilon_outside_half_interval(epsilon):
+    cut = Cut(frozenset(), frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+    with pytest.raises(ValueError, match="alpha"):
+        verify_star_condition(cycle(6), cut, epsilon)
+
+
+@st.composite
+def graphs_with_cuts(draw):
+    """Any graph on 2..9 vertices (isolated vertices included) with a
+    bipartition of its vertex set into two nonempty sides."""
+    n = draw(st.integers(2, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    on_b = draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                .filter(lambda b: any(b) and not all(b)))
+    side_b = frozenset(v for v in range(n) if on_b[v])
+    return build_graph(n, edges), Cut(frozenset(), frozenset(range(n)) - side_b, side_b)
+
+
+_HALF = Fraction(1, 2)
+
+
+@given(graphs_with_cuts(),
+       st.one_of(st.sampled_from([Fraction(0), _HALF, -_HALF, Fraction(1, 6),
+                                  Fraction(-1, 6), Fraction(1, 4)]),
+                 st.fractions(-_HALF, _HALF, max_denominator=12)))
+@settings(max_examples=400, deadline=None)
+def test_star_condition_matches_rational_reference(case, epsilon):
+    g, cut = case
+    assert verify_star_condition(g, cut, epsilon) == star_condition_holds(
+        g, cut.side_a, cut.side_b, epsilon)
+
+
 # -- greedy partition attack -----------------------------------------------
 
 def test_greedy_on_complete_graph_returns_equipartition():
@@ -529,7 +586,8 @@ def test_greedy_on_complete_graph_returns_equipartition():
                                       epsilon=Fraction(3, 500), seed=123)
     assert outcome.satisfied
     assert len(outcome.cut.side_a) == 50 and len(outcome.cut.side_b) == 50
-    assert set(outcome.ratios.values()) == {Fraction(50, 99)}
+    ratios = attack_ratios(k100, crossing_edges(k100, outcome.cut))
+    assert set(ratios.values()) == {Fraction(50, 99)}
     assert outcome.diagnostics["moves"] == 0
 
 
@@ -564,6 +622,19 @@ def test_greedy_rearrangement_fixes_tiny_vertices():
     for v in cls.tiny:
         cross = sum(1 for u in g.adj[v] if in_b[u] != in_b[v])
         assert 2 * cross <= g.degree(v)
+
+
+def test_greedy_holds_tiny_vertices_to_half_their_degree():
+    # at epsilon = 49/100 a non-tiny vertex may cross up to 0.99 of its
+    # edges, a tiny one only half: mark the odd-degree vertices tiny
+    g = giant_component(sample_gnm(64, 200, 0))
+    tiny = [v for v in range(g.n) if g.degree(v) % 2]
+    outcome = greedy_partition_attack(g, manual_cls(g, tiny=tiny), d_threshold=1e9,
+                                      epsilon=Fraction(49, 100), seed=0)
+    on_b = [int(v in outcome.cut.side_b) for v in range(g.n)]
+    over_half = {v for v, c in enumerate(crossing_degrees(g, on_b))
+                 if 2 * c > g.degree(v)}
+    assert over_half and not over_half & set(tiny)
 
 
 def test_greedy_satisfied_is_replayable():
