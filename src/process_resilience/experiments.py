@@ -28,7 +28,8 @@ from .graphs import Graph, giant_component, is_k_connected, k_core, neighbours_i
 from .process import (ProcessTrace, graph_at, hitting_time_k_connectivity,
                       hitting_time_min_degree, pair_count, sample_coupled,
                       sample_gnm)
-from .resilience import (EXACT_SEPARATOR_LIMIT, AttackError, BudgetRule,
+from .resilience import (EXACT_BIPARTITION_LIMIT, EXACT_SEPARATOR_LIMIT,
+                         AttackError, BudgetRule,
                          connectivity_resilience_threshold,
                          cherry_attack, crossing_degrees, find_k_conn_attack,
                          greedy_partition_attack, random_equipartition)
@@ -425,6 +426,12 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
         if cfg.study == "kcore" and not 2 <= cfg.k <= n - 1:
             raise ValueError(f"kcore study needs k in [2, n-1], "
                              f"got k={cfg.k} for n={n}")
+        if (cfg.study in ("hitting", "sweep")
+                and EXACT_BIPARTITION_LIMIT < n <= cfg.exact_n_limit):
+            raise ValueError(
+                f"{cfg.study} study: exact_n_limit={cfg.exact_n_limit} asks "
+                f"for the exact threshold at n={n}, above its limit "
+                f"{EXACT_BIPARTITION_LIMIT}")
     tasks = _tasks(cfg)
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:

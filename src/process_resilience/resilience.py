@@ -10,7 +10,6 @@ and all ratios are handled in exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, compress
@@ -349,85 +348,53 @@ def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
     return _local_search_threshold(g, restarts, seed)
 
 
-class _RatioTally:
-    """Every vertex's ratio cross/deg, grouped: the vertices holding each
-    distinct value, and the distinct values in ascending order."""
-
-    def __init__(self, ratio: list):
-        self.holders = {}
-        for v, x in enumerate(ratio):
-            self.holders.setdefault(x, set()).add(v)
-        self.keys = sorted(self.holders)
-
-    def move(self, v: int, old: float, new: float) -> None:
-        """Vertex v's ratio changes from old to new."""
-        if old == new:
-            return
-        holders, keys = self.holders, self.keys
-        holders[old].discard(v)
-        if not holders[old]:
-            del holders[old]
-            del keys[bisect_left(keys, old)]
-        if new in holders:
-            holders[new].add(v)
-        else:
-            holders[new] = {v}
-            insort(keys, new)
-
-    def _top_keys(self) -> list:
-        """The values within 1e-12 of the top."""
-        keys = self.keys
-        floor = keys[-1] - 1e-12
-        i = len(keys) - 1
-        while i > 0 and keys[i - 1] >= floor:
-            i -= 1
-        return keys[i:]
-
-    def objective(self) -> tuple:
-        """(top ratio, number of vertices within 1e-12 of it)."""
-        return self.keys[-1], sum(len(self.holders[x]) for x in self._top_keys())
-
-    def at_top(self) -> set:
-        return set().union(*(self.holders[x] for x in self._top_keys()))
-
-
 def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceReport:
     """Hill-climb single-vertex moves minimizing the max cross/deg ratio.
 
-    Acceptance is lexicographic on (max ratio, number of vertices at the
-    max) so the search can walk off plateaus where several vertices share
-    the worst ratio. A flip is scored by moving only the ratios of v and its
-    neighbours in a tally of all ratios, and only flips next to or at a top
-    vertex are scored: any other leaves the top vertices as they are, so it
-    cannot lower the objective.
+    Acceptance is lexicographic on (top, held): the max ratio and the number
+    of vertices holding it, so the search can walk off plateaus where several
+    vertices share the worst ratio. A flip that does not raise the top lowers
+    (top, held) iff fewer of the moved vertices (v and its neighbours) sit at
+    the top after it than before. near[w] counts the top vertices in w's
+    closed neighbourhood, and only flips with near[v] > 0 are scored: any
+    other moves no top vertex, so it cannot pass that test.
+
+    Ratios are float quotients of integers, which are correctly rounded:
+    equal rationals give equal floats, and with every degree below 10^6
+    distinct ones lie more than 1e-12 apart. So == merges exactly the equal
+    ratios, as a 1e-12 tie window would at those degrees, and the exact
+    answer is the Fraction of any vertex at the top.
     """
     n, adj = g.n, g.adj
     deg = g.degrees
-    safe_deg = [max(d, 1) for d in deg]
 
-    def near_top(tally):
-        near = set()
-        for u in tally.at_top():
-            near.add(u)
-            near.update(adj[u])
-        return near
+    def summit(ratio):
+        """(top, held, near) of a ratio list."""
+        top = max(ratio)
+        held = 0
+        near = [0] * n
+        for u, x in enumerate(ratio):
+            if x == top:
+                held += 1
+                near[u] += 1
+                for w in adj[u]:
+                    near[w] += 1
+        return top, held, near
 
     best = None  # (max_ratio Fraction, cut)
     for r in range(restarts):
         side = random_equipartition(n, generator(seed, r))
         on_b = n - n // 2
         cross = crossing_degrees(g, side)
-        ratio = [c / d for c, d in zip(cross, safe_deg)]
-        tally = _RatioTally(ratio)
-        cur = tally.objective()
-        near = near_top(tally)
+        ratio = [c / d for c, d in zip(cross, deg)]
+        top, held, near = summit(ratio)
         improved = True
         passes = 0
         while improved and passes < 64:
             improved = False
             passes += 1
             for v in range(n):
-                if v not in near:
+                if not near[v]:
                     continue
                 s = side[v]
                 if (s == 1 and on_b == 1) or (s == 0 and on_b == n - 1):
@@ -436,29 +403,32 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
                 moved = [(v, deg[v] - cross[v])]
                 moved.extend((u, cross[u] + 1 if side[u] == s else cross[u] - 1)
                              for u in adj[v])
-                new_ratio = [c / safe_deg[u] for u, c in moved]
-                if max(new_ratio) > cur[0]:
+                new_ratio = [c / deg[u] for u, c in moved]
+                if max(new_ratio) > top:
                     continue  # the top would rise
-                for (u, _), new in zip(moved, new_ratio):
-                    tally.move(u, ratio[u], new)
-                cand = tally.objective()
-                if cand < cur:
-                    side[v] = 1 - s
-                    on_b += 1 if s == 0 else -1
-                    for (u, c), new in zip(moved, new_ratio):
-                        cross[u] = c
-                        ratio[u] = new
-                    cur = cand
-                    near = near_top(tally)
-                    improved = True
-                else:
-                    for (u, _), new in zip(moved, new_ratio):
-                        tally.move(u, new, ratio[u])
-        # the exact max is among the vertices whose float ratio is the top
-        top = max(Fraction(cross[u], safe_deg[u]) for u in tally.at_top())
-        cut = Cut(frozenset(), *_sides(side))
-        if best is None or top < best[0]:
-            best = (top, cut)
+                # +1 where a moved vertex reaches the top, -1 where it leaves
+                shift = [(x == top) - (ratio[u] == top)
+                         for (u, _), x in zip(moved, new_ratio)]
+                gain = sum(shift)
+                if gain >= 0:
+                    continue  # no fewer vertices at the top than before
+                side[v] = 1 - s
+                on_b += 1 if s == 0 else -1
+                held += gain
+                for (u, c), x, d in zip(moved, new_ratio, shift):
+                    cross[u] = c
+                    ratio[u] = x
+                    if d:
+                        near[u] += d
+                        for w in adj[u]:
+                            near[w] += d
+                if not held:
+                    top, held, near = summit(ratio)
+                improved = True
+        u = ratio.index(top)
+        bound = Fraction(cross[u], deg[u])
+        if best is None or bound < best[0]:
+            best = (bound, Cut(frozenset(), *_sides(side)))
     return ResilienceReport(best[0], best[1], "local-search-upper-bound")
 
 
@@ -510,10 +480,13 @@ def verify_star_condition(g: Graph, cut: Cut, epsilon) -> bool:
     epsilon is taken as a rational and must lie in [-1/2, 1/2]. The
     separator must be empty and the sides must cover the graph.
     """
+    eps = Fraction(epsilon)
+    if not (-Fraction(1, 2) <= eps <= Fraction(1, 2)):
+        raise ValueError(f"epsilon must be in [-1/2, 1/2], got {eps}")
     if cut.separator:
         raise ValueError("star condition is defined for separator-free cuts")
     cut.validate_for(g)
-    caps = BudgetRule(Fraction(1, 2) + Fraction(epsilon)).caps(g)
+    caps = BudgetRule(Fraction(1, 2) + eps).caps(g)
     return _within(crossing_degrees(g, _side_vector(g.n, cut)), caps)
 
 

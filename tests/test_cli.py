@@ -295,6 +295,17 @@ def test_audit_study_negative_count_is_usage_error(tmp_path, capsys, field,
     assert f"{field}={value}" in err
 
 
+@pytest.mark.parametrize("study", ["hitting", "sweep"])
+def test_study_exact_n_limit_above_exact_scan_is_usage_error(tmp_path, capsys,
+                                                            study):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"study = {study}\nns = 28\nms = 150\ntrials = 1\n"
+                   f"exact_n_limit = 30\n")
+    code, _, err = run(capsys, "study", study, "--config", str(cfg))
+    assert code == 2
+    assert "exact_n_limit=30" in err and "n=28" in err
+
+
 @pytest.mark.parametrize("flag, named", [("--subset-trials", "subset_trials"),
                                          ("--L", "L must")])
 def test_audit_negative_count_is_usage_error(c6_file, capsys, flag, named):

@@ -201,6 +201,28 @@ def test_kcore_study_rejects_k_outside_domain_before_any_trial(
         run_study(bad)
 
 
+@pytest.mark.parametrize("study", ["hitting", "sweep"])
+def test_exact_n_limit_above_exact_scan_rejected_before_any_trial(
+        monkeypatch, study):
+    # n=28 would reach the exact threshold, whose scan stops at n=24
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the limit check")
+
+    monkeypatch.setattr(experiments, "_run_one", no_trial)
+    bad = ExperimentConfig(study=study, ns=(16, 28), ms=(150,), trials=1,
+                           exact_n_limit=30)
+    with pytest.raises(ValueError,
+                       match=f"{study} study: exact_n_limit=30 .* n=28, "
+                             f"above its limit 24"):
+        run_study(bad)
+
+
+def test_exact_n_limit_may_exceed_exact_scan_when_no_n_falls_between():
+    cfg = ExperimentConfig(study="hitting", ns=(16, 40), trials=1,
+                           exact_n_limit=30, measure_resilience=False)
+    assert [rec.n for rec in run_study(cfg).records] == [16, 40]
+
+
 @pytest.mark.parametrize("study", ["hitting", "kcore", "sweep", "audit"])
 @pytest.mark.parametrize("n", [0, 1])
 def test_process_studies_reject_n_below_two(study, n):
