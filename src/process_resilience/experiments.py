@@ -420,6 +420,9 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     if cfg.study == "kcore" and not (0 <= cfg.epsilon_fraction() <= Fraction(1, 2)):
         raise ValueError(f"kcore budget alpha = 1/2 - epsilon needs epsilon "
                          f"in [0, 1/2], got {cfg.epsilon}")
+    if cfg.trials < 1:
+        raise ValueError(f"{cfg.study} study needs trials >= 1, "
+                         f"got trials={cfg.trials}")
     for n in cfg.ns:
         if n < 2:
             raise ValueError(f"{cfg.study} study needs n >= 2, got n={n}")
@@ -432,6 +435,11 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
                 f"{cfg.study} study: exact_n_limit={cfg.exact_n_limit} asks "
                 f"for the exact threshold at n={n}, above its limit "
                 f"{EXACT_BIPARTITION_LIMIT}")
+    for n in cfg.ns if cfg.study in ("sweep", "kcore") else ():
+        for m in cfg.m_grid(n):
+            if not 0 <= m <= pair_count(n):
+                raise ValueError(f"{cfg.study} study: ms asks for m={m} at "
+                                 f"n={n}, outside [0, {pair_count(n)}]")
     tasks = _tasks(cfg)
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:

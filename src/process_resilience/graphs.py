@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress, repeat
+from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -36,15 +36,20 @@ class Graph:
     """Simple undirected graph with sorted, deterministic adjacency."""
 
     n: int
-    edges: tuple  # lexicographically sorted (u, v) pairs with u < v
-    adj: tuple = field(compare=False, repr=False)  # adj[v]: sorted neighbour tuple
+    adj: tuple  # adj[v]: sorted neighbour tuple; determines the graph
     labels: Optional[tuple] = field(default=None, compare=False, repr=False)
-    # (eu, ev): read-only int64 arrays of the edges' endpoints, in edge order
+    # (eu, ev): read-only int64 endpoint arrays, u < v, in edge order
     _ends: tuple = field(default=None, compare=False, repr=False)
 
     @property
+    def edges(self) -> tuple:
+        """Lexicographically sorted (u, v) pairs with u < v, built per call."""
+        eu, ev = self._ends
+        return tuple(zip(eu.tolist(), ev.tolist()))
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._ends[0])
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -76,8 +81,8 @@ def _graph_from_arrays(n: int, us, vs, labels=None) -> Graph:
 
     One sort of the keys lo*n + hi gives the edges; one sort of the keys
     owner*n + neighbour, over both orientations, gives the adjacency rows,
-    cut at the cumulative degrees. Every index goes through one ``verts``
-    list, so each vertex is one int object however often it appears.
+    cut at the cumulative degrees. Every neighbour goes through one ``verts``
+    list, so each vertex is one int object however often it is in ``adj``.
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
@@ -88,14 +93,9 @@ def _graph_from_arrays(n: int, us, vs, labels=None) -> Graph:
     verts = list(range(n))
     nbrs = list(map(verts.__getitem__, nbr.tolist()))
     adj = tuple(tuple(nbrs[a:b]) for a, b in zip([0] + bounds, bounds))
-    # edge (u, v) is u repeated once per upper neighbour, zipped with the
-    # upper neighbours, in row order
-    edges = tuple(zip(
-        chain.from_iterable(map(repeat, verts, np.bincount(eu, minlength=n).tolist())),
-        compress(nbrs, (nbr > owner).tolist())))
     eu.setflags(write=False)
     ev.setflags(write=False)
-    return Graph(n, edges, adj, labels, (eu, ev))
+    return Graph(n, adj, labels, (eu, ev))
 
 
 def _pair_arrays(pairs) -> tuple:

@@ -3,9 +3,10 @@ nested process {G_i}, G(n,m), G(n,p), and coupled pairs G- <= G+, plus
 hitting times along a trace.
 
 A ProcessTrace never materializes the full permutation of the N = n(n-1)/2
-vertex pairs: it is stored implicitly as (n, seed) and streamed by a partial
-Fisher-Yates shuffle. Every hitting time is one monotone prefix search,
-``_first_hit``, which draws fewer than 1.25 m + n pairs for an answer m.
+vertex pairs: it is stored implicitly as (n, seed), drawn by a partial
+Fisher-Yates shuffle only as far as it is read, and keeps the one prefix it
+has drawn for every later reader. Every hitting time is one monotone prefix
+search, ``_first_hit``, which draws fewer than 1.25 m + n pairs for an answer m.
 Replaying the same trace always yields the identical permutation.
 ``sample_gnm(n, m, seed)`` takes the first m pairs of that same
 permutation, so it coincides with ``graph_at(sample_process(n, seed), m)``
@@ -15,8 +16,7 @@ by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain, repeat
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -54,6 +54,8 @@ def _pairs_from_indices(n: int, idx) -> tuple:
 
 
 _BATCH = 8192
+_NO_PAIRS = np.empty(0, dtype=np.int64)
+_NO_PAIRS.setflags(write=False)
 
 
 def _uniform_doubles(seed: int) -> Iterator[float]:
@@ -64,10 +66,18 @@ def _uniform_doubles(seed: int) -> Iterator[float]:
 
 @dataclass(frozen=True)
 class ProcessTrace:
-    """A seeded permutation of all vertex pairs, stored implicitly."""
+    """A seeded permutation of all vertex pairs, stored implicitly.
+
+    Every reader shares the one prefix the trace has drawn, so each pair is
+    drawn once: 16 bytes of endpoints per drawn pair, plus the swap map, for
+    the life of the trace. Equality and hashing see only (n, seed); a trace
+    is not safe to draw from in two threads at once.
+    """
 
     n: int
     seed: int
+    # [Philox generator, swap map, us, vs] of the drawn prefix; see _endpoints
+    _prefix: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.n < 0:
@@ -76,58 +86,58 @@ class ProcessTrace:
         if pair_count(self.n) >= 2 ** 53:
             raise ValueError(f"n={self.n} has {pair_count(self.n)} vertex "
                              f"pairs; the stream needs fewer than 2**53")
+        object.__setattr__(self, "_prefix",
+                           [generator(self.seed), {}, _NO_PAIRS, _NO_PAIRS])
 
     @property
     def num_pairs(self) -> int:
         return pair_count(self.n)
 
-    def _index_chunks(self, sizes) -> Iterator[np.ndarray]:
-        """Pair indices of the permutation, in consecutive chunks of the
-        given sizes (the last chunk stops at N).
+    def _endpoints(self, m: int) -> tuple:
+        """(us, vs): read-only int64 arrays of the first m pairs, slices of
+        the drawn prefix; only the steps past that prefix are drawn.
 
         Partial Fisher-Yates: step i draws one double u and swaps position
         i with j = i + floor(u (N - i)), the same IEEE product and
         truncation as ``int(u * (N - i))``. The draws are vectorized; only
-        the sparse swap map, carried from chunk to chunk, is walked in
+        the sparse swap map, carried from draw to draw, is walked in
         Python. Philox doubles do not depend on how the draws are chunked.
         """
         N = self.num_pairs
-        rng = generator(self.seed)
-        swap = {}
-        get, pop = swap.get, swap.pop
-        start = 0
-        for size in sizes:
-            stop = min(start + size, N)
-            steps = np.arange(start, stop, dtype=np.int64)
-            draws = steps + (rng.random(stop - start)
+        if not (0 <= m <= N):
+            raise ValueError(f"m must be in [0, {N}], got {m}")
+        prefix = self._prefix
+        rng, swap, us, vs = prefix
+        start = len(us)
+        if m > start:
+            steps = np.arange(start, m, dtype=np.int64)
+            draws = steps + (rng.random(m - start)
                              * (N - steps).astype(np.float64)).astype(np.int64)
             picked = []
-            append = picked.append
-            for i, j in zip(range(start, stop), draws.tolist()):
+            append, get, pop = picked.append, swap.get, swap.pop
+            for i, j in zip(range(start, m), draws.tolist()):
                 append(get(j, j))
                 swap[j] = pop(i, i)
-            yield np.array(picked, dtype=np.int64)
-            start = stop
-            if start == N:
-                return
+            cu, cv = _pairs_from_indices(self.n, np.array(picked, dtype=np.int64))
+            us, vs = np.concatenate((us, cu)), np.concatenate((vs, cv))
+            us.setflags(write=False)
+            vs.setflags(write=False)
+            prefix[2:] = us, vs
+        return us[:m], vs[:m]
 
     def iter_pairs(self) -> Iterator[tuple]:
         """Stream the permutation: pair arriving at step i+1 is the i-th yield.
 
-        Memory grows only with the number of steps consumed. The draws come
-        in chunks of 64, 128, ... up to _BATCH, so a consumer that stops
-        early wastes at most about as many draws as it used.
+        The prefix grows to 64, 128, 256, ... pairs as the stream is read,
+        so a consumer that stops after j pairs has drawn at most
+        max(64, 2j), and a full walk copies O(N) pairs.
         """
-        sizes = chain((64 << k for k in range(7)), repeat(_BATCH))
-        for chunk in self._index_chunks(sizes):
-            us, vs = _pairs_from_indices(self.n, chunk)
-            yield from zip(us.tolist(), vs.tolist())
-
-    def _endpoints(self, m: int) -> tuple:
-        """(us, vs) int64 arrays of the first m pairs; exactly m draws."""
-        if not (0 <= m <= self.num_pairs):
-            raise ValueError(f"m must be in [0, {self.num_pairs}], got {m}")
-        return _pairs_from_indices(self.n, next(self._index_chunks((m,))))
+        N = self.num_pairs
+        done, size = 0, 64
+        while done < N:
+            us, vs = self._endpoints(min(size, N))
+            yield from zip(us[done:].tolist(), vs[done:].tolist())
+            done, size = len(us), 2 * size
 
     def pairs(self, m: int) -> list:
         """First m pairs of the permutation."""
@@ -159,38 +169,26 @@ def graph_at(trace: ProcessTrace, m: int) -> Graph:
     return _graph_from_arrays(trace.n, *trace._endpoints(m))
 
 
-def _growing(lo: int, n: int) -> Iterator[int]:
-    """Chunk sizes of a prefix that starts at lo pairs and then grows by a
-    quarter of its length, but at least n pairs, per chunk: a search that
-    stops at m draws fewer than 1.25 m + n pairs and checks O(log m)
-    prefixes."""
-    yield lo
-    while True:
-        step = max(lo // 4, n)
-        yield step
-        lo += step
-
-
 def _first_hit(trace: ProcessTrace, lo: int, *tests: Callable) -> int:
     """Smallest m >= lo at which every test ``holds(us, vs)`` is true of the
     first m arrivals.
 
-    Each test must be monotone in m and true at m = N. The tests share one
-    prefix, drawn once and grown by ``_growing`` only while a test is false
-    of all of it. Each test is searched from the hit of the test before it,
-    probed there first, then bisected on slices of the prefix, so a cheap
-    test placed first spares a costly one most of its probes.
+    Each test must be monotone in m and true at m = N. Each test is searched
+    from the hit of the test before it: probed there first, then on a
+    prefix grown by a quarter of its length, at least n pairs, capped at N,
+    while the test is false of all of it, then bisected on slices of that
+    prefix. A search that stops at m draws fewer than 1.25 m + n pairs and
+    probes O(log m) prefixes, and a cheap test placed first spares a costly
+    one most of its probes.
     """
-    chunks = trace._index_chunks(_growing(lo, trace.n))
-    us, vs = _pairs_from_indices(trace.n, next(chunks))
+    N = trace.num_pairs
     for holds in tests:
         hi = lo
-        while not holds(us[:hi], vs[:hi]):
+        us, vs = trace._endpoints(hi)
+        while not holds(us, vs):
             lo = hi + 1
-            if hi == len(us):
-                cu, cv = _pairs_from_indices(trace.n, next(chunks))
-                us, vs = np.concatenate((us, cu)), np.concatenate((vs, cv))
-            hi = len(us)
+            hi = min(hi + max(hi // 4, trace.n), N)
+            us, vs = trace._endpoints(hi)
         while lo < hi:
             mid = (lo + hi) // 2
             if holds(us[:mid], vs[:mid]):

@@ -455,14 +455,15 @@ def local_search_threshold_reference(g: Graph, restarts: int, seed: int):
 def graph_from_pairs(n: int, pairs, labels=None) -> Graph:
     """The library's original tuple constructor: sorted edges and sorted
     adjacency rows from Python lists, one pair at a time. Pairs must be
-    distinct, in range and loop-free. The graph carries no endpoint
-    arrays, so compare its edges, adj and labels only."""
+    distinct, in range and loop-free. Its endpoint arrays are built from
+    its own sorted edge list, so its ``edges`` are that list."""
     edges = sorted((u, v) if u < v else (v, u) for u, v in pairs)
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n, tuple(edges), tuple(tuple(sorted(a)) for a in adj), labels)
+    ends = tuple(np.array(edges, dtype=np.int64).reshape(-1, 2).T)
+    return Graph(n, tuple(tuple(sorted(a)) for a in adj), labels, ends)
 
 
 def induced_subgraph_by_edges(g: Graph, vertices) -> Graph:

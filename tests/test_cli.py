@@ -285,6 +285,21 @@ def test_study_domain_is_usage_error(capsys, argv, named):
     assert code == 2
     assert named in err
 
+@pytest.mark.parametrize("argv, named", [
+    (("hitting", "--ns", "8", "--trials", "-1"), "needs trials >= 1, got trials=-1"),
+    (("hitting", "--ns", "8", "--trials", "0"), "needs trials >= 1, got trials=0"),
+    (("kcore", "--ns", "8", "--ms", "100", "--trials", "1"),
+     "kcore study: ms asks for m=100 at n=8, outside [0, 28]"),
+    (("sweep", "--ns", "8", "--ms", "100", "--trials", "1"),
+     "sweep study: ms asks for m=100 at n=8, outside [0, 28]"),
+])
+def test_study_trials_and_ms_outside_their_range_are_usage_errors(capsys, argv,
+                                                                  named):
+    code, out, err = run(capsys, "study", *argv)
+    assert code == 2
+    assert named in err and not out
+
+
 @pytest.mark.parametrize("field, value", [("subset_trials", -3), ("L", -1)])
 def test_audit_study_negative_count_is_usage_error(tmp_path, capsys, field,
                                                    value):

@@ -5,6 +5,8 @@ import jsonschema
 import pytest
 
 import process_resilience.experiments as experiments
+from process_resilience.process import ProcessTrace
+from process_resilience.rng import derive_seed
 from process_resilience.experiments import (
     RESULT_JSON_SCHEMA,
     ExperimentConfig,
@@ -199,6 +201,55 @@ def test_kcore_study_rejects_k_outside_domain_before_any_trial(
                            trials=2)
     with pytest.raises(ValueError, match=named):
         run_study(bad)
+
+
+def _no_trial(*args):
+    raise AssertionError("a trial ran before the config check")
+
+
+@pytest.mark.parametrize("study", ["hitting", "sweep", "kcore", "audit"])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_study_rejects_trials_below_one_before_any_trial(monkeypatch, study,
+                                                         trials):
+    # no trial would run, and the study would report no records at all
+    monkeypatch.setattr(experiments, "_run_one", _no_trial)
+    bad = ExperimentConfig(study=study, ns=(8,), ms=(10,), trials=trials)
+    with pytest.raises(ValueError, match=f"{study} study needs trials >= 1, "
+                                         f"got trials={trials}"):
+        run_study(bad)
+
+
+@pytest.mark.parametrize("study", ["sweep", "kcore"])
+@pytest.mark.parametrize("ms, named", [
+    ((100,), "m=100 at n=8, outside \\[0, 28\\]"),
+    ((10, -1), "m=-1 at n=16, outside \\[0, 120\\]"),
+])
+def test_study_rejects_m_outside_the_pair_count_before_any_trial(
+        monkeypatch, study, ms, named):
+    # n=16 has 120 pairs, n=8 only 28; the n=16 trials must not run first
+    monkeypatch.setattr(experiments, "_run_one", _no_trial)
+    bad = ExperimentConfig(study=study, ns=(16, 8), ms=ms, trials=1)
+    with pytest.raises(ValueError, match=f"{study} study: ms asks for {named}"):
+        run_study(bad)
+
+
+def test_hitting_trial_draws_each_pair_once(monkeypatch):
+    """tau_1, tau_conn and G_tau_1 all read the trace's one prefix, so a
+    hitting trial at n = 1024 draws at most 1.3 tau_1 pairs."""
+    traces = {}
+
+    def recorded(n, seed):
+        trace = traces[seed] = ProcessTrace(n, seed)
+        return trace
+
+    monkeypatch.setattr(experiments, "ProcessTrace", recorded)
+    records = run_study(ExperimentConfig(study="hitting", ns=(1024,),
+                                         trials=8)).records
+    drawn = [len(traces[derive_seed(rec.seed, 0)]._prefix[2]) for rec in records]
+    taus = [rec.metrics["tau1"] for rec in records]
+    assert len(traces) == 8
+    for d, tau in zip(drawn, taus):
+        assert tau <= d <= 1.3 * tau, (d, tau)
 
 
 @pytest.mark.parametrize("study", ["hitting", "sweep"])

@@ -67,7 +67,6 @@ def test_adjacency_symmetric_and_sorted():
 def _assert_same_graph(g, ref):
     assert (g.n, g.edges, g.adj, g.labels) == (ref.n, ref.edges, ref.adj, ref.labels)
     eu, ev = g._ends
-    assert list(zip(eu.tolist(), ev.tolist())) == list(g.edges)
     assert eu.dtype == ev.dtype == np.int64
     assert not (eu.flags.writeable or ev.flags.writeable)
 
@@ -113,6 +112,31 @@ def test_array_constructor_small_extremes():
     _assert_same_graph(_graph_from_arrays(2, [1], [0]), graph_from_pairs(2, [(0, 1)]))
     g = _graph_from_arrays(5, [4], [3])
     assert g.adj == ((), (), (), (4,), (3,))
+
+
+@given(pair_lists(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+@example((4, [(0, 1), (2, 3), (3, 1)]), random.Random(0))
+def test_equal_graphs_compare_and_hash_equal_however_built(case, rnd):
+    n, pairs = case
+    distinct = sorted({(u, v) if u < v else (v, u) for u, v in pairs})
+    rnd.shuffle(distinct)
+    flipped = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in distinct]
+    text = f"{n} {len(distinct)}\n" + "".join(f"{u} {v}\n" for u, v in sorted(distinct))
+    # the same graph as the subgraph of a larger one induced on 0..n-1
+    bigger = build_graph(n + 2, distinct + [(n, n + 1)] + [(v, n) for v in range(n)])
+    graphs = [build_graph(n, pairs), parse_graph_text(text),
+              _graph_from_arrays(n, [u for u, _ in flipped], [v for _, v in flipped]),
+              induced_subgraph(bigger, range(n))]
+    for g in graphs:
+        assert g == graphs[0] and hash(g) == hash(graphs[0])
+        assert g.edges == tuple(sorted(distinct)) and g.m == len(distinct)
+    # one edge less, one more, or one swapped for another is another graph
+    missing = [p for p in combinations(range(n), 2) if p not in set(distinct)][:1]
+    changed = [distinct + missing, distinct[1:] + missing]
+    for g in [build_graph(n, edges) for edges in changed if edges != distinct]:
+        assert g != graphs[0]
+    assert build_graph(n + 1, distinct) != graphs[0]
 
 
 def _relabelled_giants():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from process_resilience import process
+from process_resilience.graphs import _pair_arrays
 from process_resilience.process import (
     ProcessTrace,
     _pairs_from_indices,
@@ -37,18 +38,10 @@ class _FixedTrace:
     def num_pairs(self):
         return pair_count(self.n)
 
-    def _index_chunks(self, sizes):  # what the hitting-time search reads
-        idx = np.array([index_from_pair(self.n, u, v) for u, v in self.order],
-                       dtype=np.int64)
-        start = 0
-        for size in sizes:
-            yield idx[start:start + size]
-            start += size
-            if start >= len(idx):
-                return
-
-    def _endpoints(self, m):  # what graph_at reads
-        return _pairs_from_indices(self.n, next(self._index_chunks((m,))))
+    def _endpoints(self, m):  # what every stream reader reads
+        if not 0 <= m <= self.num_pairs:
+            raise ValueError(f"m must be in [0, {self.num_pairs}], got {m}")
+        return _pair_arrays(self.order[:m])
 
 
 def _order_of(n, first):
@@ -137,23 +130,73 @@ def test_negative_vertex_count_is_rejected(make):
 
 
 def _chunk_ends(N):
-    """Cumulative ends of the chunks iter_pairs draws: 64, 128, ... 8192."""
-    ends, size, end = [], 64, 0
-    while end < N:
-        end = min(end + size, N)
-        ends.append(end)
-        size = min(2 * size, 8192)
-    return ends
+    """Prefix lengths iter_pairs grows to: 64, 128, 256, ..., then N."""
+    ends = [64]
+    while ends[-1] < N:
+        ends.append(2 * ends[-1])
+    return [min(end, N) for end in ends]
+
+
+def _drawn(trace):
+    """How many pairs of its permutation the trace has drawn."""
+    return len(trace._prefix[2])
 
 
 def test_pairs_equal_iter_pairs_across_chunk_boundaries():
+    # fresh traces, so each m is drawn in one chunk by pairs and in the
+    # doubling chunks by iter_pairs
     trace = sample_process(260, 3)
     ms = sorted({0, 1, trace.num_pairs - 1, trace.num_pairs}
-                | {e + d for e in _chunk_ends(trace.num_pairs)[:9] for d in (-1, 0, 1)})
-    full = list(trace.iter_pairs())
-    assert len(full) == trace.num_pairs
+                | {e + d for e in _chunk_ends(trace.num_pairs) for d in (-1, 0, 1)})
+    # islice bounds the walk, so a stream that never ends fails here
+    full = list(islice(trace.iter_pairs(), trace.num_pairs + 1))
+    assert len(full) == trace.num_pairs == _drawn(trace)
+    assert trace.pairs(trace.num_pairs) == full
     for m in ms:
-        assert trace.pairs(m) == list(islice(trace.iter_pairs(), m)) == full[:m], m
+        if m <= trace.num_pairs:
+            assert (sample_process(260, 3).pairs(m)
+                    == list(islice(sample_process(260, 3).iter_pairs(), m))
+                    == full[:m]), m
+
+
+@pytest.mark.parametrize("n, steps", [
+    (2, (0, 1, 1)), (5, (1,) * 10), (5, (3, 0, 7)), (30, (7, 1, 100, 64, 300)),
+    (300, (1, 2, 4000, 17, 40000, 44850)),
+])
+def test_prefix_grown_in_any_steps_matches_one_draw(n, steps):
+    """The swap map carries across draws: a prefix grown in any steps,
+    read back by every reader, is the permutation one draw gives."""
+    whole = sample_process(n, 9).pairs(pair_count(n))
+    trace = sample_process(n, 9)
+    m = 0
+    for step in steps:
+        m = min(m + step, trace.num_pairs)
+        us, vs = trace._endpoints(m)
+        assert _drawn(trace) == m
+        assert list(zip(us.tolist(), vs.tolist())) == whole[:m]
+        assert not (us.flags.writeable or vs.flags.writeable)
+        assert trace.pairs(m // 2) == whole[:m // 2]
+        assert graph_at(trace, m // 2).edges == tuple(sorted(whole[:m // 2]))
+    assert list(islice(trace.iter_pairs(), len(whole) + 1)) == whole
+
+
+@pytest.mark.parametrize("j", [0, 1, 63, 64, 65, 128, 129, 1000, 4095, 4096])
+def test_iter_pairs_stopped_early_draws_at_most_twice_what_it_used(j):
+    trace = sample_process(100, 4)
+    assert len(list(islice(trace.iter_pairs(), j))) == j
+    assert _drawn(trace) <= max(64, 2 * j)
+
+
+def test_trace_equals_a_fresh_trace_after_drawing():
+    trace = sample_process(16, 5)
+    hitting_time_k_connectivity(trace, 2)
+    list(islice(trace.iter_pairs(), 70))
+    fresh = ProcessTrace(16, 5)
+    assert _drawn(trace) > 0 == _drawn(fresh)
+    assert trace == fresh and hash(trace) == hash(fresh)
+    assert repr(trace) == repr(fresh) == "ProcessTrace(n=16, seed=5)"
+    assert trace != ProcessTrace(16, 6) and trace != ProcessTrace(17, 5)
+    assert trace_from_descriptor(trace.descriptor()) == trace
 
 
 def _decode_check(n, idx):
@@ -261,15 +304,20 @@ def test_hitting_times_of_a_single_pair_and_of_k_n_minus_one():
         trace = sample_process(5, seed)
         assert hitting_time_min_degree(trace, 4) == trace.num_pairs
         assert hitting_time_k_connectivity(trace, 4) == trace.num_pairs
+        # k = 3 starts at 8 of the 10 pairs, so a search that is still
+        # false there grows its prefix only as far as N
+        prefixes = [graph_at(trace, m) for m in range(trace.num_pairs + 1)]
+        assert hitting_time_min_degree(trace, 3) == next(
+            m for m, g in enumerate(prefixes) if g.min_degree() >= 3)
+        assert hitting_time_k_connectivity(trace, 3) == next(
+            m for m, g in enumerate(prefixes) if is_k_connected_oracle(g, 3))
 
 
 def test_hitting_searches_draw_each_pair_once(monkeypatch):
-    """A search grows one prefix by a quarter of its length, at least n
-    pairs, so it draws fewer than 1.25 tau + n pairs; k-connectivity shares
-    that prefix with its min-degree start, never redraws one through
-    _endpoints, and builds one graph when tau_conn = tau_1."""
-    drawn = []
-    draw_chunks = ProcessTrace._index_chunks
+    """A search grows the trace's one prefix by a quarter of its length, at
+    least n pairs, so it draws fewer than 1.25 tau + n pairs; k-connectivity
+    reads the prefix its min-degree start drew, and builds one graph when
+    tau_conn = tau_1."""
     builds = []
     build = process._graph_from_arrays
 
@@ -277,27 +325,30 @@ def test_hitting_searches_draw_each_pair_once(monkeypatch):
         builds.append(len(us))
         return build(n, us, vs)
 
-    def counted(self, sizes):
-        for chunk in draw_chunks(self, sizes):
-            drawn.append(len(chunk))
-            yield chunk
-
-    def no_redraw(self, m):
-        raise AssertionError(f"_endpoints({m}) redrew a prefix")
-
-    monkeypatch.setattr(ProcessTrace, "_index_chunks", counted)
-    monkeypatch.setattr(ProcessTrace, "_endpoints", no_redraw)
     monkeypatch.setattr(process, "_graph_from_arrays", counted_build)
     for seed in range(5):
         trace = sample_process(1024, seed)
-        drawn.clear()
         tau = hitting_time_min_degree(trace, 1)
-        assert sum(drawn) < 1.25 * tau + trace.n, seed
-        drawn.clear()
+        drawn = _drawn(trace)
+        assert tau <= drawn < 1.25 * tau + trace.n, seed
         tau_conn = hitting_time_k_connectivity(trace, 1)
-        assert sum(drawn) < 1.25 * tau_conn + trace.n, seed
         assert tau_conn == tau and builds == [tau], seed
+        assert _drawn(trace) == drawn, seed
+        graph_at(trace, tau)
+        assert _drawn(trace) == drawn, seed
         builds.clear()
+
+
+@pytest.mark.parametrize("m", [0, 300, 900, 3000])
+def test_kcore_trial_reads_draw_each_pair_once(m):
+    """The kcore trial body: G_m, then tau_3, then G_tau_3, all from one
+    trace, draw at most max(m, 1.25 tau_3 + n) pairs."""
+    for seed in range(4):
+        trace = sample_process(256, seed)
+        graph_at(trace, m)
+        tau = hitting_time_min_degree(trace, 3)
+        graph_at(trace, tau)
+        assert max(m, tau) <= _drawn(trace) <= max(m, 1.25 * tau + trace.n), seed
 
 
 def test_hitting_min_degree_matches_recomputation():
