@@ -248,20 +248,31 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
                 return False
         return True
 
+    eu, ev = g._ends
     if small_sizes_pass_analytically():
         smalls_mode = "analytic"
     elif n <= 40:
         smalls_mode = "exhaustive"
-        adj = [set(a) for a in g.adj]
+        adj = np.zeros((n, n), dtype=np.int64)
+        adj[eu, ev] = adj[ev, eu] = 1
+        # the subsets of size s in combinations order, each extended by
+        # every larger vertex in turn, give those of size s + 1 in order
+        subsets, counts = np.arange(n)[:, None], np.zeros(n, dtype=np.int64)
         for s in (2, 3, 4):
-            for X in combinations(range(n), s):
-                cnt = sum(1 for i in range(len(X)) for j in range(i + 1, len(X))
-                          if X[j] in adj[X[i]])
-                check("small", X, cnt)
+            last = subsets[:, -1]
+            grow = n - 1 - last
+            offset = np.cumsum(grow) - grow
+            subsets, counts = np.repeat(subsets, grow, axis=0), np.repeat(counts, grow)
+            new = np.arange(len(counts)) + np.repeat(last + 1 - offset, grow)
+            counts += adj[subsets, new[:, None]].sum(axis=1)
+            subsets = np.column_stack((subsets, new))
+            # check's formula, elementwise; check itself lists the violators
+            norms = np.abs(counts - s * (s - 1) / 2 * p) / (s * scale)
+            max_norm = float(norms.max(initial=max_norm))
+            for t in np.flatnonzero(norms > c).tolist():
+                check("small", subsets[t], int(counts[t]))
     else:
         smalls_mode = "sampled"  # folded into the random-subset stage below
-
-    eu, ev = g._ends
 
     # (b) seeded random subsets of random sizes
     rng = generator(seed)

@@ -487,6 +487,15 @@ def adjacency_sets(g: Graph):
     return adj
 
 
+def small_subset_counts(g: Graph):
+    """(X, e(X)) for every vertex subset X of size 2, 3 and 4, in
+    ``combinations`` order, each counted pair by pair."""
+    adj = adjacency_sets(g)
+    for s in (2, 3, 4):
+        for X in combinations(range(g.n), s):
+            yield X, sum(1 for a, b in combinations(X, 2) if b in adj[a])
+
+
 def degree_classes(g: Graph, p: float, delta: float):
     """(tiny, atyp) from the degree sequence: with scale n*p, tiny means
     d < delta*n*p and atyp means d outside [(1-delta)*n*p, (1+delta)*n*p]."""
@@ -586,6 +595,25 @@ def audit_outcome(report):
     payload = report.to_json_dict()
     return {key: payload[key]
             for key in ("holds", "max_observed", "bound", "violations")}
+
+
+# -- the v1 pair stream, walked step by step ------------------------------
+
+def stream_indices(n: int, seed: int, m: int) -> list:
+    """Pair indices of the first m arrivals of the v1 stream of (n, seed).
+
+    The partial Fisher-Yates shuffle, one step at a time: step i reads the
+    i-th double u of ``generator(seed)`` and swaps position i with
+    j = i + int(u (N - i)) through a swap map, in which a position never
+    written holds itself.
+    """
+    N = pair_count(n)
+    swap, picked = {}, []
+    for i, u in enumerate(generator(seed).random(m).tolist()):
+        j = i + int(u * (N - i))
+        picked.append(swap.get(j, j))
+        swap[j] = swap.pop(i, i)
+    return picked
 
 
 # -- exhaustive connected-graph corpus ------------------------------------

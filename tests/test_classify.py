@@ -20,7 +20,7 @@ from process_resilience.rng import generator
 
 from conftest import complete, cycle, path, star
 from oracles import (audit_outcome, degree_classes, recount_audits,
-                     tiny_ball_counts, tiny_triangles)
+                     small_subset_counts, tiny_ball_counts, tiny_triangles)
 
 
 # -- tail bounds -----------------------------------------------------------
@@ -378,6 +378,30 @@ def test_edge_count_witnesses_are_distinct_below_five_vertices(n):
                 if trials and norm(g, range(n)) > c else [])
             assert rep.max_observed == pytest.approx(
                 max(norm(g, X) for X in subsets), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, p, c, seed", [
+    (13, 0.3, 0.2, 1), (25, 0.5, 0.1, 2), (40, 0.2, 0.2, 1), (40, 0.9, 0.05, 3),
+    # no small subset violates, and the stage's maximum is the report's
+    (40, 0.1, 0.6, 1),
+])
+def test_exhaustive_small_subsets_match_pair_recount(n, p, c, seed):
+    g = sample_gnp(n, p, seed)
+    rep = audit_edge_counts(g, p, c=c, subset_trials=0, seed=0)
+    assert rep.params["smalls_mode"] == "exhaustive"
+    scale = math.sqrt(n * p)
+    expected, top = [], 0.0
+    for X, cnt in small_subset_counts(g):
+        s = len(X)
+        expect = s * (s - 1) / 2 * p
+        norm = abs(cnt - expect) / (s * scale)
+        top = max(top, norm)
+        if norm > c:
+            expected.append({"subset": list(X), "kind": "small", "measured": cnt,
+                             "expected": expect, "bound": c * s * scale})
+    assert [v for v in rep.violations if v["kind"] == "small"] == sorted(
+        expected, key=lambda v: v["subset"])
+    assert rep.max_observed >= top
 
 
 def test_audits_reject_negative_counts():

@@ -260,7 +260,7 @@ def test_exact_n_limit_above_exact_scan_rejected_before_any_trial(
         raise AssertionError("a trial ran before the limit check")
 
     monkeypatch.setattr(experiments, "_run_one", no_trial)
-    bad = ExperimentConfig(study=study, ns=(16, 28), ms=(150,), trials=1,
+    bad = ExperimentConfig(study=study, ns=(16, 28), ms=(100,), trials=1,
                            exact_n_limit=30)
     with pytest.raises(ValueError,
                        match=f"{study} study: exact_n_limit=30 .* n=28, "

@@ -5,6 +5,8 @@ from itertools import combinations, islice
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from process_resilience import process
 from process_resilience.graphs import _pair_arrays
@@ -24,7 +26,7 @@ from process_resilience.process import (
 )
 from process_resilience.rng import GENERATOR_ID, derive_seed
 
-from oracles import is_k_connected_oracle
+from oracles import is_k_connected_oracle, stream_indices
 
 
 @dataclass(frozen=True)
@@ -178,6 +180,42 @@ def test_prefix_grown_in_any_steps_matches_one_draw(n, steps):
         assert trace.pairs(m // 2) == whole[:m // 2]
         assert graph_at(trace, m // 2).edges == tuple(sorted(whole[:m // 2]))
     assert list(islice(trace.iter_pairs(), len(whole) + 1)) == whole
+
+
+@st.composite
+def _read_schedules(draw):
+    """(n, ms): a vertex count and the prefix lengths read from one trace,
+    in reading order; a read below the drawn prefix draws nothing."""
+    n = draw(st.integers(2, 300))
+    N = pair_count(n)
+    return n, tuple(draw(st.lists(st.integers(0, N) | st.just(N), max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_read_schedules(), seed=st.integers(0, 2 ** 64 - 1))
+@example(case=(2, (0, 1, 1)), seed=0)
+# chunks of one step
+@example(case=(5, tuple(range(1, 11))), seed=3)
+# a first draw long enough to be flagged, then up to N
+@example(case=(20, (128, 190)), seed=0)
+# (a) of _endpoints: one j repeats in the draw, and no other step collides
+@example(case=(300, (200,)), seed=5)
+# (b), (c): one j lands on a later step of its draw; the walk to N reads the
+# position that step wrote
+@example(case=(300, (200, 44850)), seed=1)
+# (d): no step of the first draw collides; the second reads its deferred
+# writes
+@example(case=(100, (128, 256)), seed=17)
+def test_endpoints_match_the_step_by_step_walk(case, seed):
+    """Every read of a trace, however its prefix was grown, equals the
+    stream walked one step at a time."""
+    n, ms = case
+    expected = stream_indices(n, seed, max(ms, default=0))
+    trace = ProcessTrace(n, seed)
+    for m in ms:
+        us, vs = trace._endpoints(m)
+        assert [index_from_pair(n, u, v)
+                for u, v in zip(us.tolist(), vs.tolist())] == expected[:m]
 
 
 @pytest.mark.parametrize("j", [0, 1, 63, 64, 65, 128, 129, 1000, 4095, 4096])
