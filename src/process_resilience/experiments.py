@@ -407,6 +407,9 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         cfg = replace(cfg, seed=int(env_seed))
+    for key in ("out_json", "out_csv"):
+        if getattr(cfg, key) is not None:
+            raise ValueError(f"config key {key} is not read; use resil study --out")
     if cfg.study == "audit":
         eps = float(cfg.epsilon_fraction())
         if cfg.p_prime_factor > eps:

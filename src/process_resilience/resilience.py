@@ -1,6 +1,6 @@
 """Per-vertex edge-removal budgets, exact resilience decisions via the cut
 characterization, resilience thresholds, and the three attacks: cherry,
-exhaustive cut search, and the greedy partition construction.
+exact cut search, and the greedy partition construction.
 
 Boundary cases of the budget inequality deg_H(v) <= alpha * deg_G(v) are
 semantically meaningful (a cycle at alpha = 1/2 flips the answer), so alpha
@@ -9,7 +9,7 @@ and all ratios are handled in exact rational arithmetic.
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, compress
@@ -21,9 +21,7 @@ from .classify import VertexClassification
 from .graphs import Graph, VertexSet, is_connected, is_k_connected
 from .rng import generator
 
-# Exact-mode size caps: configuration, not physics. Worst cases at these
-# sizes finish in minutes. Both stay <= 32: the scan packs a side into
-# uint32 masks.
+# Exact-mode size caps: configuration, not physics.
 EXACT_BIPARTITION_LIMIT = 24
 EXACT_SEPARATOR_LIMIT = 16
 
@@ -234,57 +232,60 @@ def crossing_degrees(g: Graph, side) -> list:
             + np.bincount(ev[cut], minlength=g.n)).tolist()
 
 
-# Masks scored per numpy chunk; larger chunks buy little speed and raise
-# peak memory.
-_CHUNK = 1 << 12
-
-
-def _cut_chunks(g: Graph, remaining: list):
-    """Every nontrivial bipartition of the sorted vertex list remaining, in
-    canonical order, as chunks (masks, cross).
-
-    Bit j of a uint32 mask puts remaining[j] on side B. Bit 0, the smallest
-    remaining vertex, stays on side A, and the masks ascend, so the B sides
-    come in the canonical witness order. cross[j, c] is the crossing degree
-    of remaining[j] under masks[c]; edges to other vertices do not count.
-    """
-    bit = {v: j for j, v in enumerate(remaining)}
-    nbr = [sum(1 << bit[u] for u in g.adj[v] if u in bit) for v in remaining]
-    end = 1 << max(len(remaining) - 1, 0)  # masks are 2 * (1 .. end - 1)
-    for lo in range(1, end, _CHUNK):
-        masks = np.arange(lo, min(lo + _CHUNK, end), dtype=np.uint32) << 1
-        cross = np.empty((len(remaining), len(masks)), dtype=np.uint8)
-        for j, nb in enumerate(nbr):
-            # all ones where remaining[j] is on side B (unsigned negation wraps)
-            on_b = -((masks >> j) & 1)
-            np.bitwise_count(nb & (masks ^ on_b), out=cross[j])
-        yield masks, cross
-
-
 def _sides(side) -> tuple:
     """(A, B) of a side vector."""
     return (frozenset(v for v, s in enumerate(side) if s == 0),
             frozenset(v for v, s in enumerate(side) if s == 1))
 
 
-def _mask_cut(remaining: list, mask: int, separator=()) -> Cut:
-    side_b = frozenset(v for j, v in enumerate(remaining) if mask >> j & 1)
-    return Cut(frozenset(separator), frozenset(remaining) - side_b, side_b)
+def _bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _first_feasible_cut(g: Graph, caps: list, separator=()) -> Optional[Cut]:
     """The first bipartition of V - separator, in canonical order, whose
     crossing degrees all stay within caps. Separator vertices cross nothing,
-    so they pass iff their cap is not negative."""
-    if any(caps[s] < 0 for s in separator):
-        return None
+    so they pass iff their cap is not negative.
+
+    A depth-first search over side masks: bit j puts remaining[j] on side B,
+    bit 0 stays on A, and bits r - 1 down to 1 are decided A before B, so the
+    leaves come in ascending mask order. Placing j fails if j, or a vertex y
+    on the other side, crosses more than its cap, or if j and y share more
+    undecided neighbours (bits 1 .. j - 1) than their two slacks add up to:
+    each of those will cross j or y.
+    """
     remaining = [v for v in range(g.n) if v not in separator]
-    limit = np.array([caps[v] for v in remaining], dtype=np.int64)[:, None]
-    for masks, cross in _cut_chunks(g, remaining):
-        ok = (cross <= limit).all(axis=0)
-        if ok.any():
-            return _mask_cut(remaining, int(masks[ok.argmax()]), separator)
-    return None
+    if len(remaining) < 2 or min(caps) < 0:
+        return None
+    bit = {v: j for j, v in enumerate(remaining)}
+    nbr = [sum(1 << bit[u] for u in g.adj[v] if u in bit) for v in remaining]
+    cap = [caps[v] for v in remaining]
+
+    def search(j: int, a: int, b: int) -> int:
+        """The first feasible B mask below the placed sides a and b, else 0."""
+        if j == 0:
+            return b
+        undecided = nbr[j] & ((1 << j) - 2)
+        for same, other, on_b in ((a, b, False), (b, a, True)):
+            same |= 1 << j
+            slack = cap[j] - (nbr[j] & other).bit_count()
+            if slack < 0:
+                continue
+            for y in _bits(other):
+                left = cap[y] - (nbr[y] & same).bit_count()
+                if left < 0 or (undecided & nbr[y]).bit_count() > slack + left:
+                    break
+            else:
+                if found := search(j - 1, *((other, same) if on_b else (same, other))):
+                    return found
+        return 0
+
+    side_b = frozenset(remaining[j] for j in _bits(search(len(remaining) - 1, 1, 0)))
+    return Cut(frozenset(separator), frozenset(remaining) - side_b, side_b) if side_b else None
 
 
 def find_disconnecting_attack(g: Graph, rule: BudgetRule) -> Optional[Cut]:
@@ -313,9 +314,9 @@ def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
     """alpha* = min over nontrivial bipartitions of max_v cross(v)/deg(v).
 
     g fails fraction(alpha)-resilience w.r.t. connectivity iff alpha >=
-    alpha*. Exact mode enumerates bipartitions and returns an exact rational
-    with the first witness in canonical order; local_search mode returns a
-    seeded hill-climbing upper bound.
+    alpha*. Exact mode bisects the candidate ratios with one cut search per
+    probe and returns an exact rational with the first witness in canonical
+    order; local_search mode returns a seeded hill-climbing upper bound.
     """
     if not is_connected(g):
         raise ValueError("threshold expects a connected graph")
@@ -325,22 +326,17 @@ def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
         if g.n > EXACT_BIPARTITION_LIMIT:
             raise ValueError(f"n={g.n} exceeds exact-mode limit "
                              f"{EXACT_BIPARTITION_LIMIT}; use mode='local_search'")
-        # max_v cross/deg in exact integers: cross * (L / deg), L = lcm(deg)
-        lcm = math.lcm(*g.degrees)
-        # int64 scalars, so that the uint8 rows widen instead of overflowing
-        weight = [np.int64(lcm // d) for d in g.degrees]
-        remaining = list(range(g.n))
-        best_top = best_mask = None
-        for masks, cross in _cut_chunks(g, remaining):
-            top = np.zeros(len(masks), dtype=np.int64)
-            for row, w in zip(cross, weight):
-                np.maximum(top, row * w, out=top)
-            i = int(top.argmin())
-            # only a strictly better chunk replaces: the first witness stays
-            if best_top is None or top[i] < best_top:
-                best_top, best_mask = int(top[i]), int(masks[i])
-        return ResilienceReport(Fraction(best_top, lcm),
-                                _mask_cut(remaining, best_mask), "exact")
+        # alpha* is some c/d, d a degree: the least at which a cut fits
+        ratios = sorted({Fraction(c, d) for d in set(g.degrees) for c in range(d + 1)})
+        cuts = {}
+
+        def fits(alpha):
+            cuts[alpha] = _first_feasible_cut(g, BudgetRule(alpha).caps(g))
+            return cuts[alpha] is not None
+
+        # bisect_left probes the ratio it returns; the last one, 1, fits
+        alpha_star = ratios[bisect_left(ratios, True, key=fits)]
+        return ResilienceReport(alpha_star, cuts[alpha_star], "exact")
     if mode != "local_search":
         raise ValueError(f"unknown mode {mode!r}")
     if restarts < 1:

@@ -321,6 +321,17 @@ def test_study_exact_n_limit_above_exact_scan_is_usage_error(tmp_path, capsys,
     assert "exact_n_limit=30" in err and "n=28" in err
 
 
+@pytest.mark.parametrize("key", ["out_json", "out_csv"])
+def test_study_unread_output_key_is_usage_error(tmp_path, capsys, key):
+    target = tmp_path / "never.out"
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"study = hitting\nns = 16\ntrials = 1\n{key} = {target}\n")
+    code, out, err = run(capsys, "study", "hitting", "--config", str(cfg))
+    assert code == 2
+    assert f"config key {key}" in err and "--out" in err and not out
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("flag, named", [("--subset-trials", "subset_trials"),
                                          ("--L", "L must")])
 def test_audit_negative_count_is_usage_error(c6_file, capsys, flag, named):

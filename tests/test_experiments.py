@@ -255,7 +255,7 @@ def test_hitting_trial_draws_each_pair_once(monkeypatch):
 @pytest.mark.parametrize("study", ["hitting", "sweep"])
 def test_exact_n_limit_above_exact_scan_rejected_before_any_trial(
         monkeypatch, study):
-    # n=28 would reach the exact threshold, whose scan stops at n=24
+    # n=28 would reach the exact threshold, whose search stops at n=24
     def no_trial(*args):
         raise AssertionError("a trial ran before the limit check")
 
@@ -272,6 +272,18 @@ def test_exact_n_limit_may_exceed_exact_scan_when_no_n_falls_between():
     cfg = ExperimentConfig(study="hitting", ns=(16, 40), trials=1,
                            exact_n_limit=30, measure_resilience=False)
     assert [rec.n for rec in run_study(cfg).records] == [16, 40]
+
+
+@pytest.mark.parametrize("key", ["out_json", "out_csv"])
+def test_unread_output_keys_rejected_before_any_trial(monkeypatch, key):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the key check")
+
+    monkeypatch.setattr(experiments, "_run_one", no_trial)
+    bad = ExperimentConfig(study="hitting", ns=(16,), trials=1,
+                           **{key: "results.out"})
+    with pytest.raises(ValueError, match=f"config key {key} is not read.*--out"):
+        run_study(bad)
 
 
 @pytest.mark.parametrize("study", ["hitting", "kcore", "sweep", "audit"])

@@ -13,8 +13,6 @@ from process_resilience.graphs import (build_graph, connected_components,
                                        is_k_connected)
 from process_resilience.process import sample_gnm, pair_count
 from process_resilience.resilience import (
-    EXACT_BIPARTITION_LIMIT,
-    EXACT_SEPARATOR_LIMIT,
     AttackError,
     BudgetRule,
     Cut,
@@ -31,7 +29,6 @@ from process_resilience.resilience import (
     greedy_partition_attack,
     replay_cut,
     verify_star_condition,
-    _CHUNK,
     _first_feasible_cut,
 )
 from conftest import cherry_gadget, complete, cycle, path, star
@@ -180,12 +177,6 @@ def test_attack_exact_limit_guidance():
         find_disconnecting_attack(g, BudgetRule.fraction("1/2"))
 
 
-def test_exact_limits_fit_the_32_bit_scan():
-    # the exact scan packs one side of the remaining vertices into uint32
-    assert EXACT_BIPARTITION_LIMIT <= 32
-    assert EXACT_SEPARATOR_LIMIT <= 32
-
-
 def test_threshold_k2():
     rep = connectivity_resilience_threshold(build_graph(2, [(0, 1)]))
     assert rep.threshold == 1 and rep.method == "exact"
@@ -270,32 +261,32 @@ def test_local_search_rejects_restarts_below_one(restarts):
                                           restarts=restarts)
 
 
-# -- exact scan across chunks ----------------------------------------------
+# -- exact search past a tied optimum -------------------------------------
 
 def _side_b(n, mask):
     """B side of a mask in the canonical order (bit i: vertex i + 1)."""
     return frozenset(i + 1 for i in range(n - 1) if mask >> i & 1)
 
 
-# (graph, mask of a later optimum): the first optimum and this tie lie in
-# different chunks of the scan
-_CHUNKED_CASES = [
+# (graph, mask of a later optimum): the witness must be the first optimum
+# in mask order, not this tie
+_TIED_CASES = [
     ("C_16", cycle(16), 0b110000000000000),              # B = {14, 15}
     ("G(15, 40) seed 0", sample_gnm(15, 40, 0), 11604),
     ("G(16, 40) seed 23", sample_gnm(16, 40, 23), 21790),
 ]
 
 
-@pytest.mark.parametrize("name, g, tie", _CHUNKED_CASES,
-                         ids=[case[0] for case in _CHUNKED_CASES])
-def test_exact_scan_over_several_chunks(name, g, tie):
+@pytest.mark.parametrize("name, g, tie", _TIED_CASES,
+                         ids=[case[0] for case in _TIED_CASES])
+def test_exact_witness_precedes_a_later_tie(name, g, tie):
     alpha_star, side_a, side_b = min_max_ratio_cut(g)
     rep = connectivity_resilience_threshold(g)
     assert rep.threshold == alpha_star
     assert _as_triple(rep.witness) == (frozenset(), side_a, side_b)
-    # the later tie reaches alpha* too, in a later chunk
+    # the later tie reaches alpha* too
     first = sum(1 << (v - 1) for v in side_b)
-    assert (first - 1) // _CHUNK < (tie - 1) // _CHUNK
+    assert first < tie
     tie_b = _side_b(g.n, tie)
     counts = crossing_counts(g, frozenset(range(g.n)) - tie_b, tie_b)
     assert max(Fraction(counts[v], g.degree(v)) for v in range(g.n)) == alpha_star
@@ -317,6 +308,51 @@ def test_first_feasible_cut_matches_reference_on_any_caps():
             cut = _first_feasible_cut(g, caps, sep)
             assert _as_triple(cut) == first_cut_in_mask_order(g, caps, sep), \
                 (g.edges, caps, sep)
+
+
+# K_4 less the edge {0, 2}: counting vertex 0 among the undecided
+# neighbours over-prunes the cut search here (alpha* 2/3 would read 1)
+_BIT0_TRAP = build_graph(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+
+@st.composite
+def graphs_caps_separators(draw):
+    """A graph on 1..11 vertices (no edges and isolated vertices included)
+    with caps in -1..4 and a separator of 0..2 vertices."""
+    n = draw(st.integers(1, 11))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    caps = draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n))
+    sep = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    return build_graph(n, edges), caps, tuple(sorted(sep))
+
+
+@given(graphs_caps_separators())
+@example((build_graph(1, []), [0], ()))
+@example((build_graph(2, [(0, 1)]), [1, 1], ()))
+@example((build_graph(2, [(0, 1)]), [1, 1], (1,)))
+@example((build_graph(5, []), [0] * 5, ()))
+@example((build_graph(3, [(1, 2)]), [-1, 1, 1], ()))
+@example((build_graph(3, [(1, 2)]), [-1, 1, 1], (0,)))
+@example((_BIT0_TRAP, budget_caps(_BIT0_TRAP, Fraction(2, 3)), ()))
+@settings(max_examples=300, deadline=None)
+def test_first_feasible_cut_matches_mask_order_reference(case):
+    g, caps, sep = case
+    assert _as_triple(_first_feasible_cut(g, caps, sep)) == \
+        first_cut_in_mask_order(g, caps, sep)
+
+
+@given(connected_graphs(max_n=11))
+@example(build_graph(2, [(0, 1)]))
+@example(cycle(4))
+@example(complete(6))
+@example(_BIT0_TRAP)
+@settings(max_examples=150, deadline=None)
+def test_exact_threshold_matches_min_max_ratio_reference(g):
+    alpha_star, side_a, side_b = min_max_ratio_cut(g)
+    rep = connectivity_resilience_threshold(g)
+    assert (rep.threshold, rep.witness.side_a, rep.witness.side_b) == \
+        (alpha_star, side_a, side_b)
 
 
 # -- oracle agreement (small corpus; acceptance covers the full one) -------
