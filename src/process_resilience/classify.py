@@ -64,14 +64,9 @@ def classify_vertices(g_ref: Graph, p: float, delta: float,
     np_scale = g_ref.n * p
     lo, hi = (1.0 - delta) * np_scale, (1.0 + delta) * np_scale
     tiny_thr = delta * np_scale
-    tiny, atyp = [], []
-    for v in range(g_ref.n):
-        d = g_ref.degree(v)
-        if d < tiny_thr:
-            tiny.append(v)
-        if d < lo or d > hi:
-            atyp.append(v)
-    tiny_set, atyp_set = frozenset(tiny), frozenset(atyp)
+    deg = g_ref.degree_array
+    tiny_set = frozenset(np.flatnonzero(deg < tiny_thr).tolist())
+    atyp_set = frozenset(np.flatnonzero((deg < lo) | (deg > hi)).tolist())
     if restrict_to is not None:
         keep = frozenset(restrict_to)
         if not all(0 <= v < g_ref.n for v in keep):
@@ -292,7 +287,7 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
               sum(map(deg.__getitem__, comp)) // 2)
     top = heapq.nsmallest(5, range(n), key=lambda v: (-deg[v], v))
     # twins share a closed neighbourhood: check each distinct one once
-    for closed in dict.fromkeys(frozenset((v, *g.adj[v])) for v in top):
+    for closed in dict.fromkeys(frozenset((v, *g.neighbors(v))) for v in top):
         mask = np.zeros(n, dtype=bool)
         mask[list(closed)] = True
         check("neighbourhood", closed, _edge_count_within(eu, ev, mask))

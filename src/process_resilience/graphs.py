@@ -3,7 +3,9 @@ the package is built on: components, giants, k-cores, k-connectivity, and
 bounded-radius neighbourhoods.
 
 Vertices are integers 0..n-1. A Graph is frozen after construction and safe
-to share across threads; every function here is pure. Induced subgraphs
+to share across threads: the views it caches on first read are pure
+functions of its arrays, so a race can only build one twice. Every function
+here is pure. Induced subgraphs
 (giant, k-core) carry a ``labels`` tuple mapping their vertex indices back to
 the indices of the graph they were cut from, so attack certificates computed
 downstream can be reported in original coordinates.
@@ -12,8 +14,8 @@ downstream can be reported in original coordinates.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -31,15 +33,38 @@ class GraphFormatError(ValueError):
         super().__init__(prefix + message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph with sorted, deterministic adjacency."""
+    """Simple undirected graph in compressed sparse rows (CSR).
+
+    Row v is ``indices[indptr[v]:indptr[v + 1]]``, v's neighbours in
+    ascending order; ``_ends`` = (eu, ev) lists each edge once, u < v, in
+    lexicographic order. All four arrays are read-only int64. The tuple
+    rows ``adj`` and the degree views are built on first read and cached.
+    """
 
     n: int
-    adj: tuple  # adj[v]: sorted neighbour tuple; determines the graph
-    labels: Optional[tuple] = field(default=None, compare=False, repr=False)
-    # (eu, ev): read-only int64 endpoint arrays, u < v, in edge order
-    _ends: tuple = field(default=None, compare=False, repr=False)
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    _ends: tuple = field(repr=False)
+    labels: Optional[tuple] = field(default=None, repr=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.n == other.n and all(map(np.array_equal, self._ends, other._ends))
+
+    def __hash__(self):
+        return hash((self.n, self._ends[0].tobytes(), self._ends[1].tobytes()))
+
+    @cached_property
+    def adj(self) -> tuple:
+        """adj[v]: v's sorted neighbour tuple. Every neighbour goes through
+        one ``verts`` list, so each vertex is one int object in ``adj``."""
+        verts = list(range(self.n))
+        nbrs = list(map(verts.__getitem__, self.indices.tolist()))
+        bounds = self.indptr.tolist()
+        return tuple(tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     @property
     def edges(self) -> tuple:
@@ -51,18 +76,28 @@ class Graph:
     def m(self) -> int:
         return len(self._ends[0])
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
+    @cached_property
+    def degree_array(self) -> np.ndarray:
+        deg = np.diff(self.indptr)
+        deg.setflags(write=False)
+        return deg
 
-    @property
+    @cached_property
     def degrees(self) -> tuple:
-        return tuple(len(a) for a in self.adj)
+        return tuple(self.degree_array.tolist())
+
+    def degree(self, v: int) -> int:
+        return self.degrees[v]
 
     def min_degree(self) -> int:
-        return min((len(a) for a in self.adj), default=0)
+        return int(self.degree_array.min()) if self.n else 0
 
     def neighbors(self, v: int) -> tuple:
-        return self.adj[v]
+        """adj[v], read from the CSR row unless ``adj`` is already built."""
+        adj = self.__dict__.get("adj")
+        if adj is not None:
+            return adj[v]
+        return tuple(self.indices[self.indptr[v]:self.indptr[v + 1]].tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
@@ -75,27 +110,29 @@ class Graph:
         return v if self.labels is None else self.labels[v]
 
 
+def _graph(n: int, eu, ev, indices, labels) -> Graph:
+    """The Graph of sorted endpoint arrays and its CSR rows laid end to
+    end; the row offsets are the cumulative degrees."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n), out=indptr[1:])
+    for a in (indptr, indices, eu, ev):
+        a.setflags(write=False)
+    return Graph(n, indptr, indices, (eu, ev), labels)
+
+
 def _graph_from_arrays(n: int, us, vs, labels=None) -> Graph:
     """Trusted constructor: the pairs (us[i], vs[i]) must be distinct,
     in-range and loop-free; their order and orientation are free.
 
     One sort of the keys lo*n + hi gives the edges; one sort of the keys
-    owner*n + neighbour, over both orientations, gives the adjacency rows,
-    cut at the cumulative degrees. Every neighbour goes through one ``verts``
-    list, so each vertex is one int object however often it is in ``adj``.
+    owner*n + neighbour, over both orientations, gives the CSR rows.
     """
     us = np.asarray(us, dtype=np.int64)
     vs = np.asarray(vs, dtype=np.int64)
     base = max(n, 1)
     eu, ev = np.divmod(np.sort(np.minimum(us, vs) * base + np.maximum(us, vs)), base)
-    owner, nbr = np.divmod(np.sort(np.concatenate((eu * base + ev, ev * base + eu))), base)
-    bounds = np.cumsum(np.bincount(owner, minlength=n)).tolist()
-    verts = list(range(n))
-    nbrs = list(map(verts.__getitem__, nbr.tolist()))
-    adj = tuple(tuple(nbrs[a:b]) for a, b in zip([0] + bounds, bounds))
-    eu.setflags(write=False)
-    ev.setflags(write=False)
-    return Graph(n, adj, labels, (eu, ev))
+    indices = np.sort(np.concatenate((eu * base + ev, ev * base + eu))) % base
+    return _graph(n, eu, ev, indices, labels)
 
 
 def _pair_arrays(pairs) -> tuple:
@@ -170,32 +207,55 @@ def parse_graph_text(text: str) -> Graph:
 
 # -- components and induced subgraphs ------------------------------------
 
+def _component_labels(g: Graph) -> np.ndarray:
+    """label[v]: the smallest vertex of v's component.
+
+    Min-label propagation with pointer jumping: each round hooks the larger
+    of the two labels at the ends of every edge whose labels differ to the
+    smaller one, then jumps every vertex to its root, until no edge has two
+    labels. Every label is a vertex of its component and never above it, so
+    the smallest vertex keeps its own label and in the end lends it to all.
+    """
+    label = np.arange(g.n)
+    eu, ev = g._ends
+    while True:
+        lu, lv = label[eu], label[ev]
+        split = lu != lv
+        if not split.any():
+            return label
+        lu, lv = lu[split], lv[split]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while not np.array_equal(root := label[label], label):
+            label = root
+
+
 def connected_components(g: Graph):
     """Components as vertex sets, largest first, ties by smallest vertex."""
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        queue = deque((s,))
-        while queue:
-            x = queue.popleft()
-            for y in g.adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    queue.append(y)
-        comps.append(comp)
-    comps.sort(key=lambda c: (-len(c), min(c)))
-    return [VertexSet(c) for c in comps]
+    label = _component_labels(g)
+    order = np.argsort(label, kind="stable")  # each component in ascending order
+    comps = np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if g.n else []
+    comps.sort(key=lambda c: (-len(c), c[0]))
+    return [VertexSet(c.tolist()) for c in comps]
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    return len(connected_components(g)) == 1
+    return g.n > 0 and not _component_labels(g).any()
+
+
+def _induced(g: Graph, inside: np.ndarray) -> Graph:
+    """Subgraph induced on the vertices where the mask ``inside`` is True.
+
+    The index map is increasing, so the CSR rows and the edge arrays stay
+    sorted when they are filtered through it; no sort is needed.
+    """
+    index = np.cumsum(inside) - 1  # the new index of each kept vertex
+    eu, ev = g._ends
+    both = inside[eu] & inside[ev]
+    rows = np.repeat(inside, g.degree_array) & inside[g.indices]
+    keep = np.flatnonzero(inside).tolist()
+    labels = tuple(keep if g.labels is None else map(g.labels.__getitem__, keep))
+    return _graph(len(keep), index[eu[both]], index[ev[both]],
+                  index[g.indices[rows]], labels)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable) -> Graph:
@@ -203,43 +263,45 @@ def induced_subgraph(g: Graph, vertices: Iterable) -> Graph:
     keep = sorted(set(vertices))
     if keep and not (0 <= keep[0] and keep[-1] < g.n):
         raise ValueError(f"vertices must be in [0, {g.n}), got {keep[0]}..{keep[-1]}")
-    index = np.full(g.n, -1, dtype=np.int64)
-    index[keep] = np.arange(len(keep), dtype=np.int64)
-    eu, ev = g._ends
-    iu, iv = index[eu], index[ev]
-    inside = (iu >= 0) & (iv >= 0)
-    labels = tuple(g.original_label(v) for v in keep)
-    return _graph_from_arrays(len(keep), iu[inside], iv[inside], labels)
+    inside = np.zeros(g.n, dtype=bool)
+    inside[keep] = True
+    return _induced(g, inside)
 
 
 def giant_component(g: Graph) -> Graph:
     """Induced subgraph on the largest component (ties: smallest vertex)."""
     if g.m == 0:
         raise ValueError("no giant: graph has no edges")
-    return induced_subgraph(g, connected_components(g)[0])
+    label = _component_labels(g)
+    sizes = np.bincount(label, minlength=g.n)
+    return _induced(g, label == np.argmax(sizes))
 
 
 def k_core(g: Graph, k: int) -> Graph:
     """Maximal induced subgraph of minimum degree >= k (possibly empty).
 
-    Iterative peeling; the result is independent of peeling order.
+    Peeling in rounds: each round drops every live vertex of live degree
+    < k and takes one from the live degree of each live neighbour, read
+    from the dropped vertices' CSR rows. The result is independent of
+    peeling order.
     """
     if k < 2:
         raise ValueError(f"k-core requires k >= 2, got {k}")
-    deg = [len(a) for a in g.adj]
-    dead = [False] * g.n
-    queue = deque(v for v in range(g.n) if deg[v] < k)
-    while queue:
-        v = queue.popleft()
-        if dead[v]:
-            continue
-        dead[v] = True
-        for u in g.adj[v]:
-            if not dead[u]:
-                deg[u] -= 1
-                if deg[u] < k:
-                    queue.append(u)
-    return induced_subgraph(g, (v for v in range(g.n) if not dead[v]))
+    deg = g.degree_array.copy()
+    alive = np.ones(g.n, dtype=bool)
+    drop = np.flatnonzero(deg < k)
+    while len(drop):
+        alive[drop] = False
+        # the concatenated CSR rows of the dropped vertices
+        lens = g.degree_array[drop]
+        start = g.indptr[drop] - (np.cumsum(lens) - lens)
+        nbr = g.indices[np.repeat(start, lens) + np.arange(lens.sum())]
+        nbr = nbr[alive[nbr]]
+        np.subtract.at(deg, nbr, 1)
+        # the new drops once each; np.unique would load about 1.6 MB more
+        low = np.sort(nbr[deg[nbr] < k])
+        drop = low[np.diff(low, prepend=-1) != 0]
+    return _induced(g, alive)
 
 
 def ball(g: Graph, v: int, radius: int):
@@ -339,7 +401,8 @@ class _SplitNetwork:
 
         for v in range(g.n):
             add_arc(2 * v, 2 * v + 1)
-        for u, v in g.edges:
+        eu, ev = g._ends
+        for u, v in zip(eu.tolist(), ev.tolist()):
             add_arc(2 * u + 1, 2 * v)
             add_arc(2 * v + 1, 2 * u)
         for s in sources:

@@ -81,6 +81,11 @@ class BudgetRule:
         unsatisfiable at a vertex (then no H, not even the empty one, passes).
         """
         num, den = self.alpha.numerator, self.alpha.denominator
+        deg = g.degree_array
+        # int64 is exact while den * deg (>= num * deg) stays below 2^62;
+        # Fraction(0.6) has a 53-bit denominator, so past that Python ints
+        if den * max(int(deg.max()) if g.n else 0, 1) < 2 ** 62:
+            return np.minimum(num * deg // den, deg - self.k).tolist()
         return [min(num * d // den, d - self.k) for d in g.degrees]
 
 
@@ -457,15 +462,17 @@ def cherry_attack(g: Graph) -> Optional[tuple]:
     only 1 of 3 edges at c and 1 of deg(d) at d. Ties broken by smallest c,
     then smallest d.
     """
-    for c in range(g.n):
-        if g.degree(c) != 3:
-            continue
-        leaves = [u for u in g.adj[c] if g.degree(u) == 1]
-        anchors = [u for u in g.adj[c] if g.degree(u) > 1]
-        if len(leaves) >= 2 and anchors:
-            d = min(anchors)
-            return (c, d) if c < d else (d, c)
-    return None
+    deg = g.degree_array
+    centres = np.flatnonzero(deg == 3)
+    # rows[i]: the three neighbours of centres[i]; a row with two leaves
+    # and a vertex of degree > 1 is a cherry, and that vertex is d
+    rows = g.indices[g.indptr[centres][:, None] + np.arange(3)]
+    anchor = deg[rows] > 1
+    hits = np.flatnonzero(anchor.sum(axis=1) == 1)
+    if not len(hits):
+        return None
+    c, d = int(centres[hits[0]]), int(rows[hits[0]][anchor[hits[0]]][0])
+    return (c, d) if c < d else (d, c)
 
 
 def verify_star_condition(g: Graph, cut: Cut, epsilon) -> bool:
@@ -525,7 +532,7 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     insertion = [v for v in removed if v not in tiny] + [v for v in removed if v in tiny]
     for v in insertion:
         in_a = in_b = 0
-        for u in g.adj[v]:
+        for u in g.neighbors(v):
             if side[u] == 0:
                 in_a += 1
             elif side[u] == 1:
@@ -552,7 +559,7 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
         for v in range(g.n):
             if cross[v] > caps[v]:
                 s = side[v]
-                for u in g.adj[v]:
+                for u in g.neighbors(v):
                     if side[u] == s:
                         cross[u] += 1
                     else:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 
 import numpy as np
 
@@ -455,15 +455,66 @@ def local_search_threshold_reference(g: Graph, restarts: int, seed: int):
 def graph_from_pairs(n: int, pairs, labels=None) -> Graph:
     """The library's original tuple constructor: sorted edges and sorted
     adjacency rows from Python lists, one pair at a time. Pairs must be
-    distinct, in range and loop-free. Its endpoint arrays are built from
-    its own sorted edge list, so its ``edges`` are that list."""
+    distinct, in range and loop-free. Its CSR arrays are those rows laid
+    end to end, its endpoint arrays are its own sorted edge list, and its
+    ``adj`` is those rows, stored before the library could build its own."""
     edges = sorted((u, v) if u < v else (v, u) for u, v in pairs)
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    ends = tuple(np.array(edges, dtype=np.int64).reshape(-1, 2).T)
-    return Graph(n, tuple(tuple(sorted(a)) for a in adj), labels, ends)
+    rows = tuple(tuple(sorted(a)) for a in adj)
+    indptr = np.array([0] + list(accumulate(map(len, rows))), dtype=np.int64)
+    indices = np.array([v for row in rows for v in row], dtype=np.int64)
+    ends = tuple(np.array(edges, dtype=np.int64).reshape(-1, 2).T.copy())
+    for a in (indptr, indices, *ends):
+        a.setflags(write=False)
+    g = Graph(n, indptr, indices, ends, labels)
+    g.__dict__["adj"] = rows
+    return g
+
+
+def degrees_by_pairs(n: int, pairs) -> tuple:
+    """deg[v], counted one distinct pair at a time."""
+    deg = [0] * n
+    for u, v in pairs:
+        deg[u] += 1
+        deg[v] += 1
+    return tuple(deg)
+
+
+def components_by_pairs(n: int, pairs) -> list:
+    """Components of the graph on 0..n-1 with the given pairs, as vertex
+    sets, largest first, ties by smallest vertex: union-find, one pair at a
+    time."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        parent[max(ru, rv)] = min(ru, rv)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(find(v), set()).add(v)
+    return sorted(map(frozenset, groups.values()), key=lambda c: (-len(c), min(c)))
+
+
+def first_cherry(g: Graph):
+    """The cherry edge of the smallest degree-3 vertex c with two leaf
+    neighbours and one other, scanned vertex by vertex on adjacency sets
+    built from the edge list; None if there is none."""
+    adj = adjacency_sets(g)
+    for c in range(g.n):
+        if len(adj[c]) == 3:
+            anchors = [u for u in adj[c] if len(adj[u]) > 1]
+            if len(anchors) == 1:
+                return tuple(sorted((c, anchors[0])))
+    return None
 
 
 def induced_subgraph_by_edges(g: Graph, vertices) -> Graph:

@@ -27,9 +27,10 @@ from process_resilience.process import (graph_at, pair_count, sample_gnm,
 from process_resilience.resilience import crossing_degrees
 
 from conftest import complete, cycle, path, star
-from oracles import (atyp_neighbour_counts, crossing_counts, graph_from_pairs,
-                     induced_subgraph_by_edges, is_k_connected_oracle,
-                     peel_k_core_random_order, split_network_flow)
+from oracles import (atyp_neighbour_counts, components_by_pairs, crossing_counts,
+                     degrees_by_pairs, graph_from_pairs, induced_subgraph_by_edges,
+                     is_k_connected_oracle, peel_k_core_random_order,
+                     split_network_flow)
 
 
 # -- construction ----------------------------------------------------------
@@ -137,6 +138,75 @@ def test_equal_graphs_compare_and_hash_equal_however_built(case, rnd):
     for g in [build_graph(n, edges) for edges in changed if edges != distinct]:
         assert g != graphs[0]
     assert build_graph(n + 1, distinct) != graphs[0]
+
+
+def test_graph_equality_defers_to_other_types():
+    g = build_graph(2, [(0, 1)])
+    assert g.__eq__(((0, 1),)) is NotImplemented
+    assert g != "2 1\n0 1\n"
+
+
+# -- CSR views and array kernels against pair-loop references --------------
+
+def _assert_rows_then_graph(g, ref):
+    """g's CSR rows and degrees match ref's rows before g builds ``adj``,
+    then the whole graph matches, and the rows are then ``adj``'s own."""
+    assert "adj" not in g.__dict__
+    assert [g.neighbors(v) for v in range(g.n)] == list(ref.adj)
+    assert g.degrees == tuple(map(len, ref.adj))
+    assert g.min_degree() == min(g.degrees, default=0)
+    for a in (g.indptr, g.indices, g.degree_array):
+        assert a.dtype == np.int64 and not a.flags.writeable
+    assert "adj" not in g.__dict__
+    _assert_same_graph(g, ref)
+    assert all(g.neighbors(v) is g.adj[v] for v in range(g.n))
+
+
+# n = 0, 1, 2, no edges, isolated vertices, two components of equal size
+CSR_EXAMPLES = ((0, []), (1, []), (2, []), (2, [(1, 0)]), (5, []), (5, [(3, 1)]),
+                (6, [(0, 5), (5, 3), (2, 1), (4, 2)]))
+
+
+def _with_examples(*extra):
+    def wrap(test):
+        for case in CSR_EXAMPLES:
+            test = example(case, *extra)(test)
+        return test
+    return wrap
+
+
+@given(pair_lists())
+@settings(max_examples=300, deadline=None)
+@_with_examples()
+def test_csr_rows_degrees_and_components_match_pair_loops(case):
+    n, pairs = case
+    distinct = {(u, v) if u < v else (v, u) for u, v in pairs}
+    g = build_graph(n, pairs)
+    assert g.degrees == degrees_by_pairs(n, distinct)
+    assert connected_components(g) == components_by_pairs(n, distinct)
+    _assert_rows_then_graph(g, graph_from_pairs(n, distinct))
+
+
+@given(pair_lists(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+@_with_examples(random.Random(0))
+def test_induced_subgraphs_and_cores_match_pair_loops(case, rnd):
+    n, pairs = case
+    distinct = {(u, v) if u < v else (v, u) for u, v in pairs}
+    g, ref = build_graph(n, pairs), graph_from_pairs(n, distinct)
+    # a subgraph of a subgraph: its labels compose to g's vertices
+    keep = rnd.sample(range(n), rnd.randint(0, n))
+    sub, sub_ref = induced_subgraph(g, keep), induced_subgraph_by_edges(ref, keep)
+    _assert_rows_then_graph(sub, sub_ref)
+    keep = rnd.sample(range(sub.n), rnd.randint(0, sub.n))
+    _assert_rows_then_graph(induced_subgraph(sub, keep),
+                            induced_subgraph_by_edges(sub_ref, keep))
+    if distinct:
+        _assert_rows_then_graph(giant_component(g), induced_subgraph_by_edges(
+            ref, components_by_pairs(n, distinct)[0]))
+    for k in (2, 3):
+        survivors = peel_k_core_random_order(ref, k, range(n))
+        _assert_rows_then_graph(k_core(g, k), induced_subgraph_by_edges(ref, survivors))
 
 
 def _relabelled_giants():

@@ -40,6 +40,7 @@ from oracles import (
     exists_disconnecting_h_literal,
     exists_kconn_attack_h,
     exists_kconn_attack_h_literal,
+    first_cherry,
     first_cut_in_mask_order,
     local_search_threshold_reference,
     min_max_ratio_cut,
@@ -105,6 +106,27 @@ def test_fraction_caps_are_the_floor_of_alpha_deg():
     for alpha in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), 1):
         assert (BudgetRule.fraction(alpha).caps(g)
                 == [math.floor(alpha * d) for d in g.degrees])
+
+
+def test_caps_match_the_python_formula_past_the_int64_guard():
+    # Fraction(0.6) has a 53-bit numerator: num * deg leaves int64 once a
+    # degree passes 1707, where the caps must still be exact floors
+    big = star(2000)
+    small = sample_gnm(12, 30, 3)
+    for g in (big, small):
+        for alpha, k in ((Fraction(0.6), 0), (Fraction(0.6), 3),
+                         (Fraction(1, 2 ** 70), 0), (Fraction(2 ** 70 - 1, 2 ** 70), 1)):
+            num, den = alpha.numerator, alpha.denominator
+            assert BudgetRule(alpha, k).caps(g) == [
+                min(num * d // den, d - k) for d in g.degrees], (g.n, alpha, k)
+    assert BudgetRule(Fraction(0.6)).caps(big)[0] == 1199
+
+
+def test_caps_are_negative_where_k_exceeds_the_degree():
+    caps = BudgetRule.fraction_keep_degree(Fraction(1, 2), 3).caps(star(4))
+    assert caps == [0, -2, -2, -2]
+    g = build_graph(3, [(0, 1)])
+    assert BudgetRule(Fraction(1), 2).caps(g) == [-1, -1, -2]
 
 
 def test_budget_rejects_negative_k():
@@ -535,6 +557,15 @@ def test_cherry_tie_break_smallest_center():
     assert cherry_attack(g) == (2, 4)
 
 
+@given(st.integers(0, 2 ** 31), st.integers(2, 14), st.integers(0, 14))
+@settings(max_examples=200, deadline=None)
+@example(0, 6, 0)  # no edges
+def test_cherry_matches_vertex_scan(seed, n, m):
+    # sparse graphs have many leaves, so some of them have cherries
+    g = sample_gnm(n, min(m, pair_count(n)), seed)
+    assert cherry_attack(g) == first_cherry(g)
+
+
 def test_cherry_skips_all_leaf_centers():
     g = star(4)  # centre has three leaves, no anchor edge to cut
     assert cherry_attack(g) is None
@@ -696,6 +727,22 @@ def test_greedy_universe_mismatch_rejected():
     cls = classify_vertices(sample_gnm(17, 40, 1), 0.3, 0.5)
     with pytest.raises(ValueError, match="universe"):
         greedy_partition_attack(g, cls, 5.0, Fraction(1, 10), seed=0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_sweep_pipeline_builds_no_adjacency_rows(seed):
+    # the criterion-4 sweep trial at n = 4096, m = ceil(n ln n): components,
+    # the giant, the classes and the cherry scan read the CSR arrays, and
+    # the greedy attack reads only the rows it walks
+    n, m = 4096, 34070
+    g = sample_gnm(n, m, seed)
+    giant = giant_component(g)
+    p1 = m / pair_count(n)
+    cls = classify_vertices(giant, p1, 0.5)
+    cherry_attack(giant)
+    assert "adj" not in g.__dict__ and "adj" not in giant.__dict__
+    greedy_partition_attack(giant, cls, 0.7 * giant.n * p1, Fraction(1, 10), seed)
+    assert "adj" not in giant.__dict__
 
 
 # -- certificates and serialization ----------------------------------------
