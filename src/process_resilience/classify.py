@@ -110,16 +110,8 @@ def audit_atyp_size(cls: VertexClassification) -> AuditReport:
     n = cls.n
     if n <= 1:
         raise ValueError("atypical-size audit needs n >= 2 (log 1 = 0)")
-    bound = n / math.log(n)
-    observed = len(cls.atyp)
-    violations = ()
-    if observed > bound:
-        violations = ({"set": "atyp", "measured": observed, "bound": bound},)
-    return AuditReport(
-        property_id="atyp-size", condition="C4", holds=not violations,
-        max_observed=float(observed), bound=bound,
-        violations=violations, params={"p": cls.p, "delta": cls.delta, "n": n},
-    )
+    return _count_audit("atyp-size", "C4", "set", ["atyp"], [len(cls.atyp)],
+                        n / math.log(n), {"p": cls.p, "delta": cls.delta, "n": n})
 
 
 def _tiny_triangles(g: Graph, tiny) -> dict:
@@ -158,35 +150,36 @@ def audit_neighbourhoods(g_plus: Graph, cls: VertexClassification, L: int):
     for t in tiny:
         for v in ball(g_plus, t, 3):
             ball_counts[v] += 1
-    ball_viol = [{"vertex": v, "measured": cnt, "bound": 2}
-                 for v, cnt in enumerate(ball_counts) if cnt > 2]
-    reports = [AuditReport(
-        property_id="tiny-3ball", condition="C2", holds=not ball_viol,
-        max_observed=float(max(ball_counts, default=0)), bound=2.0,
-        violations=tuple(ball_viol), params=params,
-    )]
-
-    nbr_counts = neighbours_in(g_plus, atyp)
-    nbr_viol = [{"vertex": v, "measured": cnt, "bound": L}
-                for v, cnt in enumerate(nbr_counts) if cnt > L]
-    reports.append(AuditReport(
-        property_id="atyp-neighbourhood", condition="C2", holds=not nbr_viol,
-        max_observed=float(max(nbr_counts, default=0)), bound=float(L),
-        violations=tuple(nbr_viol), params=params,
-    ))
-
+    vertices = range(g_plus.n)
     tris = _tiny_triangles(g_plus, tiny)
-    tri_viol = [{"triangle": list(tri), "measured": cnt, "bound": 1}
-                for tri, cnt in sorted(tris.items()) if cnt > 1]
-    reports.append(AuditReport(
-        property_id="triangle-tiny", condition="C3", holds=not tri_viol,
-        max_observed=float(max(tris.values(), default=0)), bound=1.0,
-        violations=tuple(tri_viol), params=params,
-    ))
-    return reports
+    order = sorted(tris)
+    return [
+        _count_audit("tiny-3ball", "C2", "vertex", vertices, ball_counts, 2, params),
+        _count_audit("atyp-neighbourhood", "C2", "vertex", vertices,
+                     neighbours_in(g_plus, atyp), L, params),
+        _count_audit("triangle-tiny", "C3", "triangle", [list(tri) for tri in order],
+                     [tris[tri] for tri in order], 1, params),
+    ]
 
 
-def _edge_count_within(eu: np.ndarray, ev: np.ndarray, mask: np.ndarray) -> int:
+def _count_audit(property_id: str, condition: str, witness: str, witnesses,
+                 counts: list, bound, params: dict) -> AuditReport:
+    """The audit that counts[i], measured at witnesses[i], is at most bound
+    for every i; each count above it is a violation."""
+    violations = tuple({witness: w, "measured": cnt, "bound": bound}
+                       for w, cnt in zip(witnesses, counts) if cnt > bound)
+    return AuditReport(
+        property_id=property_id, condition=condition, holds=not violations,
+        max_observed=float(max(counts, default=0)), bound=float(bound),
+        violations=violations, params=params,
+    )
+
+
+def _edge_count_within(g: Graph, members) -> int:
+    """The edges of g with both ends among ``members``."""
+    mask = np.zeros(g.n, dtype=bool)
+    mask[members] = True
+    eu, ev = g._ends
     return int((mask[eu] & mask[ev]).sum())
 
 
@@ -243,11 +236,11 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
                 return False
         return True
 
-    eu, ev = g._ends
     if small_sizes_pass_analytically():
         smalls_mode = "analytic"
     elif n <= 40:
         smalls_mode = "exhaustive"
+        eu, ev = g._ends
         adj = np.zeros((n, n), dtype=np.int64)
         adj[eu, ev] = adj[ev, eu] = 1
         # the subsets of size s in combinations order, each extended by
@@ -276,9 +269,7 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
     for _ in range(subset_trials if n >= lo_size else min(subset_trials, 1)):
         s = int(rng.integers(lo_size, n + 1)) if n >= lo_size else n
         idx = rng.permutation(n)[:s]
-        mask = np.zeros(n, dtype=bool)
-        mask[idx] = True
-        check("random", idx, _edge_count_within(eu, ev, mask))
+        check("random", idx, _edge_count_within(g, idx))
 
     # (c) structured extremes; a component holds every edge at its vertices
     deg = g.degrees
@@ -288,9 +279,7 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
     top = heapq.nsmallest(5, range(n), key=lambda v: (-deg[v], v))
     # twins share a closed neighbourhood: check each distinct one once
     for closed in dict.fromkeys(frozenset((v, *g.neighbors(v))) for v in top):
-        mask = np.zeros(n, dtype=bool)
-        mask[list(closed)] = True
-        check("neighbourhood", closed, _edge_count_within(eu, ev, mask))
+        check("neighbourhood", closed, _edge_count_within(g, list(closed)))
 
     violations.sort(key=lambda rec: rec["subset"])
     return AuditReport(

@@ -59,6 +59,13 @@ def _alpha(value: str) -> Fraction:
             f"alpha must be a rational like 2/3, got {value!r}") from None
 
 
+def _rule(alpha: Fraction, keep_degree) -> BudgetRule:
+    """The plain fraction rule, or the (alpha, k) rule if k is given."""
+    if keep_degree is None:
+        return BudgetRule.fraction(alpha)
+    return BudgetRule.fraction_keep_degree(alpha, keep_degree)
+
+
 def _density(g: Graph) -> float:
     return g.m / pair_count(g.n) if g.n >= 2 else 0.0
 
@@ -67,26 +74,22 @@ def _density(g: Graph) -> float:
 
 def _cmd_sample(args) -> int:
     if args.model == "process":
-        trace = sample_process(args.n, args.seed)
-        payload = trace.descriptor()
+        payload = sample_process(args.n, args.seed).descriptor()
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         _print_json(payload)
-        return 0
-    if args.model == "gnm":
+    elif args.model == "coupled":
+        coupled = sample_coupled(args.n, args.p0, args.p_prime, args.seed)
+        _write_graph(coupled.g_minus, args.out_minus)
+        _write_graph(coupled.g_plus, args.out_plus)
+        _print_json({"n": args.n, "p0": coupled.p0, "p_prime": coupled.p_prime,
+                     "p1": coupled.p1, "edges_minus": coupled.g_minus.m,
+                     "edges_plus": coupled.g_plus.m})
+    elif args.model == "gnm":
         _write_graph(sample_gnm(args.n, args.m, args.seed), args.out)
-        return 0
-    if args.model == "gnp":
+    else:
         _write_graph(sample_gnp(args.n, args.p, args.seed), args.out)
-        return 0
-    coupled = sample_coupled(args.n, args.p0, args.p_prime, args.seed)
-    _write_graph(coupled.g_minus, args.out_minus)
-    _write_graph(coupled.g_plus, args.out_plus)
-    _print_json({"n": args.n, "p0": coupled.p0, "p_prime": coupled.p_prime,
-                 "p1": coupled.p1, "edges_minus": coupled.g_minus.m,
-                 "edges_plus": coupled.g_plus.m})
     return 0
 
 
@@ -145,6 +148,15 @@ def _cmd_audit(args) -> int:
     return 0 if all(rep.holds for rep in reports) else 1
 
 
+def _report_cut(g: Graph, cut) -> int:
+    """Print the cut's certificate, or "resilient" (exit 1) if there is none."""
+    if cut is None:
+        print("resilient")
+        return 1
+    _print_json(cut_to_json_dict(g, cut))
+    return 0
+
+
 def _cmd_attack(args) -> int:
     g = _load_graph(args.graph)
     if args.kind == "cherry":
@@ -155,35 +167,19 @@ def _cmd_attack(args) -> int:
         _print_json({"edge": list(edge)})
         return 0
     if args.kind == "exact":
-        cut = find_disconnecting_attack(g, BudgetRule.fraction(args.alpha))
-        if cut is None:
-            print("resilient")
-            return 1
-        _print_json(cut_to_json_dict(g, cut))
-        return 0
+        rule = BudgetRule.fraction(args.alpha)
+        return _report_cut(g, find_disconnecting_attack(g, rule))
     if args.kind == "kconn":
-        if args.no_keep_degree:
-            rule = BudgetRule.fraction(args.alpha)
-        else:
-            rule = BudgetRule.fraction_keep_degree(args.alpha, args.k)
-        cut = find_k_conn_attack(g, rule, args.k)
-        if cut is None:
-            print("resilient")
-            return 1
-        _print_json(cut_to_json_dict(g, cut))
-        return 0
+        rule = _rule(args.alpha, None if args.no_keep_degree else args.k)
+        return _report_cut(g, find_k_conn_attack(g, rule, args.k))
     # greedy
     p = args.p if args.p is not None else _density(g)
-    delta = args.delta
     d_threshold = (args.d_threshold if args.d_threshold is not None
-                   else (0.5 + delta) * g.n * p)
-    cls = classify_vertices(g, p, delta)
-    try:
-        outcome = greedy_partition_attack(g, cls, d_threshold,
-                                          Fraction(args.epsilon), args.seed)
-    except AttackError as exc:
-        print(f"attack failed: {exc}", file=sys.stderr)
-        return 1
+                   else (0.5 + args.delta) * g.n * p)
+    cls = classify_vertices(g, p, args.delta)
+    # an AttackError goes to main, which reports it and exits 1
+    outcome = greedy_partition_attack(g, cls, d_threshold,
+                                      Fraction(args.epsilon), args.seed)
     _print_json(outcome.to_json_dict(g))
     return 0 if outcome.satisfied else 1
 
@@ -230,16 +226,19 @@ def _cmd_verify_cut(args) -> int:
     g = _load_graph(args.graph)
     with open(args.cut, "r", encoding="utf-8") as fh:
         cut = cut_from_json_dict(json.load(fh))
-    if args.keep_degree is not None:
-        rule = BudgetRule.fraction_keep_degree(args.alpha, args.keep_degree)
-    else:
-        rule = BudgetRule.fraction(args.alpha)
-    verdict = replay_cut(g, cut, rule)
+    verdict = replay_cut(g, cut, _rule(args.alpha, args.keep_degree))
     _print_json(verdict)
     return 0 if verdict["valid"] else 1
 
 
 # -- parser ----------------------------------------------------------------
+
+def _flags(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, for subcommands that share it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -250,61 +249,50 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample", help="sample graphs and process traces")
+    def command(name, func, parents=(), **kwargs):
+        p = sub.add_parser(name, parents=list(parents), **kwargs)
+        p.set_defaults(func=func)
+        return p
+
+    seed = _flags("--seed", type=int, default=0)
+    n_seed = [_flags("--n", type=int, required=True), seed]
+    graph = _flags("--graph", required=True)
+    out = _flags("--out")
+
+    p = command("sample", _cmd_sample, help="sample graphs and process traces")
     ps = p.add_subparsers(dest="model", required=True)
-    q = ps.add_parser("process", help="emit a process trace descriptor")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--out")
-    q.set_defaults(func=_cmd_sample)
-    q = ps.add_parser("gnm", help="uniform graph with n vertices, m edges")
-    q.add_argument("--n", type=int, required=True)
+    ps.add_parser("process", parents=n_seed + [out],
+                  help="emit a process trace descriptor")
+    q = ps.add_parser("gnm", parents=n_seed + [out],
+                      help="uniform graph with n vertices, m edges")
     q.add_argument("--m", type=int, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--out")
-    q.set_defaults(func=_cmd_sample)
-    q = ps.add_parser("gnp", help="binomial random graph")
-    q.add_argument("--n", type=int, required=True)
+    q = ps.add_parser("gnp", parents=n_seed + [out], help="binomial random graph")
     q.add_argument("--p", type=float, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--out")
-    q.set_defaults(func=_cmd_sample)
-    q = ps.add_parser("coupled", help="coupled pair G- subset G+")
-    q.add_argument("--n", type=int, required=True)
+    q = ps.add_parser("coupled", parents=n_seed, help="coupled pair G- subset G+")
     q.add_argument("--p0", type=float, required=True)
     q.add_argument("--p-prime", type=float, required=True)
-    q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out-minus", required=True)
     q.add_argument("--out-plus", required=True)
-    q.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("hitting-times",
-                       help="hitting times along a seeded trace")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p = command("hitting-times", _cmd_hitting_times, parents=n_seed,
+                help="hitting times along a seeded trace")
     p.add_argument("--k", type=int, action="append",
                    help="also report tau_k and tau_k-conn (repeatable)")
-    p.set_defaults(func=_cmd_hitting_times)
 
-    p = sub.add_parser("giant", help="extract the largest component")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_giant)
+    command("giant", _cmd_giant, parents=[graph, out],
+            help="extract the largest component")
 
-    p = sub.add_parser("kcore", help="extract the k-core")
-    p.add_argument("--graph", required=True)
+    p = command("kcore", _cmd_kcore, parents=[graph, out], help="extract the k-core")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_kcore)
 
-    p = sub.add_parser("classify", help="tiny/atypical vertex classes")
-    p.add_argument("--graph", required=True)
+    p = command("classify", _cmd_classify, parents=[graph],
+                help="tiny/atypical vertex classes")
     p.add_argument("--p", type=float, help="reference density (default: m/C(n,2))")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--restrict", help="comma-separated vertex subset")
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("audit", help="structural audits on a coupled pair")
+    p = command("audit", _cmd_audit, parents=[seed],
+                help="structural audits on a coupled pair")
     p.add_argument("--minus", required=True, help="reference graph file")
     p.add_argument("--plus", required=True, help="audited graph file")
     p.add_argument("--p0", type=float)
@@ -313,43 +301,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, default=30)
     p.add_argument("--c", type=float, default=2.0)
     p.add_argument("--subset-trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("attack", help="mount an attack")
+    p = command("attack", _cmd_attack, help="mount an attack")
     ps = p.add_subparsers(dest="kind", required=True)
-    q = ps.add_parser("cherry", help="find a cherry and its detaching edge")
-    q.add_argument("--graph", required=True)
-    q.set_defaults(func=_cmd_attack)
-    q = ps.add_parser("exact", help="exact disconnecting cut search")
-    q.add_argument("--graph", required=True)
+    ps.add_parser("cherry", parents=[graph],
+                  help="find a cherry and its detaching edge")
+    q = ps.add_parser("exact", parents=[graph],
+                      help="exact disconnecting cut search")
     q.add_argument("--alpha", type=_alpha, required=True,
                    help="budget fraction as a rational, e.g. 1/2")
-    q.set_defaults(func=_cmd_attack)
-    q = ps.add_parser("kconn", help="exact k-connectivity attack search")
-    q.add_argument("--graph", required=True)
+    q = ps.add_parser("kconn", parents=[graph],
+                      help="exact k-connectivity attack search")
     q.add_argument("--alpha", type=_alpha, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--no-keep-degree", action="store_true",
                    help="drop the keep-degree constraint (plain fraction rule)")
-    q.set_defaults(func=_cmd_attack)
-    q = ps.add_parser("greedy", help="greedy partition attack")
-    q.add_argument("--graph", required=True)
+    q = ps.add_parser("greedy", parents=[graph, seed],
+                      help="greedy partition attack")
     q.add_argument("--epsilon", required=True, help="rational, e.g. 1/10")
     q.add_argument("--delta", type=float, default=0.5)
     q.add_argument("--p", type=float, help="density scale (default: m/C(n,2))")
     q.add_argument("--d-threshold", type=float)
-    q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(func=_cmd_attack)
 
-    p = sub.add_parser("threshold", help="connectivity resilience threshold")
-    p.add_argument("--graph", required=True)
+    p = command("threshold", _cmd_threshold, parents=[graph, seed],
+                help="connectivity resilience threshold")
     p.add_argument("--mode", choices=("exact", "local-search"), default="exact")
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_threshold)
 
-    p = sub.add_parser("study", help="run a Monte Carlo study")
+    # no parent --seed: a study's seed defaults to its config's
+    p = command("study", _cmd_study, parents=[out], help="run a Monte Carlo study")
     p.add_argument("kind", choices=("hitting", "sweep", "kcore", "audit"))
     p.add_argument("--config", help="config file (key = value grammar)")
     p.add_argument("--ns", type=int, nargs="+")
@@ -359,17 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_study)
 
-    p = sub.add_parser("verify-cut",
-                       help="replay a serialized cut against a graph and budget")
-    p.add_argument("--graph", required=True)
+    p = command("verify-cut", _cmd_verify_cut, parents=[graph],
+                help="replay a serialized cut against a graph and budget")
     p.add_argument("--cut", required=True, help="cut JSON file")
     p.add_argument("--alpha", type=_alpha, required=True)
     p.add_argument("--keep-degree", type=int,
                    help="verify under the (alpha, k) rule with this k")
-    p.set_defaults(func=_cmd_verify_cut)
 
     return parser
 
@@ -382,9 +358,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

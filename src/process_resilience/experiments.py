@@ -267,9 +267,7 @@ def _hitting_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
     if n <= cfg.exact_n_limit or cfg.measure_resilience:
         giant = giant_component(graph_at(trace, tau1))
     if n <= cfg.exact_n_limit:
-        rep = connectivity_resilience_threshold(giant)
-        metrics["alpha_star"] = str(rep.threshold)
-        metrics["alpha_star_float"] = float(rep.threshold)
+        metrics.update(_exact_metrics(giant))
     elif cfg.measure_resilience:
         p1 = tau1 / pair_count(n)
         metrics.update(_greedy_metrics(cfg, giant, p1, trial_seed))
@@ -281,12 +279,16 @@ def _hitting_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
     return TrialRecord("hitting", n, trial, trial_seed, metrics=metrics)
 
 
+def _exact_metrics(giant: Graph) -> dict:
+    rep = connectivity_resilience_threshold(giant)
+    return {"alpha_star": str(rep.threshold), "alpha_star_float": float(rep.threshold)}
+
+
 def _greedy_metrics(cfg: ExperimentConfig, giant: Graph, p1: float,
                     trial_seed: int) -> dict:
-    delta = cfg.delta
-    factor = (0.5 + delta) if cfg.d_threshold_factor is None else cfg.d_threshold_factor
-    d_threshold = factor * giant.n * p1
-    cls = classify_vertices(giant, p1, delta)
+    factor = cfg.d_threshold_factor
+    d_threshold = (0.5 + cfg.delta if factor is None else factor) * giant.n * p1
+    cls = classify_vertices(giant, p1, cfg.delta)
     try:
         outcome = greedy_partition_attack(giant, cls, d_threshold,
                                           cfg.epsilon_fraction(),
@@ -311,9 +313,7 @@ def _sweep_trial(cfg: ExperimentConfig, n: int, m: int, trial: int) -> TrialReco
         p1 = m / pair_count(n)
         metrics.update(_greedy_metrics(cfg, giant, p1, trial_seed))
         if n <= cfg.exact_n_limit:
-            rep = connectivity_resilience_threshold(giant)
-            metrics["alpha_star"] = str(rep.threshold)
-            metrics["alpha_star_float"] = float(rep.threshold)
+            metrics.update(_exact_metrics(giant))
     return TrialRecord("sweep", n, trial, trial_seed, m=m, metrics=metrics)
 
 
@@ -383,20 +383,30 @@ def _run_one(task) -> TrialRecord:
         return _sweep_trial(cfg, n, m, trial)
     if study == "kcore":
         return _kcore_trial(cfg, n, m, trial)
-    if study == "audit":
-        return _audit_trial(cfg, n, trial)
-    raise ValueError(f"unknown study {study!r}")
+    return _audit_trial(cfg, n, trial)
 
 
-def _tasks(cfg: ExperimentConfig):
-    out = []
-    for n in cfg.ns:
-        if cfg.study in ("sweep", "kcore"):
-            for m in cfg.m_grid(n):
-                out.extend((cfg, cfg.study, n, m, t) for t in range(cfg.trials))
-        else:
-            out.extend((cfg, cfg.study, n, None, t) for t in range(cfg.trials))
-    return out
+def _groups(cfg: ExperimentConfig) -> list:
+    """(n, m) of each group of trials; m is None where the study has no m."""
+    return [(n, m) for n in cfg.ns for m in
+            (cfg.m_grid(n) if cfg.study in ("sweep", "kcore") else (None,))]
+
+
+# (key, studies that read it, test, domain): run_study checks each before
+# any trial. Hitting and sweep pass epsilon to the greedy attack, kcore
+# uses alpha = 1/2 - epsilon.
+_KEY_CHECKS = (
+    ("trials", STUDY_CODES, lambda v: v >= 1, ">= 1"),
+    ("threads", STUDY_CODES, lambda v: v >= 1, ">= 1"),
+    ("delta", ("hitting", "sweep", "audit"), lambda v: 0 < v < 1, "in (0, 1)"),
+    ("epsilon", ("hitting", "sweep"), lambda v: 0 < Fraction(v) < 0.5, "in (0, 1/2)"),
+    ("epsilon", ("kcore",), lambda v: 0 <= Fraction(v) <= 0.5, "in [0, 1/2]"),
+    ("restarts", ("hitting",), lambda v: v >= 1, ">= 1"),
+    ("L", ("audit",), lambda v: v >= 0, ">= 0"),
+    ("subset_trials", ("audit",), lambda v: v >= 0, ">= 0"),
+    ("c", ("audit",), lambda v: v > 0, "> 0"),
+    ("p_prime_factor", ("audit",), lambda v: v >= 0, ">= 0"),
+)
 
 
 def run_study(cfg: ExperimentConfig) -> StudyResult:
@@ -410,40 +420,39 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     for key in ("out_json", "out_csv"):
         if getattr(cfg, key) is not None:
             raise ValueError(f"config key {key} is not read; use resil study --out")
-    if cfg.study == "audit":
-        eps = float(cfg.epsilon_fraction())
-        if cfg.p_prime_factor > eps:
-            raise ValueError(
-                f"audit regime violated: p_prime = {cfg.p_prime_factor} * p0 "
-                f"exceeds epsilon = {eps} * p0")
-        for name in ("subset_trials", "L"):
-            if getattr(cfg, name) < 0:
-                raise ValueError(f"audit study needs {name} >= 0, "
-                                 f"got {name}={getattr(cfg, name)}")
-    if cfg.study == "kcore" and not (0 <= cfg.epsilon_fraction() <= Fraction(1, 2)):
-        raise ValueError(f"kcore budget alpha = 1/2 - epsilon needs epsilon "
-                         f"in [0, 1/2], got {cfg.epsilon}")
-    if cfg.trials < 1:
-        raise ValueError(f"{cfg.study} study needs trials >= 1, "
-                         f"got trials={cfg.trials}")
+    if cfg.study not in STUDY_CODES:
+        raise ValueError(f"unknown study {cfg.study!r}")
+    for key, studies, test, domain in _KEY_CHECKS:
+        if cfg.study in studies and not test(getattr(cfg, key)):
+            raise ValueError(f"{cfg.study} study needs {key} {domain}, "
+                             f"got {key}={getattr(cfg, key)}")
+    eps = float(cfg.epsilon_fraction())
+    if cfg.study == "audit" and cfg.p_prime_factor > eps:
+        raise ValueError(
+            f"audit regime violated: p_prime = {cfg.p_prime_factor} * p0 "
+            f"exceeds epsilon = {eps} * p0")
     for n in cfg.ns:
         if n < 2:
             raise ValueError(f"{cfg.study} study needs n >= 2, got n={n}")
         if cfg.study == "kcore" and not 2 <= cfg.k <= n - 1:
             raise ValueError(f"kcore study needs k in [2, n-1], "
                              f"got k={cfg.k} for n={n}")
+        p0 = cfg.p0_factor * math.log(n) / (3 * n)
+        if cfg.study == "audit" and not 0 <= p0 <= 1:
+            raise ValueError(f"audit study needs p0 = p0_factor ln n / (3n) in "
+                             f"[0, 1], got p0={p0} for n={n}")
         if (cfg.study in ("hitting", "sweep")
                 and EXACT_BIPARTITION_LIMIT < n <= cfg.exact_n_limit):
             raise ValueError(
                 f"{cfg.study} study: exact_n_limit={cfg.exact_n_limit} asks "
                 f"for the exact threshold at n={n}, above its limit "
                 f"{EXACT_BIPARTITION_LIMIT}")
-    for n in cfg.ns if cfg.study in ("sweep", "kcore") else ():
-        for m in cfg.m_grid(n):
-            if not 0 <= m <= pair_count(n):
-                raise ValueError(f"{cfg.study} study: ms asks for m={m} at "
-                                 f"n={n}, outside [0, {pair_count(n)}]")
-    tasks = _tasks(cfg)
+    groups = _groups(cfg)
+    for n, m in groups:
+        if m is not None and not 0 <= m <= pair_count(n):
+            raise ValueError(f"{cfg.study} study: ms asks for m={m} at "
+                             f"n={n}, outside [0, {pair_count(n)}]")
+    tasks = [(cfg, cfg.study, n, m, t) for n, m in groups for t in range(cfg.trials)]
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             records = list(pool.map(_run_one, tasks, chunksize=8))
@@ -456,17 +465,14 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
 
 def summarize_records(records: Sequence) -> SummaryTable:
     """Aggregate records into per-(study, n, m, k) rows: rates with Wilson
-    intervals for boolean metrics, mean/min/max for numeric ones.
+    intervals for boolean metrics, mean/min/max for numeric ones. Records
+    are read, and rows made, in ``TrialRecord.sort_key`` order.
     """
     groups = {}
-    for rec in records:
+    for rec in sorted(records, key=TrialRecord.sort_key):
         groups.setdefault((rec.study, rec.n, rec.m, rec.k), []).append(rec)
     rows = []
-    for (study, n, m, k), recs in sorted(
-            groups.items(),
-            key=lambda kv: (kv[0][0], kv[0][1],
-                            -1 if kv[0][2] is None else kv[0][2],
-                            -1 if kv[0][3] is None else kv[0][3])):
+    for (study, n, m, k), recs in groups.items():
         row = {"study": study, "n": n, "m": m, "k": k, "trials": len(recs)}
         names = sorted({name for rec in recs for name in rec.metrics})
         for name in names:
@@ -498,9 +504,12 @@ def summarize_records(records: Sequence) -> SummaryTable:
 
 # -- output ---------------------------------------------------------------
 
-def result_json_bytes(result: StudyResult, timestamp: Optional[str] = None) -> bytes:
-    payload = result.to_json_dict(timestamp=timestamp)
+def _json_bytes(payload) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+def result_json_bytes(result: StudyResult, timestamp: Optional[str] = None) -> bytes:
+    return _json_bytes(result.to_json_dict(timestamp=timestamp))
 
 
 def comparable_json_bytes(raw: bytes) -> bytes:
@@ -511,39 +520,38 @@ def comparable_json_bytes(raw: bytes) -> bytes:
     payload.pop("generated_at", None)
     if isinstance(payload.get("config"), dict):
         payload["config"].pop("threads", None)
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    return _json_bytes(payload)
 
 
-def _records_csv_text(records: Sequence) -> str:
-    metric_names = sorted({name for rec in records for name in rec.metrics})
-    columns = ["study", "n", "m", "k", "trial", "seed"] + \
-              [f"metric:{name}" for name in metric_names]
+def _cell(value) -> str:
+    return "" if value is None else json.dumps(value)
+
+
+def _csv_text(schema: str, columns: list, rows) -> str:
+    """A schema comment naming the columns, the header, then the rows."""
     buf = io.StringIO()
-    buf.write(f"# schema={RECORDS_SCHEMA} code_version={_code_version} "
+    buf.write(f"# schema={schema} code_version={_code_version} "
               f"columns={','.join(columns)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for rec in records:
-        row = [rec.study, rec.n, rec.m, rec.k, rec.trial, rec.seed]
-        for name in metric_names:
-            val = rec.metrics.get(name)
-            row.append("" if val is None else json.dumps(val))
-        writer.writerow(row)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _records_csv_text(records: Sequence) -> str:
+    names = sorted({name for rec in records for name in rec.metrics})
+    columns = ["study", "n", "m", "k", "trial", "seed"] + \
+              [f"metric:{name}" for name in names]
+    return _csv_text(RECORDS_SCHEMA, columns, (
+        [rec.study, rec.n, rec.m, rec.k, rec.trial, rec.seed]
+        + [_cell(rec.metrics.get(name)) for name in names] for rec in records))
 
 
 def _summary_csv_text(table: SummaryTable) -> str:
     columns = sorted({key for row in table.rows for key in row},
                      key=lambda s: (s not in ("study", "n", "m", "k", "trials"), s))
-    buf = io.StringIO()
-    buf.write(f"# schema={SUMMARY_SCHEMA} code_version={_code_version} "
-              f"columns={','.join(columns)}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in table.rows:
-        writer.writerow(["" if (v := row.get(col)) is None else json.dumps(v)
-                         for col in columns])
-    return buf.getvalue()
+    return _csv_text(SUMMARY_SCHEMA, columns,
+                     ([_cell(row.get(col)) for col in columns] for row in table.rows))
 
 
 def parse_records_csv(text: str):
@@ -574,20 +582,16 @@ def render_output(obj, fmt: str, timestamp: Optional[str] = None) -> bytes:
     if isinstance(obj, StudyResult):
         if fmt == "json":
             return result_json_bytes(obj, timestamp=timestamp)
-        return _records_csv_text(obj.records).encode()
+        obj = obj.records  # a study's csv is its records'
     if isinstance(obj, SummaryTable):
         if fmt == "json":
-            return (json.dumps({"schema": SUMMARY_SCHEMA,
-                                "code_version": _code_version,
-                                "rows": obj.to_json_list()},
-                               indent=2, sort_keys=True) + "\n").encode()
+            return _json_bytes({"schema": SUMMARY_SCHEMA, "code_version": _code_version,
+                                "rows": obj.to_json_list()})
         return _summary_csv_text(obj).encode()
     records = list(obj)
     if fmt == "json":
-        return (json.dumps({"schema": RECORDS_SCHEMA,
-                            "code_version": _code_version,
-                            "records": [r.to_json_dict() for r in records]},
-                           indent=2, sort_keys=True) + "\n").encode()
+        return _json_bytes({"schema": RECORDS_SCHEMA, "code_version": _code_version,
+                            "records": [r.to_json_dict() for r in records]})
     return _records_csv_text(records).encode()
 
 

@@ -13,7 +13,6 @@ downstream can be reported in original coordinates.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -100,21 +99,25 @@ class Graph:
         return tuple(self.indices[self.indptr[v]:self.indptr[v + 1]].tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        row = self.adj[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+        return v in self.adj[u]
 
     def original_label(self, v: int) -> int:
         return v if self.labels is None else self.labels[v]
+
+
+def incidence(n: int, us, vs) -> np.ndarray:
+    """count[v]: the pairs (us[i], vs[i]) with v at one end, a pair with
+    v at both ends counting twice; us and vs are int arrays over [0, n)."""
+    return np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
 
 
 def _graph(n: int, eu, ev, indices, labels) -> Graph:
     """The Graph of sorted endpoint arrays and its CSR rows laid end to
     end; the row offsets are the cumulative degrees."""
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n), out=indptr[1:])
+    np.cumsum(incidence(n, eu, ev), out=indptr[1:])
     for a in (indptr, indices, eu, ev):
         a.setflags(write=False)
     return Graph(n, indptr, indices, (eu, ev), labels)
@@ -332,8 +335,7 @@ def neighbours_in(g: Graph, members) -> list:
     inside = np.zeros(g.n, dtype=bool)
     inside[list(members)] = True
     eu, ev = g._ends
-    return (np.bincount(eu[inside[ev]], minlength=g.n)
-            + np.bincount(ev[inside[eu]], minlength=g.n)).tolist()
+    return incidence(g.n, eu[inside[ev]], ev[inside[eu]]).tolist()
 
 
 # -- k-connectivity ------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, _graph_from_arrays, is_k_connected
+from .graphs import Graph, _graph_from_arrays, incidence, is_k_connected
 from .rng import GENERATOR_ID, derive_seed, generator
 
 
@@ -236,16 +236,18 @@ def _first_hit(trace: ProcessTrace, lo: int, *tests: Callable) -> int:
     return lo
 
 
-def _min_degree_test(n: int, k: int) -> Callable:
-    return lambda us, vs: np.bincount(np.concatenate((us, vs)), minlength=n).min() >= k
+def _min_degree_test(trace: ProcessTrace, k: int) -> Callable:
+    """The test "min degree >= k" of a prefix of the trace; 1 <= k < n."""
+    if not (1 <= k <= trace.n - 1):
+        raise ValueError(f"k must be in [1, {trace.n - 1}], got {k}")
+    n = trace.n
+    return lambda us, vs: incidence(n, us, vs).min() >= k
 
 
 def hitting_time_min_degree(trace: ProcessTrace, k: int) -> int:
     """Smallest m with min degree >= k. The search starts at ceil(k n / 2),
     since min degree k needs 2m >= k n."""
-    if not (1 <= k <= trace.n - 1):
-        raise ValueError(f"k must be in [1, {trace.n - 1}], got {k}")
-    return _first_hit(trace, -(-k * trace.n // 2), _min_degree_test(trace.n, k))
+    return _first_hit(trace, -(-k * trace.n // 2), _min_degree_test(trace, k))
 
 
 def hitting_time_k_connectivity(trace: ProcessTrace, k: int) -> int:
@@ -255,14 +257,12 @@ def hitting_time_k_connectivity(trace: ProcessTrace, k: int) -> int:
     >= k, so the search first finds the min-degree hitting time and checks
     k-connectivity only from there on, on the same prefix.
     """
-    if not (1 <= k <= trace.n - 1):
-        raise ValueError(f"k must be in [1, {trace.n - 1}], got {k}")
+    min_degree = _min_degree_test(trace, k)
 
     def k_connected(us, vs):
         return is_k_connected(_graph_from_arrays(trace.n, us, vs), k)
 
-    return _first_hit(trace, -(-k * trace.n // 2),
-                      _min_degree_test(trace.n, k), k_connected)
+    return _first_hit(trace, -(-k * trace.n // 2), min_degree, k_connected)
 
 
 def sample_gnm(n: int, m: int, seed: int) -> Graph:

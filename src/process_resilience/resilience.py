@@ -18,7 +18,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .classify import VertexClassification
-from .graphs import Graph, VertexSet, is_connected, is_k_connected
+from .graphs import (Graph, VertexSet, _pair_arrays, incidence, is_connected,
+                     is_k_connected)
 from .rng import generator
 
 # Exact-mode size caps: configuration, not physics.
@@ -90,12 +91,21 @@ class BudgetRule:
 
 
 def _h_degrees(g: Graph, h_edges: Iterable) -> list:
-    """deg_H(v) for every vertex of g."""
-    deg_h = [0] * g.n
-    for u, v in h_edges:
-        deg_h[u] += 1
-        deg_h[v] += 1
-    return deg_h
+    """deg_H(v) for every vertex of g; ValueError for a pair of h_edges
+    that is not an edge of g. An edge u < v has the key u * n + v; g's keys
+    are ascending, and the sentinel after them stops every search inside
+    the array. The range check comes first: the key of a pair outside
+    [0, n) can equal an edge's, by wrapping around int64 too."""
+    us, vs = _pair_arrays(h_edges)
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    eu, ev = g._ends
+    keys = np.append(eu * g.n + ev, np.iinfo(np.int64).max)
+    want = lo * g.n + hi
+    member = (lo >= 0) & (hi < g.n) & (keys[np.searchsorted(keys, want)] == want)
+    if not member.all():
+        i = int(np.argmin(member))
+        raise ValueError(f"h contains ({us[i]}, {vs[i]}) which is not an edge of g")
+    return incidence(g.n, us, vs).tolist()
 
 
 def _within(deg_h: list, caps: list) -> bool:
@@ -104,10 +114,6 @@ def _within(deg_h: list, caps: list) -> bool:
 
 def budget_allows(g: Graph, h_edges: Iterable, rule: BudgetRule) -> bool:
     """True iff the edge set h_edges respects the rule at every vertex."""
-    h_edges = tuple(h_edges)
-    for u, v in h_edges:
-        if not g.has_edge(u, v):
-            raise ValueError(f"h contains ({u}, {v}) which is not an edge of g")
     return _within(_h_degrees(g, h_edges), rule.caps(g))
 
 
@@ -170,7 +176,8 @@ def cut_from_json_dict(d: dict) -> Cut:
 
 
 def attack_ratios(g: Graph, h_edges: Iterable) -> dict:
-    """Per-vertex deg_H(v) / deg_G(v) for vertices of positive degree."""
+    """Per-vertex deg_H(v) / deg_G(v) for vertices of positive degree;
+    ValueError for a pair of h_edges that is not an edge of g."""
     deg_h = _h_degrees(g, h_edges)
     return {v: Fraction(deg_h[v], g.degree(v))
             for v in range(g.n) if g.degree(v) > 0}
@@ -233,8 +240,7 @@ def crossing_degrees(g: Graph, side) -> list:
     """
     eu, ev = g._ends
     cut = _crosses(g, side)
-    return (np.bincount(eu[cut], minlength=g.n)
-            + np.bincount(ev[cut], minlength=g.n)).tolist()
+    return incidence(g.n, eu[cut], ev[cut]).tolist()
 
 
 def _sides(side) -> tuple:

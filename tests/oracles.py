@@ -475,7 +475,8 @@ def graph_from_pairs(n: int, pairs, labels=None) -> Graph:
 
 
 def degrees_by_pairs(n: int, pairs) -> tuple:
-    """deg[v], counted one distinct pair at a time."""
+    """deg[v], counted one pair at a time: a repeated pair counts each
+    time, and a loop (v, v) twice."""
     deg = [0] * n
     for u, v in pairs:
         deg[u] += 1

@@ -200,6 +200,16 @@ def test_greedy_command(tmp_path, capsys):
     assert set(payload) >= {"S", "A", "B", "H", "max_ratio", "satisfied"}
 
 
+def test_greedy_collapse_exits_one(tmp_path, capsys):
+    # the giant of sample_gnm(6, 6, 0): the partition collapses to one side
+    path = tmp_path / "g.txt"
+    path.write_text("6 6\n0 1\n0 3\n0 4\n0 5\n1 4\n2 3\n")
+    code, out, err = run(capsys, "attack", "greedy", "--graph", str(path),
+                         "--epsilon", "1/10")
+    assert code == 1 and not out
+    assert err.startswith("attack failed: partition collapsed to one side")
+
+
 def test_verify_cut_round_trip(tmp_path, capsys, c6_file):
     code, out, _ = run(capsys, "attack", "exact", "--graph", c6_file,
                        "--alpha", "1/2")
@@ -279,6 +289,8 @@ def test_negative_vertex_count_is_usage_error(capsys):
     (("hitting", "--ns", "1"), "n=1"),
     (("sweep", "--ns", "0"), "sweep study needs n >= 2, got n=0"),
     (("audit", "--ns", "1"), "audit study needs n >= 2, got n=1"),
+    (("hitting", "--ns", "8", "--threads", "0"),
+     "hitting study needs threads >= 1, got threads=0"),
 ])
 def test_study_domain_is_usage_error(capsys, argv, named):
     code, _, err = run(capsys, "study", *argv, "--trials", "1")

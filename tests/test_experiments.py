@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import jsonschema
 import pytest
@@ -217,6 +218,46 @@ def test_study_rejects_trials_below_one_before_any_trial(monkeypatch, study,
     with pytest.raises(ValueError, match=f"{study} study needs trials >= 1, "
                                          f"got trials={trials}"):
         run_study(bad)
+
+
+@pytest.mark.parametrize("study, key, value, domain", [
+    *[(study, "threads", v, ">= 1") for study in ("hitting", "sweep", "kcore", "audit")
+      for v in (0, -3)],
+    ("sweep", "delta", 1.5, "in (0, 1)"),
+    ("sweep", "epsilon", "1/2", "in (0, 1/2)"),
+    ("hitting", "epsilon", "0", "in (0, 1/2)"),
+    ("hitting", "restarts", 0, ">= 1"),
+    ("hitting", "delta", 0.0, "in (0, 1)"),
+    ("audit", "c", 0.0, "> 0"),
+    ("audit", "delta", 1.0, "in (0, 1)"),
+    ("audit", "p_prime_factor", -0.1, ">= 0"),
+    ("kcore", "epsilon", "3/5", "in [0, 1/2]"),
+])
+def test_study_rejects_key_outside_its_domain_before_any_trial(
+        monkeypatch, study, key, value, domain):
+    # each of these once failed, or ran on, inside a trial
+    monkeypatch.setattr(experiments, "_run_one", _no_trial)
+    bad = ExperimentConfig(study=study, ns=(8, 64), ms=(10,), k=2, trials=3,
+                           **{key: value})
+    with pytest.raises(ValueError, match=re.escape(
+            f"{study} study needs {key} {domain}, got {key}={value}")):
+        run_study(bad)
+
+
+def test_audit_study_rejects_p0_above_one_before_any_trial(monkeypatch):
+    monkeypatch.setattr(experiments, "_run_one", _no_trial)
+    bad = ExperimentConfig(study="audit", ns=(4096, 64), trials=1, p0_factor=100.0)
+    p0 = 100.0 * math.log(64) / (3 * 64)
+    with pytest.raises(ValueError, match=re.escape(
+            f"audit study needs p0 = p0_factor ln n / (3n) in [0, 1], "
+            f"got p0={p0} for n=64")):
+        run_study(bad)
+
+
+def test_unknown_study_rejected_before_any_trial(monkeypatch):
+    monkeypatch.setattr(experiments, "_run_one", _no_trial)
+    with pytest.raises(ValueError, match="unknown study 'cherry'"):
+        run_study(ExperimentConfig(study="cherry", ns=(8,), trials=1))
 
 
 @pytest.mark.parametrize("study", ["sweep", "kcore"])

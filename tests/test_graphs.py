@@ -11,11 +11,13 @@ from process_resilience.graphs import (
     GraphFormatError,
     _SplitNetwork,
     _graph_from_arrays,
+    _pair_arrays,
     ball,
     build_graph,
     connected_components,
     format_graph_text,
     giant_component,
+    incidence,
     induced_subgraph,
     is_k_connected,
     k_core,
@@ -270,6 +272,36 @@ def test_neighbours_in_extremes():
             assert neighbours_in(g, sorted(members)) == want
             assert neighbours_in(g, np.array(sorted(members), dtype=np.int64)) == want
     assert neighbours_in(star(5), {0}) == [0, 1, 1, 1, 1]
+
+
+@st.composite
+def incidence_cases(draw):
+    """n, then pairs over 0..n-1 with repeats, both orientations and loops."""
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return n, []
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+
+
+@given(incidence_cases())
+@example((0, []))                                   # no vertices
+@example((5, []))                                   # no pairs
+@example((6, [(4, 1)]))                             # isolated vertices
+@example((3, [(0, 1), (1, 0), (0, 1), (2, 2)]))     # repeats and a loop
+@settings(max_examples=300, deadline=None)
+def test_incidence_matches_pair_loop(case):
+    n, pairs = case
+    counts = incidence(n, *_pair_arrays(pairs))
+    assert counts.tolist() == list(degrees_by_pairs(n, pairs))
+
+
+def test_has_edge_rejects_vertices_outside_the_graph():
+    c4 = cycle(4)
+    assert c4.has_edge(3, 0) and not c4.has_edge(0, 2) and not c4.has_edge(1, 1)
+    for u, v in ((-1, 0), (0, -1), (7, 0), (0, 4)):
+        with pytest.raises(ValueError, match=rf"\({u}, {v}\) out of range for n=4"):
+            c4.has_edge(u, v)
 
 
 # -- text format -----------------------------------------------------------

@@ -139,6 +139,27 @@ def test_budget_rejects_non_edges():
         budget_allows(cycle(4), [(0, 2)], BudgetRule.fraction("1/2"))
 
 
+@pytest.mark.parametrize("h", [[(-1, 0)], [(0, 2)], [(0, 7)], [(-1, 7)],
+                               [(-2 ** 62, 1)], [(0, 1), (2, 0)]])
+def test_h_count_rejects_pairs_outside_the_graph(h):
+    # (-1, 0) once charged vertex 3; (-1, 7) has the key of edge (0, 3), and
+    # so has (-2**62, 1) of edge (0, 1) once -2**62 * 4 wraps around int64
+    c4 = cycle(4)
+    bad = next(pair for pair in h if pair not in ((0, 1), (1, 0)))
+    for count in (lambda: budget_allows(c4, h, BudgetRule(1)),
+                  lambda: attack_ratios(c4, h)):
+        with pytest.raises(ValueError, match=rf"h contains \({bad[0]}, {bad[1]}\) "
+                                             r"which is not an edge of g"):
+            count()
+
+
+def test_h_count_takes_edges_in_either_orientation():
+    c4 = cycle(4)
+    assert attack_ratios(c4, [(3, 0), (2, 1)]) == {v: Fraction(1, 2) for v in range(4)}
+    assert budget_allows(c4, [(3, 0), (2, 1)], BudgetRule(Fraction(1, 2)))
+    assert not budget_allows(c4, [(3, 0), (0, 1)], BudgetRule(Fraction(1, 2)))
+
+
 def test_budget_monotone_under_shrinking():
     g = sample_gnm(8, 14, 3)
     rule = BudgetRule.fraction("1/2")
