@@ -14,9 +14,8 @@ import csv
 import io
 import json
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -39,8 +38,6 @@ RECORDS_SCHEMA = "process-resilience/records/v1"
 SUMMARY_SCHEMA = "process-resilience/summary/v1"
 
 STUDY_CODES = {"hitting": 1, "sweep": 2, "kcore": 3, "audit": 4}
-
-SEED_ENV_VAR = "RESILIENCE_SEED"
 
 # Minimal published schema for the JSON study output.
 RESULT_JSON_SCHEMA = {
@@ -393,14 +390,16 @@ def _groups(cfg: ExperimentConfig) -> list:
 
 
 # (key, studies that read it, test, domain): run_study checks each before
-# any trial. Hitting and sweep pass epsilon to the greedy attack, kcore
-# uses alpha = 1/2 - epsilon.
+# any trial, and a test that raises counts as a value outside the domain.
+# Hitting and sweep pass epsilon to the greedy attack, kcore uses
+# alpha = 1/2 - epsilon, and audit only bounds p_prime_factor by it.
 _KEY_CHECKS = (
     ("trials", STUDY_CODES, lambda v: v >= 1, ">= 1"),
     ("threads", STUDY_CODES, lambda v: v >= 1, ">= 1"),
     ("delta", ("hitting", "sweep", "audit"), lambda v: 0 < v < 1, "in (0, 1)"),
     ("epsilon", ("hitting", "sweep"), lambda v: 0 < Fraction(v) < 0.5, "in (0, 1/2)"),
     ("epsilon", ("kcore",), lambda v: 0 <= Fraction(v) <= 0.5, "in [0, 1/2]"),
+    ("epsilon", ("audit",), lambda v: Fraction(v) >= 0, "a rational >= 0"),
     ("restarts", ("hitting",), lambda v: v >= 1, ">= 1"),
     ("L", ("audit",), lambda v: v >= 0, ">= 0"),
     ("subset_trials", ("audit",), lambda v: v >= 0, ">= 0"),
@@ -409,21 +408,24 @@ _KEY_CHECKS = (
 )
 
 
+def _holds(test, value) -> bool:
+    try:
+        return test(value)
+    except (ValueError, ZeroDivisionError, TypeError):
+        return False
+
+
 def run_study(cfg: ExperimentConfig) -> StudyResult:
     """Run the configured study; trials run in parallel when threads > 1,
-    with results independent of the thread count. RESILIENCE_SEED in the
-    environment overrides the master seed.
+    with results independent of the thread count.
     """
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        cfg = replace(cfg, seed=int(env_seed))
     for key in ("out_json", "out_csv"):
         if getattr(cfg, key) is not None:
             raise ValueError(f"config key {key} is not read; use resil study --out")
     if cfg.study not in STUDY_CODES:
         raise ValueError(f"unknown study {cfg.study!r}")
     for key, studies, test, domain in _KEY_CHECKS:
-        if cfg.study in studies and not test(getattr(cfg, key)):
+        if cfg.study in studies and not _holds(test, getattr(cfg, key)):
             raise ValueError(f"{cfg.study} study needs {key} {domain}, "
                              f"got {key}={getattr(cfg, key)}")
     eps = float(cfg.epsilon_fraction())
@@ -441,6 +443,9 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
         if cfg.study == "audit" and not 0 <= p0 <= 1:
             raise ValueError(f"audit study needs p0 = p0_factor ln n / (3n) in "
                              f"[0, 1], got p0={p0} for n={n}")
+        if cfg.study == "audit" and not 0 <= (p_prime := cfg.p_prime_factor * p0) <= 1:
+            raise ValueError(f"audit study needs p_prime = p_prime_factor * p0 "
+                             f"in [0, 1], got p_prime={p_prime} for n={n}")
         if (cfg.study in ("hitting", "sweep")
                 and EXACT_BIPARTITION_LIMIT < n <= cfg.exact_n_limit):
             raise ValueError(

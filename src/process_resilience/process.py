@@ -5,11 +5,10 @@ hitting times along a trace.
 A ProcessTrace never materializes the full permutation of the N = n(n-1)/2
 vertex pairs: it is stored implicitly as (n, seed), drawn by a partial
 Fisher-Yates shuffle only as far as it is read, and keeps the one prefix it
-has drawn for every later reader. A long first draw walks in Python only
-the steps whose swaps collide; the swaps of the others are folded into the
-swap map when, and only if, the trace draws again. Every hitting time is
-one monotone prefix search, ``_first_hit``, which draws fewer than
-1.25 m + n pairs for an answer m.
+has drawn for every later reader. Each draw replays the shuffle from the
+identity and walks in Python only the steps whose swaps collide. Every
+hitting time is one monotone prefix search, ``_first_hit``, which draws
+fewer than 1.25 m + n pairs for an answer m.
 Replaying the same trace always yields the identical permutation.
 ``sample_gnm(n, m, seed)`` takes the first m pairs of that same
 permutation, so it coincides with ``graph_at(sample_process(n, seed), m)``
@@ -59,8 +58,8 @@ def _pairs_from_indices(n: int, idx) -> tuple:
 _BATCH = 8192
 _NO_PAIRS = np.empty(0, dtype=np.int64)
 _NO_PAIRS.setflags(write=False)
-# a draw of fewer steps walks all of them: finding the colliding steps costs
-# about 30 us, which the walk of 64 steps costs too (n = 64-4096)
+# a draw to fewer pairs walks all its steps: finding the colliding steps
+# costs about 30 us, which the walk of 64 steps costs too (n = 64-4096)
 _FLAG_MIN_STEPS = 128
 
 
@@ -75,16 +74,16 @@ class ProcessTrace:
     """A seeded permutation of all vertex pairs, stored implicitly.
 
     Every reader shares the one prefix the trace has drawn, so each pair is
-    drawn once: 16 bytes of endpoints per drawn pair, plus the swap map and
-    its deferred writes, for the life of the trace. Equality and hashing
-    see only (n, seed); a trace is not safe to draw from in two threads at
+    drawn once: 24 bytes per drawn pair (its endpoints and its step's j),
+    and no swap map, for the life of the trace. Equality and hashing see
+    only (n, seed); a trace is not safe to draw from in two threads at
     once.
     """
 
     n: int
     seed: int
-    # [Philox generator, swap map, us, vs, deferred swap-map writes] of the
-    # drawn prefix; see _endpoints
+    # [Philox generator, j of every drawn step, us, vs] of the drawn
+    # prefix; see _endpoints
     _prefix: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -94,8 +93,8 @@ class ProcessTrace:
         if pair_count(self.n) >= 2 ** 53:
             raise ValueError(f"n={self.n} has {pair_count(self.n)} vertex "
                              f"pairs; the stream needs fewer than 2**53")
-        object.__setattr__(self, "_prefix", [generator(self.seed), {}, _NO_PAIRS,
-                                             _NO_PAIRS, (_NO_PAIRS, _NO_PAIRS)])
+        object.__setattr__(self, "_prefix", [generator(self.seed), _NO_PAIRS,
+                                             _NO_PAIRS, _NO_PAIRS])
 
     @property
     def num_pairs(self) -> int:
@@ -110,57 +109,51 @@ class ProcessTrace:
         truncation as ``int(u * (N - i))``. The draws are vectorized.
         Philox doubles do not depend on how the draws are chunked.
 
-        The sparse swap map, carried from draw to draw, is walked in Python
-        only at the steps that can read a position written before them.
-        While the map is empty, which holds at the first draw, step i of
-        the draw [start, m) is walked only if (a) its j repeats in the
-        draw, (b) j < m, so j is a step of this draw, j == i included, or
-        (c) i is some step's j. Each other step picks its own j and writes
-        {j: i}. Those writes are deferred: the next draw folds them into
-        the map before it walks, and a trace that never draws again (a
-        sweep trial's) never builds them. A draw of fewer than
-        ``_FLAG_MIN_STEPS`` steps, or one that finds the map non-empty,
-        walks every step: testing each step against a large carried map
-        costs more than the walk.
+        The trace keeps the j of every step it has drawn, not the shuffled
+        positions: a draw to m replays steps [0, m) from the identity
+        through one fresh swap map, walked in Python only at step i where
+        (a) its j repeats among the m draws, or (b) j < m, so j is a step,
+        j == i included. Every other step picks its own j: no earlier step
+        wrote there, and its own write, to a position j >= m no other step
+        draws, is read by no step of [0, m). A draw to fewer than
+        ``_FLAG_MIN_STEPS`` pairs walks every step. A draw costs
+        O(m log m) whatever was drawn before it, so readers grow their
+        prefixes geometrically: ``_first_hit`` by a quarter, ``iter_pairs``
+        by doubling.
         """
         N = self.num_pairs
         if not (0 <= m <= N):
             raise ValueError(f"m must be in [0, {N}], got {m}")
         prefix = self._prefix
-        rng, swap, us, vs, (held_j, held_i) = prefix
+        rng, draws, us, vs = prefix
         start = len(us)
         if m > start:
             steps = np.arange(start, m, dtype=np.int64)
-            draws = steps + (rng.random(m - start)
-                             * (N - steps).astype(np.float64)).astype(np.int64)
-            if len(held_j):
-                swap.update(zip(held_j.tolist(), held_i.tolist()))
-                prefix[4] = _NO_PAIRS, _NO_PAIRS
-            if swap or m - start < _FLAG_MIN_STEPS:
-                walk = slice(None)
-                walked = zip(range(start, m), draws.tolist())
+            new = steps + (rng.random(m - start)
+                           * (N - steps).astype(np.float64)).astype(np.int64)
+            draws = prefix[1] = np.concatenate((draws, new))
+            if m < _FLAG_MIN_STEPS:
+                walk = np.arange(m)
             else:
-                flag = draws < m                  # (b): j is a step of this draw
-                flag[draws[flag] - start] = True  # (c): the steps those j name
+                flag = draws < m                  # (b)
                 order = np.argsort(draws)
                 ordered = draws[order]
                 repeat = ordered[1:] == ordered[:-1]
                 flag[order[1:][repeat]] = True    # (a)
                 flag[order[:-1][repeat]] = True
-                prefix[4] = draws[~flag], steps[~flag]
                 walk = np.flatnonzero(flag)
-                walked = zip((walk + start).tolist(), draws[walk].tolist())
-            picked = []
+            picked, swap = [], {}
             append, get, pop = picked.append, swap.get, swap.pop
-            for i, j in walked:
+            for i, j in zip(walk.tolist(), draws[walk].tolist()):
                 append(get(j, j))
                 swap[j] = pop(i, i)
-            draws[walk] = picked  # a step not walked picks its own j
-            cu, cv = _pairs_from_indices(self.n, draws)
+            idx = draws.copy()
+            idx[walk] = picked  # a step not walked picks its own j
+            cu, cv = _pairs_from_indices(self.n, idx[start:])
             us, vs = np.concatenate((us, cu)), np.concatenate((vs, cv))
             us.setflags(write=False)
             vs.setflags(write=False)
-            prefix[2:4] = us, vs
+            prefix[2:] = us, vs
         return us[:m], vs[:m]
 
     def iter_pairs(self) -> Iterator[tuple]:
@@ -267,7 +260,7 @@ def hitting_time_k_connectivity(trace: ProcessTrace, k: int) -> int:
 
 def sample_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform graph with n vertices and m edges."""
-    trace = sample_process(n, seed) if n >= 2 else ProcessTrace(n, seed)
+    trace = ProcessTrace(n, seed)
     if m > trace.num_pairs:
         raise ValueError(f"m={m} exceeds the {trace.num_pairs} available pairs")
     return graph_at(trace, m)

@@ -83,11 +83,10 @@ class BudgetRule:
         """
         num, den = self.alpha.numerator, self.alpha.denominator
         deg = g.degree_array
-        # int64 is exact while den * deg (>= num * deg) stays below 2^62;
-        # Fraction(0.6) has a 53-bit denominator, so past that Python ints
-        if den * max(int(deg.max()) if g.n else 0, 1) < 2 ** 62:
-            return np.minimum(num * deg // den, deg - self.k).tolist()
-        return [min(num * d // den, d - self.k) for d in g.degrees]
+        # one Python-int cap per degree value, exact for any denominator
+        table = np.array([min(num * d // den, d - self.k)
+                          for d in range(int(deg.max(initial=0)) + 1)], dtype=object)
+        return table[deg].tolist()
 
 
 def _h_degrees(g: Graph, h_edges: Iterable) -> list:

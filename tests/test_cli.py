@@ -322,6 +322,20 @@ def test_audit_study_negative_count_is_usage_error(tmp_path, capsys, field,
     assert f"{field}={value}" in err
 
 
+@pytest.mark.parametrize("keys, named", [
+    ("epsilon = 5\np_prime_factor = 5\np0_factor = 20\n",
+     "p_prime=2.166084939249829 for n=64"),
+    ("epsilon = 1/0\n", "audit study needs epsilon a rational >= 0, got epsilon=1/0"),
+])
+def test_audit_study_epsilon_and_p_prime_outside_their_range_are_usage_errors(
+        tmp_path, capsys, keys, named):
+    cfg = tmp_path / "audit.cfg"
+    cfg.write_text(f"study = audit\nns = 64\ntrials = 1\n{keys}")
+    code, out, err = run(capsys, "study", "audit", "--config", str(cfg))
+    assert code == 2
+    assert named in err and not out
+
+
 @pytest.mark.parametrize("study", ["hitting", "sweep"])
 def test_study_exact_n_limit_above_exact_scan_is_usage_error(tmp_path, capsys,
                                                             study):

@@ -89,12 +89,11 @@ def test_threads_do_not_change_results():
     assert comparable_json_bytes(serial) == comparable_json_bytes(parallel)
 
 
-def test_seed_env_override(monkeypatch):
+def test_environment_does_not_set_the_seed(monkeypatch):
+    # the master seed comes from the config alone, not from RESILIENCE_SEED
+    direct = run_study(hitting_cfg())
     monkeypatch.setenv("RESILIENCE_SEED", "777")
-    overridden = run_study(hitting_cfg())
-    monkeypatch.delenv("RESILIENCE_SEED")
-    direct = run_study(hitting_cfg(seed=777))
-    assert ([r.to_json_dict() for r in overridden.records]
+    assert ([r.to_json_dict() for r in run_study(hitting_cfg()).records]
             == [r.to_json_dict() for r in direct.records])
 
 
@@ -232,6 +231,11 @@ def test_study_rejects_trials_below_one_before_any_trial(monkeypatch, study,
     ("audit", "delta", 1.0, "in (0, 1)"),
     ("audit", "p_prime_factor", -0.1, ">= 0"),
     ("kcore", "epsilon", "3/5", "in [0, 1/2]"),
+    ("audit", "epsilon", "-1/10", "a rational >= 0"),
+    # an epsilon that is no rational once raised from inside the check
+    ("hitting", "epsilon", "abc", "in (0, 1/2)"),
+    ("kcore", "epsilon", "1/0", "in [0, 1/2]"),
+    ("audit", "epsilon", "abc", "a rational >= 0"),
 ])
 def test_study_rejects_key_outside_its_domain_before_any_trial(
         monkeypatch, study, key, value, domain):
@@ -251,6 +255,19 @@ def test_audit_study_rejects_p0_above_one_before_any_trial(monkeypatch):
     with pytest.raises(ValueError, match=re.escape(
             f"audit study needs p0 = p0_factor ln n / (3n) in [0, 1], "
             f"got p0={p0} for n=64")):
+        run_study(bad)
+
+
+def test_audit_study_rejects_p_prime_above_one_before_any_trial(monkeypatch):
+    # p_prime = 5 p0 <= epsilon p0 passes the regime check, but at n = 64
+    # p0 = 0.43 and p_prime = 2.17 once failed inside the first trial
+    monkeypatch.setattr(experiments, "_run_one", _no_trial)
+    bad = ExperimentConfig(study="audit", ns=(4096, 64), trials=1, epsilon="5",
+                           p_prime_factor=5.0, p0_factor=20.0)
+    p_prime = 5.0 * (20.0 * math.log(64) / (3 * 64))
+    with pytest.raises(ValueError, match=re.escape(
+            f"audit study needs p_prime = p_prime_factor * p0 in [0, 1], "
+            f"got p_prime={p_prime} for n=64")):
         run_study(bad)
 
 

@@ -166,8 +166,8 @@ def test_pairs_equal_iter_pairs_across_chunk_boundaries():
     (300, (1, 2, 4000, 17, 40000, 44850)),
 ])
 def test_prefix_grown_in_any_steps_matches_one_draw(n, steps):
-    """The swap map carries across draws: a prefix grown in any steps,
-    read back by every reader, is the permutation one draw gives."""
+    """Each draw replays the steps drawn before it: a prefix grown in any
+    steps, read back by every reader, is the permutation one draw gives."""
     whole = sample_process(n, 9).pairs(pair_count(n))
     trace = sample_process(n, 9)
     m = 0
@@ -200,12 +200,15 @@ def _read_schedules(draw):
 @example(case=(20, (128, 190)), seed=0)
 # (a) of _endpoints: one j repeats in the draw, and no other step collides
 @example(case=(300, (200,)), seed=5)
-# (b), (c): one j lands on a later step of its draw; the walk to N reads the
-# position that step wrote
+# (b): one j lands on a later step of its draw; the replay to N walks that
+# step again and reads the position it wrote
 @example(case=(300, (200, 44850)), seed=1)
-# (d): no step of the first draw collides; the second reads its deferred
-# writes
+# no step of the first draw collides; the second replays it, and its steps
+# read positions the first draw's steps wrote
 @example(case=(100, (128, 256)), seed=17)
+# small draws that cross _FLAG_MIN_STEPS: walked whole below it, flagged
+# from it on, each replaying the steps drawn before
+@example(case=(300, (100, 127, 128, 129, 600)), seed=2)
 def test_endpoints_match_the_step_by_step_walk(case, seed):
     """Every read of a trace, however its prefix was grown, equals the
     stream walked one step at a time."""
