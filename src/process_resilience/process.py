@@ -204,19 +204,22 @@ def _first_hit(trace: ProcessTrace, lo: int, *tests: Callable) -> int:
     """Smallest m >= lo at which every test ``holds(us, vs)`` is true of the
     first m arrivals.
 
-    Each test must be monotone in m and true at m = N. Each test is searched
-    from the hit of the test before it: probed there first, then on a
-    prefix grown by a quarter of its length, at least n pairs, capped at N,
-    while the test is false of all of it, then bisected on slices of that
-    prefix. A search that stops at m draws fewer than 1.25 m + n pairs and
-    probes O(log m) prefixes, and a cheap test placed first spares a costly
-    one most of its probes.
+    Each test must be monotone in m and true at m = N; one still false at
+    N raises RuntimeError. Each test is searched from the hit of the test
+    before it: probed there first, then on a prefix grown by a quarter of
+    its length, at least n pairs, capped at N, while the test is false of
+    all of it, then bisected on slices of that prefix. A search that stops
+    at m draws fewer than 1.25 m + n pairs and probes O(log m) prefixes,
+    and a cheap test placed first spares a costly one most of its probes.
     """
     N = trace.num_pairs
     for holds in tests:
         hi = lo
         us, vs = trace._endpoints(hi)
         while not holds(us, vs):
+            if hi == N:
+                raise RuntimeError(f"a test is still false at m = N = {N}; "
+                                   f"every test must hold at N")
             lo = hi + 1
             hi = min(hi + max(hi // 4, trace.n), N)
             us, vs = trace._endpoints(hi)

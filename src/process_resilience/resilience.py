@@ -83,9 +83,10 @@ class BudgetRule:
         """
         num, den = self.alpha.numerator, self.alpha.denominator
         deg = g.degree_array
-        # one Python-int cap per degree value, exact for any denominator
-        table = np.array([min(num * d // den, d - self.k)
-                          for d in range(int(deg.max(initial=0)) + 1)], dtype=object)
+        # one Python-int cap per degree value in use, exact for any denominator
+        table = np.empty(int(deg.max(initial=0)) + 1, dtype=object)
+        present = np.flatnonzero(np.bincount(deg))
+        table[present] = [min(num * d // den, d - self.k) for d in present.tolist()]
         return table[deg].tolist()
 
 
@@ -225,10 +226,9 @@ def _side_vector(n: int, cut: Cut) -> np.ndarray:
 def random_equipartition(n: int, rng) -> list:
     """A side vector splitting 0..n-1 uniformly at random: the last n - n//2
     vertices of rng's permutation go to side B (1), the rest to A (0)."""
-    side = [0] * n
-    for v in rng.permutation(n).tolist()[n // 2:]:
-        side[v] = 1
-    return side
+    side = np.zeros(n, dtype=np.int64)
+    side[rng.permutation(n)[n // 2:]] = 1
+    return side.tolist()
 
 
 def crossing_degrees(g: Graph, side) -> list:
@@ -365,35 +365,41 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
     closed neighbourhood, and only flips with near[v] > 0 are scored: any
     other moves no top vertex, so it cannot pass that test.
 
-    Ratios are float quotients of integers, which are correctly rounded:
-    equal rationals give equal floats, and with every degree below 10^6
-    distinct ones lie more than 1e-12 apart. So == merges exactly the equal
-    ratios, as a 1e-12 tie window would at those degrees, and the exact
-    answer is the Fraction of any vertex at the top.
+    Flips are scored in integers against the top a/b. A vertex of degree d
+    and crossing degree c is within the top iff c <= lim[d] = d*a // b, and
+    at it iff c == at[d], which is lim[d] when b divides d*a and -1 (no
+    crossing degree) otherwise. Every vertex is within the top, so a
+    neighbour on the other side, dropping to c - 1, cannot reach it, and a
+    neighbour on v's side, rising to c + 1, raises the top iff c == lim[d].
+    The top is the largest float quotient cross/deg: quotients are
+    correctly rounded and every degree is below 10^6, so equal floats are
+    equal rationals and the largest float is a true maximum.
     """
     n, adj = g.n, g.adj
-    deg = g.degrees
+    deg, deg_arr = g.degrees, g.degree_array
+    degree_values = range(int(deg_arr.max()) + 1)
 
-    def summit(ratio):
-        """(top, held, near) of a ratio list."""
-        top = max(ratio)
-        held = 0
+    def summit(cross):
+        """(top, lim, at, held, near) of a crossing-degree list."""
+        ratio = np.array(cross, dtype=np.int64) / deg_arr
+        tops = np.flatnonzero(ratio == ratio.max()).tolist()
+        top = Fraction(cross[tops[0]], deg[tops[0]])
+        a, b = top.numerator, top.denominator
+        lim = [d * a // b for d in degree_values]
+        at = [c if d * a % b == 0 else -1 for d, c in enumerate(lim)]
         near = [0] * n
-        for u, x in enumerate(ratio):
-            if x == top:
-                held += 1
-                near[u] += 1
-                for w in adj[u]:
-                    near[w] += 1
-        return top, held, near
+        for u in tops:
+            near[u] += 1
+            for w in adj[u]:
+                near[w] += 1
+        return top, lim, at, len(tops), near
 
     best = None  # (max_ratio Fraction, cut)
     for r in range(restarts):
         side = random_equipartition(n, generator(seed, r))
         on_b = n - n // 2
         cross = crossing_degrees(g, side)
-        ratio = [c / d for c, d in zip(cross, deg)]
-        top, held, near = summit(ratio)
+        top, lim, at, held, near = summit(cross)
         improved = True
         passes = 0
         while improved and passes < 64:
@@ -406,35 +412,47 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
                 if (s == 1 and on_b == 1) or (s == 0 and on_b == n - 1):
                     continue  # the flip would empty a side
                 # flipping v: its own cross complements, neighbours shift by 1
-                moved = [(v, deg[v] - cross[v])]
-                moved.extend((u, cross[u] + 1 if side[u] == s else cross[u] - 1)
-                             for u in adj[v])
-                new_ratio = [c / deg[u] for u, c in moved]
-                if max(new_ratio) > top:
+                d = deg[v]
+                c = d - cross[v]
+                if c > lim[d]:
                     continue  # the top would rise
                 # +1 where a moved vertex reaches the top, -1 where it leaves
-                shift = [(x == top) - (ratio[u] == top)
-                         for (u, _), x in zip(moved, new_ratio)]
-                gain = sum(shift)
+                own = (c == at[d]) - (cross[v] == at[d])
+                gain = own
+                for u in adj[v]:
+                    if side[u] != s:
+                        gain -= cross[u] == at[deg[u]]
+                    elif cross[u] < lim[deg[u]]:
+                        gain += cross[u] + 1 == at[deg[u]]
+                    else:
+                        gain = 0  # the top would rise: reject
+                        break
                 if gain >= 0:
                     continue  # no fewer vertices at the top than before
                 side[v] = 1 - s
                 on_b += 1 if s == 0 else -1
                 held += gain
-                for (u, c), x, d in zip(moved, new_ratio, shift):
-                    cross[u] = c
-                    ratio[u] = x
-                    if d:
-                        near[u] += d
+                cross[v] = c
+                if own:
+                    near[v] += own
+                    for w in adj[v]:
+                        near[w] += own
+                for u in adj[v]:
+                    if side[u] == s:
+                        cross[u] += 1
+                        shift = cross[u] == at[deg[u]]
+                    else:
+                        shift = -(cross[u] == at[deg[u]])
+                        cross[u] -= 1
+                    if shift:
+                        near[u] += shift
                         for w in adj[u]:
-                            near[w] += d
+                            near[w] += shift
                 if not held:
-                    top, held, near = summit(ratio)
+                    top, lim, at, held, near = summit(cross)
                 improved = True
-        u = ratio.index(top)
-        bound = Fraction(cross[u], deg[u])
-        if best is None or bound < best[0]:
-            best = (bound, Cut(frozenset(), *_sides(side)))
+        if best is None or top < best[0]:
+            best = (top, Cut(frozenset(), *_sides(side)))
     return ResilienceReport(best[0], best[1], "local-search-upper-bound")
 
 

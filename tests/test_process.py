@@ -354,6 +354,13 @@ def test_hitting_times_of_a_single_pair_and_of_k_n_minus_one():
             m for m, g in enumerate(prefixes) if is_k_connected_oracle(g, 3))
 
 
+def test_first_hit_raises_on_a_test_false_at_every_pair_count():
+    """A test still false at m = N breaks the search's contract: it raises
+    instead of probing N forever."""
+    with pytest.raises(RuntimeError, match="N = 6.*every test must hold at N"):
+        process._first_hit(ProcessTrace(4, 0), 0, lambda us, vs: False)
+
+
 def test_hitting_searches_draw_each_pair_once(monkeypatch):
     """A search grows the trace's one prefix by a quarter of its length, at
     least n pairs, so it draws fewer than 1.25 tau + n pairs; k-connectivity

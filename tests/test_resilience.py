@@ -289,6 +289,13 @@ def connected_graphs(draw, max_n):
 @example(sample_gnm(9, 27, 0), 2, 7)
 @example(sample_gnm(13, 34, 3), 2, 10)
 @example(sample_gnm(14, 41, 1), 1, 1)
+# the integer scoring's corners: a top a/b with at[d] = -1 at a present
+# degree d (b does not divide d*a), a new top found mid-pass that a later
+# vertex of the same pass flips against, and a restart ending at the top
+# of an earlier one, whose witness must stay the earlier restart's
+@example(sample_gnm(5, 5, 0), 1, 0)
+@example(sample_gnm(5, 5, 3), 1, 5)
+@example(sample_gnm(4, 4, 0), 2, 0)
 @settings(max_examples=150, deadline=None)
 def test_local_search_matches_slow_reference(g, restarts, seed):
     rep = connectivity_resilience_threshold(g, mode="local_search",
