@@ -10,15 +10,13 @@ natural logarithm throughout.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, VertexSet, ball, connected_components, neighbours_in
+from .graphs import Graph, VertexSet, _components, neighbours_in
 from .rng import generator
 
 
@@ -114,19 +112,66 @@ def audit_atyp_size(cls: VertexClassification) -> AuditReport:
                         n / math.log(n), {"p": cls.p, "delta": cls.delta, "n": n})
 
 
-def _tiny_triangles(g: Graph, tiny) -> dict:
-    """{(u, v, w): tiny corners} over the triangles u < v < w of g with a
-    tiny corner, found from each tiny vertex's neighbour pairs; a triangle
-    is found once from each of its tiny corners. A triangle with no tiny
-    corner counts 0, so these are all that can violate or set the maximum.
+def _row_positions(g: Graph, vs) -> np.ndarray:
+    """The positions in ``g.indices`` of the CSR rows of the vertices vs,
+    row after row."""
+    lo, size = g.indptr[vs], g.degree_array[vs]
+    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+
+
+def _tiny_ball_counts(g: Graph, tiny, radius: int) -> np.ndarray:
+    """counts[v]: the tiny vertices t != v within distance ``radius`` of v.
+
+    Distance is symmetric, so v's punctured ball holds t exactly when t's
+    holds v. Bit j of reach[v] marks the j-th tiny vertex of one 64-bit
+    word; each of ``radius`` rounds ORs the marks every marked vertex held
+    at the start of the round into its CSR row, so reach[v] ends up
+    marking the word's tiny vertices within ``radius`` of v, v itself
+    included when tiny, and ``bitwise_count`` adds them up. A round reads
+    only the rows of marked vertices, and one word per pass keeps the
+    extra memory O(m).
     """
-    out = {}
-    for t in tiny:
-        for a, b in combinations(g.adj[t], 2):
-            if g.has_edge(a, b):
-                tri = tuple(sorted((t, a, b)))
-                out[tri] = out.get(tri, 0) + 1
-    return out
+    counts = np.zeros(g.n, dtype=np.int64)
+    tiny = np.fromiter(tiny, dtype=np.int64, count=len(tiny))
+    for w in range(-(-len(tiny) // 64)):
+        word = tiny[64 * w:64 * (w + 1)]
+        reach = np.zeros(g.n, dtype=np.uint64)
+        reach[word] = np.left_shift(np.uint64(1), np.arange(len(word), dtype=np.uint64))
+        for _ in range(radius):
+            marked = np.flatnonzero(reach)
+            marks = np.repeat(reach[marked], g.degree_array[marked])
+            np.bitwise_or.at(reach, g.indices[_row_positions(g, marked)], marks)
+        counts += np.bitwise_count(reach)
+    counts[tiny] -= 1
+    return counts
+
+
+def _tiny_triangles(g: Graph, tiny) -> tuple:
+    """(tris, corners): the triangles u < v < w of g with a tiny corner, as
+    the ascending rows of a (k, 3) array, and the tiny corners of each.
+
+    Every pair a < b of a tiny vertex's CSR row is looked up among the
+    sorted edge keys u n + v; a triangle is found once from each of its
+    tiny corners, so the times it is found count them. A triangle with no
+    tiny corner counts 0, so these are all that can violate or set the
+    maximum.
+    """
+    n = g.n
+    t = np.fromiter(tiny, dtype=np.int64, count=len(tiny))
+    first = _row_positions(g, t)
+    # the number of later entries in the same row, then their positions
+    later = np.repeat(g.indptr[t + 1], g.degree_array[t]) - first - 1
+    second = (np.repeat(first - np.cumsum(later) + later, later) + 1
+              + np.arange(later.sum()))
+    a, b = g.indices[np.repeat(first, later)], g.indices[second]
+    eu, ev = g._ends
+    keys, pair = eu * n + ev, a * n + b
+    hit = keys[np.searchsorted(keys, pair).clip(max=len(keys) - 1)] == pair
+    corner = np.repeat(np.repeat(t, g.degree_array[t]), later)
+    tris = np.sort(np.column_stack((corner[hit], a[hit], b[hit])), axis=1)
+    tris = tris[np.lexsort(tris.T[::-1])]
+    new = np.flatnonzero(np.any(np.diff(tris, axis=0, prepend=-1) != 0, axis=1))
+    return tris[new], np.diff(new, append=len(tris))
 
 
 def audit_neighbourhoods(g_plus: Graph, cls: VertexClassification, L: int):
@@ -134,43 +179,37 @@ def audit_neighbourhoods(g_plus: Graph, cls: VertexClassification, L: int):
     reference graph: (C2) at most 2 tiny vertices in any radius-3 ball and at
     most L atypical neighbours of any vertex; (C3) at most 1 tiny vertex per
     triangle, searched from the tiny corners only. Returns the three reports
-    in that order.
+    in that order. All three read the CSR arrays, never ``g_plus.adj``.
     """
     if g_plus.n != cls.n:
         raise ValueError(f"vertex universes differ: graph has {g_plus.n}, "
                          f"classification has {cls.n}")
     if L < 0:
         raise ValueError(f"L must be nonnegative, got {L}")
-    tiny, atyp = cls.tiny, cls.atyp
     params = {"p": cls.p, "delta": cls.delta, "L": L}
-
-    # distance is symmetric, so v's punctured radius-3 ball holds tiny t
-    # exactly when the one from t holds v: search from the tiny vertices only
-    ball_counts = [0] * g_plus.n
-    for t in tiny:
-        for v in ball(g_plus, t, 3):
-            ball_counts[v] += 1
     vertices = range(g_plus.n)
-    tris = _tiny_triangles(g_plus, tiny)
-    order = sorted(tris)
+    tris, corners = _tiny_triangles(g_plus, cls.tiny)
     return [
-        _count_audit("tiny-3ball", "C2", "vertex", vertices, ball_counts, 2, params),
+        _count_audit("tiny-3ball", "C2", "vertex", vertices,
+                     _tiny_ball_counts(g_plus, cls.tiny, 3), 2, params),
         _count_audit("atyp-neighbourhood", "C2", "vertex", vertices,
-                     neighbours_in(g_plus, atyp), L, params),
-        _count_audit("triangle-tiny", "C3", "triangle", [list(tri) for tri in order],
-                     [tris[tri] for tri in order], 1, params),
+                     neighbours_in(g_plus, cls.atyp), L, params),
+        _count_audit("triangle-tiny", "C3", "triangle", tris.tolist(), corners,
+                     1, params),
     ]
 
 
 def _count_audit(property_id: str, condition: str, witness: str, witnesses,
-                 counts: list, bound, params: dict) -> AuditReport:
+                 counts, bound, params: dict) -> AuditReport:
     """The audit that counts[i], measured at witnesses[i], is at most bound
     for every i; each count above it is a violation."""
-    violations = tuple({witness: w, "measured": cnt, "bound": bound}
-                       for w, cnt in zip(witnesses, counts) if cnt > bound)
+    counts = np.asarray(counts, dtype=np.int64)
+    over = np.flatnonzero(counts > bound).tolist()
+    violations = tuple({witness: witnesses[i], "measured": cnt, "bound": bound}
+                       for i, cnt in zip(over, counts[over].tolist()))
     return AuditReport(
         property_id=property_id, condition=condition, holds=not violations,
-        max_observed=float(max(counts, default=0)), bound=float(bound),
+        max_observed=float(counts.max(initial=0)), bound=float(bound),
         violations=violations, params=params,
     )
 
@@ -180,7 +219,7 @@ def _edge_count_within(g: Graph, members) -> int:
     mask = np.zeros(g.n, dtype=bool)
     mask[members] = True
     eu, ev = g._ends
-    return int((mask[eu] & mask[ev]).sum())
+    return int(np.count_nonzero(mask[eu] & mask[ev]))
 
 
 def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
@@ -272,11 +311,11 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
         check("random", idx, _edge_count_within(g, idx))
 
     # (c) structured extremes; a component holds every edge at its vertices
-    deg = g.degrees
-    for i, comp in enumerate(connected_components(g)):
-        check("giant" if i == 0 else "component", comp,
-              sum(map(deg.__getitem__, comp)) // 2)
-    top = heapq.nsmallest(5, range(n), key=lambda v: (-deg[v], v))
+    deg = g.degree_array
+    for i, comp in enumerate(_components(g)):
+        check("giant" if i == 0 else "component", comp, int(deg[comp].sum()) // 2)
+    # the five first vertices in (-degree, vertex) order
+    top = np.lexsort((np.arange(n), -deg))[:5].tolist()
     # twins share a closed neighbourhood: check each distinct one once
     for closed in dict.fromkeys(frozenset((v, *g.neighbors(v))) for v in top):
         check("neighbourhood", closed, _edge_count_within(g, list(closed)))

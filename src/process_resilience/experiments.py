@@ -20,6 +20,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import __version__ as _code_version
 from .classify import (audit_atyp_size, audit_edge_counts,
                        audit_neighbourhoods, classify_vertices)
@@ -347,9 +349,8 @@ def _audit_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
 
     # empirical D-set (equipartition crossing degrees above (1/2+delta)*n*p1)
     side = random_equipartition(n, generator(derive_seed(trial_seed, 2)))
-    cross = crossing_degrees(coupled.g_plus, side)
-    d_cut = (0.5 + cfg.delta) * n * coupled.p1
-    d_set = [v for v in range(n) if cross[v] > d_cut]
+    cross = np.asarray(crossing_degrees(coupled.g_plus, side))
+    d_set = np.flatnonzero(cross > (0.5 + cfg.delta) * n * coupled.p1)
     max_d_nbrs = max(neighbours_in(coupled.g_plus, d_set), default=0)
 
     metrics = {

@@ -232,13 +232,19 @@ def _component_labels(g: Graph) -> np.ndarray:
             label = root
 
 
-def connected_components(g: Graph):
-    """Components as vertex sets, largest first, ties by smallest vertex."""
+def _components(g: Graph) -> list:
+    """Components as ascending int64 arrays, largest first, ties by
+    smallest vertex."""
     label = _component_labels(g)
     order = np.argsort(label, kind="stable")  # each component in ascending order
     comps = np.split(order, np.flatnonzero(np.diff(label[order])) + 1) if g.n else []
     comps.sort(key=lambda c: (-len(c), c[0]))
-    return [VertexSet(c.tolist()) for c in comps]
+    return comps
+
+
+def connected_components(g: Graph):
+    """Components as vertex sets, largest first, ties by smallest vertex."""
+    return [VertexSet(c.tolist()) for c in _components(g)]
 
 
 def is_connected(g: Graph) -> bool:

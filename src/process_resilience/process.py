@@ -13,6 +13,10 @@ Replaying the same trace always yields the identical permutation.
 ``sample_gnm(n, m, seed)`` takes the first m pairs of that same
 permutation, so it coincides with ``graph_at(sample_process(n, seed), m)``
 by construction.
+
+G(n,p) is sampled by geometric skipping (Batagelj and Brandes 2005), one
+block of doubles at a time in numpy, with the skips of the scalar loop bit
+for bit; a coupled pair merges two such index streams.
 """
 
 from __future__ import annotations
@@ -61,12 +65,6 @@ _NO_PAIRS.setflags(write=False)
 # a draw to fewer pairs walks all its steps: finding the colliding steps
 # costs about 30 us, which the walk of 64 steps costs too (n = 64-4096)
 _FLAG_MIN_STEPS = 128
-
-
-def _uniform_doubles(seed: int) -> Iterator[float]:
-    rng = generator(seed)
-    while True:
-        yield from rng.random(_BATCH).tolist()
 
 
 @dataclass(frozen=True)
@@ -270,7 +268,17 @@ def sample_gnm(n: int, m: int, seed: int) -> Graph:
 
 
 def _gnp_indices(n: int, p: float, seed: int) -> np.ndarray:
-    """Ascending pair indices of G(n,p) by geometric skipping."""
+    """Ascending pair indices of G(n,p) by geometric skipping.
+
+    Each double u of ``generator(seed)`` skips floor(log(u) / log(1 - p))
+    pairs past the last index, and the stream stops at the first index
+    >= N. The doubles are drawn and turned into skips in ``_BATCH``
+    blocks. ``np.log`` may miss ``math.log`` by an ulp, so wherever the
+    quotient lies within a relative 1e-9 of an integer it is recomputed
+    with ``math.log``: the indices are those of the scalar loop in
+    tests/oracles.py, bit for bit. A skip is capped at N, so u = 0, or a p
+    too small for the quotient to be finite, ends the stream.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got n={n}")
     N = pair_count(n)
@@ -278,20 +286,24 @@ def _gnp_indices(n: int, p: float, seed: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     if p == 1.0:
         return np.arange(N, dtype=np.int64)
-    # math.log, not np.log: the skips must round as they always have
     log_q = math.log1p(-p)
-    doubles = _uniform_doubles(seed)
-    idx = []
-    i = -1
+    rng = generator(seed)
+    blocks, last = [], -1
     while True:
-        u = next(doubles)
-        if u <= 0.0:
-            break
-        i += 1 + int(math.log(u) / log_q)
-        if i >= N:
-            break
-        idx.append(i)
-    return np.array(idx, dtype=np.int64)
+        u = rng.random(_BATCH)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            q = np.log(u) / log_q
+            near = np.abs(q - np.rint(q)) <= 1e-9 * q  # never at q = inf
+        if near.any():
+            q[near] = [math.log(x) / log_q for x in u[near].tolist()]
+        # every index up to the first >= N stays below 2N + 1: no overflow
+        idx = last + np.cumsum(np.minimum(np.floor(q), N).astype(np.int64) + 1)
+        stop = np.flatnonzero(idx >= N)
+        if stop.size:
+            blocks.append(idx[:stop[0]])
+            return np.concatenate(blocks)
+        blocks.append(idx)
+        last = int(idx[-1])
 
 
 def sample_gnp(n: int, p: float, seed: int) -> Graph:

@@ -668,6 +668,35 @@ def stream_indices(n: int, seed: int, m: int) -> list:
     return picked
 
 
+def gnp_indices(n: int, p: float, seed: int) -> list:
+    """Ascending pair indices of G(n,p), one geometric skip at a time.
+
+    The i-th double u of ``generator(seed)`` (drawn in blocks of 8192)
+    moves the index on by 1 + int(log(u) / log(1 - p)), in ``math.log``;
+    the walk stops at the first u <= 0 or the first index >= N, which a
+    skip of N or more (an infinite one included) always reaches.
+    """
+    N = pair_count(n)
+    if p == 0.0 or N == 0:
+        return []
+    if p == 1.0:
+        return list(range(N))
+    log_q = math.log1p(-p)
+    rng = generator(seed)
+    idx, i = [], -1
+    while True:
+        for u in rng.random(8192).tolist():
+            if u <= 0.0:
+                return idx
+            skip = math.log(u) / log_q
+            if skip >= N:
+                return idx
+            i += 1 + int(skip)
+            if i >= N:
+                return idx
+            idx.append(i)
+
+
 # -- exhaustive connected-graph corpus ------------------------------------
 
 _EXPECTED_CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}

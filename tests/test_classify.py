@@ -4,19 +4,22 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from process_resilience.classify import (
+    _tiny_ball_counts,
+    _tiny_triangles,
     audit_atyp_size,
     audit_edge_counts,
     audit_neighbourhoods,
     chernoff_tail_bounds,
     classify_vertices,
 )
-from process_resilience.graphs import ball, build_graph
-from process_resilience.process import sample_gnm, sample_coupled, sample_gnp
-from process_resilience.rng import generator
+from process_resilience.graphs import ball, build_graph, neighbours_in
+from process_resilience.process import pair_count, sample_gnm, sample_coupled, sample_gnp
+from process_resilience.resilience import crossing_degrees, random_equipartition
+from process_resilience.rng import derive_seed, generator
 
 from conftest import complete, cycle, path, star
 from oracles import (audit_outcome, degree_classes, recount_audits,
@@ -260,6 +263,68 @@ def test_tiny_triangles_by_hand():
     assert tiny_triangles(g, {0}) == {(0, 1, 2): 1}
 
 
+@st.composite
+def _tiny_cases(draw, max_n=40):
+    """(n, pairs, tiny, radius): a sparse G(n, m) graph's edges, any tiny
+    set and a ball radius."""
+    n = draw(st.integers(0, max_n))
+    m = draw(st.integers(0, min(pair_count(n), 3 * n)))
+    pairs = sample_gnm(n, m, draw(st.integers(0, 2 ** 32))).edges
+    tiny = draw(st.frozensets(st.integers(0, n - 1))) if n else frozenset()
+    return n, pairs, tiny, draw(st.integers(1, 5))
+
+
+_CYCLE_70 = tuple((i, (i + 1) % 70) for i in range(70))
+_GNM_140 = sample_gnm(140, 300, 0).edges
+
+
+@given(_tiny_cases())
+@settings(max_examples=300, deadline=None)
+@example((8, ((0, 1), (1, 2), (2, 3)), frozenset(), 3))      # no tiny vertex
+@example((70, _CYCLE_70, frozenset(range(65)), 3))           # two words
+@example((70, _CYCLE_70, frozenset(range(70)), 1))
+@example((140, _GNM_140, frozenset(range(129)), 3))          # three words
+@example((140, _GNM_140, frozenset(range(140)), 2))
+@example((5, ((0, 1), (1, 2), (2, 3)), frozenset({0, 4}), 3))  # isolated tiny
+@example((0, (), frozenset(), 3))
+@example((1, (), frozenset({0}), 3))
+@example((2, ((0, 1),), frozenset({0, 1}), 1))
+@example((2, (), frozenset({0, 1}), 3))
+# a triangle with three tiny corners and a pendant
+@example((4, ((0, 1), (0, 2), (1, 2), (2, 3)), frozenset({0, 1, 2}), 3))
+# radius beyond the diameter of the path
+@example((5, ((0, 1), (1, 2), (2, 3), (3, 4)), frozenset({0, 2, 4}), 9))
+def test_array_balls_and_triangles_match_the_pair_recounts(case):
+    n, pairs, tiny, radius = case
+    g = build_graph(n, pairs)
+    assert _tiny_ball_counts(g, tiny, radius).tolist() == tiny_ball_counts(g, tiny, radius)
+    tris, corners = _tiny_triangles(g, tiny)
+    assert tris.shape == (len(corners), 3)
+    found = list(map(tuple, tris.tolist()))
+    assert found == sorted(tiny_triangles(g, tiny))
+    assert dict(zip(found, corners.tolist())) == tiny_triangles(g, tiny)
+    assert "adj" not in g.__dict__
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_audit_pipeline_builds_no_adjacency_rows(seed):
+    # one audit trial's calls at the criterion-6 parameters: the samples,
+    # the classes, the three neighbourhood audits, the edge-count audit and
+    # the D-set all read the CSR arrays
+    n = 4096
+    p0 = 1.2 * math.log(n) / (3 * n)
+    coupled = sample_coupled(n, p0, 0.5 * p0, seed)
+    cls = classify_vertices(coupled.g_minus, p0, 0.05)
+    audit_neighbourhoods(coupled.g_plus, cls, 30)
+    audit_atyp_size(cls)
+    audit_edge_counts(coupled.g_plus, coupled.p1, 2.0, 200, derive_seed(seed, 1))
+    side = random_equipartition(n, generator(derive_seed(seed, 2)))
+    cross = np.asarray(crossing_degrees(coupled.g_plus, side))
+    neighbours_in(coupled.g_plus, np.flatnonzero(cross > 0.55 * n * coupled.p1))
+    assert "adj" not in coupled.g_plus.__dict__
+    assert "adj" not in coupled.g_minus.__dict__
+
+
 _HAND_BUILT = [
     ("vacuous K5", complete(5), (), (), 5),
     ("path boundary", build_graph(3, [(0, 2), (1, 2)]), {0, 1}, (), 5),
@@ -402,6 +467,24 @@ def test_exhaustive_small_subsets_match_pair_recount(n, p, c, seed):
     assert [v for v in rep.violations if v["kind"] == "small"] == sorted(
         expected, key=lambda v: v["subset"])
     assert rep.max_observed >= top
+
+
+def test_top_degree_ties_pick_the_five_smallest_vertices():
+    # ten vertices share the maximum degree 3; the five first in
+    # (-degree, vertex) order are 0, 1, 2, 3 and 5, and 3 and 5 are twins
+    # in a K_4, so four distinct closed neighbourhoods are checked
+    ring = [0, 1, 2, 4, 6, 7, 9, 11]
+    edges = [(3, 5), (3, 8), (3, 10), (5, 8), (5, 10), (8, 10),
+             *zip(ring, ring[1:] + ring[:1]), (0, 6), (1, 9), (2, 11)]
+    g = build_graph(12, edges)
+    assert g.degrees.count(3) == 10
+    rep = audit_edge_counts(g, 0.05, c=0.01, subset_trials=0, seed=0)
+    bound = 0.01 * 4 * math.sqrt(12 * 0.05)
+    assert [v for v in rep.violations if v["kind"] == "neighbourhood"] == [
+        {"subset": subset, "kind": "neighbourhood", "measured": measured,
+         "expected": 6 * 0.05, "bound": bound}
+        for subset, measured in (([0, 1, 2, 9], 3), ([0, 1, 6, 11], 3),
+                                 ([1, 2, 4, 11], 3), ([3, 5, 8, 10], 6))]
 
 
 def test_audits_reject_negative_counts():

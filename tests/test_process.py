@@ -26,7 +26,7 @@ from process_resilience.process import (
 )
 from process_resilience.rng import GENERATOR_ID, derive_seed
 
-from oracles import is_k_connected_oracle, stream_indices
+from oracles import gnp_indices, is_k_connected_oracle, stream_indices
 
 
 @dataclass(frozen=True)
@@ -494,6 +494,35 @@ def test_gnp_mean_edge_count():
     expect = pair_count(n) * p
     sigma_mean = math.sqrt(pair_count(n) * p * (1 - p) / trials)
     assert abs(mean - expect) < 3 * sigma_mean, mean
+
+
+@given(n=st.integers(0, 300), p=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 64 - 1))
+@settings(max_examples=200, deadline=None)
+@example(n=50, p=0.0, seed=1)
+@example(n=50, p=1.0, seed=1)
+@example(n=0, p=0.5, seed=3)
+@example(n=1, p=0.5, seed=3)
+# 22513 pairs from about 22600 doubles: the draw spans three blocks
+@example(n=300, p=0.5, seed=3)
+# one quotient lies within the recompute window, and np.log floors it alike
+@example(n=3000, p=1e-4, seed=27)
+# about 2000 quotients near 2**50, all in the window: at one of them the
+# floor of the np.log quotient is one off that of the math.log one
+@example(n=2 ** 31, p=2.0 ** -50, seed=5)
+# p so small that every quotient overflows to infinity or exceeds N
+@example(n=50, p=5e-324, seed=0)
+@example(n=50, p=1e-310, seed=0)
+def test_gnp_indices_match_the_scalar_skip_loop(n, p, seed):
+    assert process._gnp_indices(n, p, seed).tolist() == gnp_indices(n, p, seed)
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-310])
+def test_subnormal_p_samples_no_edges(p):
+    assert sample_gnp(50, p, 0).m == 0
+    c = sample_coupled(50, p, p, 0)
+    assert c.g_minus.m == c.g_plus.m == 0
+    c = sample_coupled(50, 0.1, p, 0)
+    assert c.g_plus == c.g_minus and c.g_minus.m > 0
 
 
 # -- coupled sampling ------------------------------------------------------
