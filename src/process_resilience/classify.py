@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, VertexSet, _components, neighbours_in
+from .graphs import (Graph, VertexSet, _components, _is_edge, _row_positions,
+                     _spans, neighbours_in)
 from .rng import generator
 
 
@@ -112,13 +113,6 @@ def audit_atyp_size(cls: VertexClassification) -> AuditReport:
                         n / math.log(n), {"p": cls.p, "delta": cls.delta, "n": n})
 
 
-def _row_positions(g: Graph, vs) -> np.ndarray:
-    """The positions in ``g.indices`` of the CSR rows of the vertices vs,
-    row after row."""
-    lo, size = g.indptr[vs], g.degree_array[vs]
-    return np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
-
-
 def _tiny_ball_counts(g: Graph, tiny, radius: int) -> np.ndarray:
     """counts[v]: the tiny vertices t != v within distance ``radius`` of v.
 
@@ -156,17 +150,12 @@ def _tiny_triangles(g: Graph, tiny) -> tuple:
     tiny corner counts 0, so these are all that can violate or set the
     maximum.
     """
-    n = g.n
     t = np.fromiter(tiny, dtype=np.int64, count=len(tiny))
     first = _row_positions(g, t)
     # the number of later entries in the same row, then their positions
     later = np.repeat(g.indptr[t + 1], g.degree_array[t]) - first - 1
-    second = (np.repeat(first - np.cumsum(later) + later, later) + 1
-              + np.arange(later.sum()))
-    a, b = g.indices[np.repeat(first, later)], g.indices[second]
-    eu, ev = g._ends
-    keys, pair = eu * n + ev, a * n + b
-    hit = keys[np.searchsorted(keys, pair).clip(max=len(keys) - 1)] == pair
+    a, b = g.indices[np.repeat(first, later)], g.indices[_spans(first + 1, later)]
+    hit = _is_edge(g, a, b)
     corner = np.repeat(np.repeat(t, g.degree_array[t]), later)
     tris = np.sort(np.column_stack((corner[hit], a[hit], b[hit])), axis=1)
     tris = tris[np.lexsort(tris.T[::-1])]
@@ -317,7 +306,9 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
     # the five first vertices in (-degree, vertex) order
     top = np.lexsort((np.arange(n), -deg))[:5].tolist()
     # twins share a closed neighbourhood: check each distinct one once
-    for closed in dict.fromkeys(frozenset((v, *g.neighbors(v))) for v in top):
+    at = g.indptr
+    for closed in dict.fromkeys(frozenset((v, *g.indices[at[v]:at[v + 1]].tolist()))
+                                for v in top):
         check("neighbourhood", closed, _edge_count_within(g, list(closed)))
 
     violations.sort(key=lambda rec: rec["subset"])

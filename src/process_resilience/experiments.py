@@ -20,8 +20,6 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__ as _code_version
 from .classify import (audit_atyp_size, audit_edge_counts,
                        audit_neighbourhoods, classify_vertices)
@@ -30,11 +28,10 @@ from .process import (ProcessTrace, graph_at, hitting_time_k_connectivity,
                       hitting_time_min_degree, pair_count, sample_coupled,
                       sample_gnm)
 from .resilience import (EXACT_BIPARTITION_LIMIT, EXACT_SEPARATOR_LIMIT,
-                         AttackError, BudgetRule,
-                         connectivity_resilience_threshold,
-                         cherry_attack, crossing_degrees, find_k_conn_attack,
-                         greedy_partition_attack, random_equipartition)
-from .rng import derive_seed, generator
+                         AttackError, BudgetRule, _equipartition_d_set,
+                         connectivity_resilience_threshold, cherry_attack,
+                         find_k_conn_attack, greedy_partition_attack)
+from .rng import derive_seed
 
 RECORDS_SCHEMA = "process-resilience/records/v1"
 SUMMARY_SCHEMA = "process-resilience/summary/v1"
@@ -348,9 +345,8 @@ def _audit_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
                            cfg.subset_trials, derive_seed(trial_seed, 1))
 
     # empirical D-set (equipartition crossing degrees above (1/2+delta)*n*p1)
-    side = random_equipartition(n, generator(derive_seed(trial_seed, 2)))
-    cross = np.asarray(crossing_degrees(coupled.g_plus, side))
-    d_set = np.flatnonzero(cross > (0.5 + cfg.delta) * n * coupled.p1)
+    _, d_set = _equipartition_d_set(coupled.g_plus, (0.5 + cfg.delta) * n * coupled.p1,
+                                    derive_seed(trial_seed, 2))
     max_d_nbrs = max(neighbours_in(coupled.g_plus, d_set), default=0)
 
     metrics = {

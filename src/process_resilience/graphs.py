@@ -91,20 +91,31 @@ class Graph:
     def min_degree(self) -> int:
         return int(self.degree_array.min()) if self.n else 0
 
-    def neighbors(self, v: int) -> tuple:
-        """adj[v], read from the CSR row unless ``adj`` is already built."""
-        adj = self.__dict__.get("adj")
-        if adj is not None:
-            return adj[v]
-        return tuple(self.indices[self.indptr[v]:self.indptr[v + 1]].tolist())
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-        return v in self.adj[u]
-
     def original_label(self, v: int) -> int:
         return v if self.labels is None else self.labels[v]
+
+
+def _spans(starts, lens) -> np.ndarray:
+    """The ranges starts[i] .. starts[i] + lens[i] - 1, laid end to end."""
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
+def _row_positions(g: Graph, vs) -> np.ndarray:
+    """The positions in ``g.indices`` of the CSR rows of the vertices vs,
+    row after row."""
+    return _spans(g.indptr[vs], g.degree_array[vs])
+
+
+def _is_edge(g: Graph, lo, hi) -> np.ndarray:
+    """Mask: whether each pair (lo[i], hi[i]), lo[i] < hi[i], is an edge of
+    g. An edge u < v has the key u * n + v; g's keys are ascending, and the
+    sentinel after them stops every search inside the array. The range
+    check is needed: the key of a pair outside [0, n) can equal an edge's,
+    by wrapping around int64 too."""
+    eu, ev = g._ends
+    keys = np.append(eu * g.n + ev, np.iinfo(np.int64).max)
+    want = lo * g.n + hi
+    return (lo >= 0) & (hi < g.n) & (keys[np.searchsorted(keys, want)] == want)
 
 
 def incidence(n: int, us, vs) -> np.ndarray:
@@ -301,10 +312,7 @@ def k_core(g: Graph, k: int) -> Graph:
     drop = np.flatnonzero(deg < k)
     while len(drop):
         alive[drop] = False
-        # the concatenated CSR rows of the dropped vertices
-        lens = g.degree_array[drop]
-        start = g.indptr[drop] - (np.cumsum(lens) - lens)
-        nbr = g.indices[np.repeat(start, lens) + np.arange(lens.sum())]
+        nbr = g.indices[_row_positions(g, drop)]
         nbr = nbr[alive[nbr]]
         np.subtract.at(deg, nbr, 1)
         # the new drops once each; np.unique would load about 1.6 MB more

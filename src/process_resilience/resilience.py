@@ -18,8 +18,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .classify import VertexClassification
-from .graphs import (Graph, VertexSet, _pair_arrays, incidence, is_connected,
-                     is_k_connected)
+from .graphs import (Graph, VertexSet, _is_edge, _pair_arrays, incidence,
+                     is_connected, is_k_connected)
 from .rng import generator
 
 # Exact-mode size caps: configuration, not physics.
@@ -92,16 +92,9 @@ class BudgetRule:
 
 def _h_degrees(g: Graph, h_edges: Iterable) -> list:
     """deg_H(v) for every vertex of g; ValueError for a pair of h_edges
-    that is not an edge of g. An edge u < v has the key u * n + v; g's keys
-    are ascending, and the sentinel after them stops every search inside
-    the array. The range check comes first: the key of a pair outside
-    [0, n) can equal an edge's, by wrapping around int64 too."""
+    that is not an edge of g."""
     us, vs = _pair_arrays(h_edges)
-    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
-    eu, ev = g._ends
-    keys = np.append(eu * g.n + ev, np.iinfo(np.int64).max)
-    want = lo * g.n + hi
-    member = (lo >= 0) & (hi < g.n) & (keys[np.searchsorted(keys, want)] == want)
+    member = _is_edge(g, np.minimum(us, vs), np.maximum(us, vs))
     if not member.all():
         i = int(np.argmin(member))
         raise ValueError(f"h contains ({us[i]}, {vs[i]}) which is not an edge of g")
@@ -242,10 +235,19 @@ def crossing_degrees(g: Graph, side) -> list:
     return incidence(g.n, eu[cut], ev[cut]).tolist()
 
 
+def _equipartition_d_set(g: Graph, d_threshold, seed: int) -> tuple:
+    """(side, d_set): the random equipartition of g seeded by ``seed``,
+    and D, the ascending array of the vertices crossing more than
+    d_threshold of its edges."""
+    side = random_equipartition(g.n, generator(seed))
+    cross = np.asarray(crossing_degrees(g, side))
+    return side, np.flatnonzero(cross > d_threshold)
+
+
 def _sides(side) -> tuple:
     """(A, B) of a side vector."""
-    return (frozenset(v for v, s in enumerate(side) if s == 0),
-            frozenset(v for v, s in enumerate(side) if s == 1))
+    side = np.asarray(side)
+    return tuple(frozenset(np.flatnonzero(side == s).tolist()) for s in (0, 1))
 
 
 def _bits(mask: int):
@@ -543,31 +545,28 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     if g.n < 2:
         raise ValueError("attack needs at least two vertices")
 
-    side = random_equipartition(g.n, generator(seed))
+    side, d_set = _equipartition_d_set(g, d_threshold, seed)
+    drop = np.zeros(g.n, dtype=bool)
+    drop[d_set] = True
+    drop[list(cls.atyp)] = True
+    side = np.where(drop, -1, side).tolist()
+    removed = np.flatnonzero(drop)
+    tiny = np.zeros(g.n, dtype=bool)
+    tiny[list(cls.tiny)] = True
+    # the non-tiny first, then the tiny, each in ascending order
+    insertion = removed[np.argsort(tiny[removed], kind="stable")].tolist()
+
+    # CSR row slices: one whole-graph indices.tolist() costs more memory
+    at, indices = g.indptr.tolist(), g.indices
+    for v in insertion:
+        placed = [side[u] for u in indices[at[v]:at[v + 1]].tolist()]
+        side[v] = 0 if placed.count(0) >= placed.count(1) else 1
+
     deg = g.degrees
     cross = crossing_degrees(g, side)
-    d_set = frozenset(v for v in range(g.n) if cross[v] > d_threshold)
-    removed = sorted(cls.atyp | d_set)
-    for v in removed:
-        side[v] = -1
-
-    tiny = cls.tiny
-    insertion = [v for v in removed if v not in tiny] + [v for v in removed if v in tiny]
-    for v in insertion:
-        in_a = in_b = 0
-        for u in g.neighbors(v):
-            if side[u] == 0:
-                in_a += 1
-            elif side[u] == 1:
-                in_b += 1
-        side[v] = 0 if in_a >= in_b else 1
-
-    cross = crossing_degrees(g, side)
     # star budgets: deg/2 on tiny vertices, (1/2 + epsilon) deg elsewhere
-    half = BudgetRule(Fraction(1, 2)).caps(g)
-    caps = BudgetRule(Fraction(1, 2) + eps).caps(g)
-    for v in tiny:
-        caps[v] = half[v]
+    caps = np.where(tiny, BudgetRule(Fraction(1, 2)).caps(g),
+                    BudgetRule(Fraction(1, 2) + eps).caps(g)).tolist()
 
     moves = sweeps = 0
     while True:
@@ -582,7 +581,7 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
         for v in range(g.n):
             if cross[v] > caps[v]:
                 s = side[v]
-                for u in g.neighbors(v):
+                for u in indices[at[v]:at[v + 1]].tolist():
                     if side[u] == s:
                         cross[u] += 1
                     else:

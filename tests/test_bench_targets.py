@@ -38,6 +38,10 @@ def test_tracer_patch_targets_resolve():
         assert hasattr(resilience, name), name
     rng = importlib.import_module(f"{tracer.PACKAGE}.rng")
     assert callable(rng.generator) and callable(rng.derive_seed)
+    process = importlib.import_module(f"{tracer.PACKAGE}.process")
+    assert callable(getattr(process.ProcessTrace, "iter_pairs", None)), (
+        "bench/tracer.py patches ProcessTrace.iter_pairs; it must resolve "
+        "until the tracer stops patching it")
 
 
 def test_tracer_installs_and_restores():

@@ -2,7 +2,6 @@ import json
 import math
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,11 +17,11 @@ from process_resilience.classify import (
 )
 from process_resilience.graphs import ball, build_graph, neighbours_in
 from process_resilience.process import pair_count, sample_gnm, sample_coupled, sample_gnp
-from process_resilience.resilience import crossing_degrees, random_equipartition
+from process_resilience.resilience import _equipartition_d_set
 from process_resilience.rng import derive_seed, generator
 
 from conftest import complete, cycle, path, star
-from oracles import (audit_outcome, degree_classes, recount_audits,
+from oracles import (adjacency_sets, audit_outcome, degree_classes, recount_audits,
                      small_subset_counts, tiny_ball_counts, tiny_triangles)
 
 
@@ -318,9 +317,9 @@ def test_audit_pipeline_builds_no_adjacency_rows(seed):
     audit_neighbourhoods(coupled.g_plus, cls, 30)
     audit_atyp_size(cls)
     audit_edge_counts(coupled.g_plus, coupled.p1, 2.0, 200, derive_seed(seed, 1))
-    side = random_equipartition(n, generator(derive_seed(seed, 2)))
-    cross = np.asarray(crossing_degrees(coupled.g_plus, side))
-    neighbours_in(coupled.g_plus, np.flatnonzero(cross > 0.55 * n * coupled.p1))
+    _, d_set = _equipartition_d_set(coupled.g_plus, 0.55 * n * coupled.p1,
+                                    derive_seed(seed, 2))
+    neighbours_in(coupled.g_plus, d_set)
     assert "adj" not in coupled.g_plus.__dict__
     assert "adj" not in coupled.g_minus.__dict__
 
@@ -410,9 +409,10 @@ def test_edge_count_violations_are_recheckable():
     g = complete(10)
     rep = audit_edge_counts(g, 0.2, c=0.5, subset_trials=100, seed=5)
     assert not rep.holds
+    adj = adjacency_sets(g)
     for wit in rep.violations:
         X = wit["subset"]
-        cnt = sum(1 for i in X for j in X if i < j and g.has_edge(i, j))
+        cnt = sum(1 for i in X for j in X if i < j and j in adj[i])
         assert cnt == wit["measured"]
         assert abs(cnt - wit["expected"]) > wit["bound"] - 1e-12
 
@@ -425,7 +425,8 @@ def test_edge_count_witnesses_are_distinct_below_five_vertices(n):
     scale = math.sqrt(n * p)
 
     def norm(g, X):
-        cnt = sum(1 for i in X for j in X if i < j and g.has_edge(i, j))
+        adj = adjacency_sets(g)
+        cnt = sum(1 for i in X for j in X if i < j and j in adj[i])
         s = len(X)
         return abs(cnt - s * (s - 1) / 2 * p) / (s * scale)
 

@@ -11,6 +11,7 @@ from process_resilience.graphs import (
     GraphFormatError,
     _SplitNetwork,
     _graph_from_arrays,
+    _is_edge,
     _pair_arrays,
     ball,
     build_graph,
@@ -29,10 +30,10 @@ from process_resilience.process import (graph_at, pair_count, sample_gnm,
 from process_resilience.resilience import crossing_degrees
 
 from conftest import complete, cycle, path, star
-from oracles import (atyp_neighbour_counts, components_by_pairs, crossing_counts,
-                     degrees_by_pairs, graph_from_pairs, induced_subgraph_by_edges,
-                     is_k_connected_oracle, peel_k_core_random_order,
-                     split_network_flow)
+from oracles import (adjacency_sets, atyp_neighbour_counts, components_by_pairs,
+                     crossing_counts, degrees_by_pairs, graph_from_pairs,
+                     induced_subgraph_by_edges, is_k_connected_oracle,
+                     peel_k_core_random_order, split_network_flow)
 
 
 # -- construction ----------------------------------------------------------
@@ -152,16 +153,16 @@ def test_graph_equality_defers_to_other_types():
 
 def _assert_rows_then_graph(g, ref):
     """g's CSR rows and degrees match ref's rows before g builds ``adj``,
-    then the whole graph matches, and the rows are then ``adj``'s own."""
+    then the whole graph matches."""
     assert "adj" not in g.__dict__
-    assert [g.neighbors(v) for v in range(g.n)] == list(ref.adj)
+    rows = [tuple(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()) for v in range(g.n)]
+    assert rows == list(ref.adj)
     assert g.degrees == tuple(map(len, ref.adj))
     assert g.min_degree() == min(g.degrees, default=0)
     for a in (g.indptr, g.indices, g.degree_array):
         assert a.dtype == np.int64 and not a.flags.writeable
     assert "adj" not in g.__dict__
     _assert_same_graph(g, ref)
-    assert all(g.neighbors(v) is g.adj[v] for v in range(g.n))
 
 
 # n = 0, 1, 2, no edges, isolated vertices, two components of equal size
@@ -296,12 +297,15 @@ def test_incidence_matches_pair_loop(case):
     assert counts.tolist() == list(degrees_by_pairs(n, pairs))
 
 
-def test_has_edge_rejects_vertices_outside_the_graph():
-    c4 = cycle(4)
-    assert c4.has_edge(3, 0) and not c4.has_edge(0, 2) and not c4.has_edge(1, 1)
-    for u, v in ((-1, 0), (0, -1), (7, 0), (0, 4)):
-        with pytest.raises(ValueError, match=rf"\({u}, {v}\) out of range for n=4"):
-            c4.has_edge(u, v)
+@pytest.mark.parametrize("g", [cycle(4), complete(5), path(6), build_graph(3, [])])
+def test_edge_keys_match_adjacency_sets(g):
+    # every pair lo < hi in range, then for each edge (u, v) the pair
+    # (u - 1, v + n) outside the range, whose key u * n + v is the edge's
+    adj = adjacency_sets(g)
+    pairs = list(combinations(range(g.n), 2)) + [(u - 1, v + g.n) for u, v in g.edges]
+    lo, hi = np.array(pairs, dtype=np.int64).T
+    want = [0 <= u and v < g.n and v in adj[u] for u, v in pairs]
+    assert _is_edge(g, lo, hi).tolist() == want
 
 
 # -- text format -----------------------------------------------------------

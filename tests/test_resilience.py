@@ -27,10 +27,13 @@ from process_resilience.resilience import (
     find_disconnecting_attack,
     find_k_conn_attack,
     greedy_partition_attack,
+    random_equipartition,
     replay_cut,
     verify_star_condition,
+    _equipartition_d_set,
     _first_feasible_cut,
 )
+from process_resilience.rng import generator
 from conftest import cherry_gadget, complete, cycle, path, star
 from oracles import (
     budget_caps,
@@ -755,6 +758,21 @@ def test_greedy_universe_mismatch_rejected():
     cls = classify_vertices(sample_gnm(17, 40, 1), 0.3, 0.5)
     with pytest.raises(ValueError, match="universe"):
         greedy_partition_attack(g, cls, 5.0, Fraction(1, 10), seed=0)
+
+
+# n = 2, no edges, and a threshold of at least every degree (empty D); a
+# complete graph on 7 vertices puts 4 against each of the 3 on one side
+@pytest.mark.parametrize("g, d_threshold, d_size", [
+    (complete(2), 0, 2), (build_graph(6, []), 0, 0), (complete(7), 3, 3),
+    (cycle(9), 1, None), (star(8), 7, 0)])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_equipartition_d_set_matches_crossing_recount(g, d_threshold, d_size, seed):
+    side, d_set = _equipartition_d_set(g, d_threshold, seed)
+    assert side == random_equipartition(g.n, generator(seed))
+    assert sorted(side) == [0] * (g.n // 2) + [1] * (g.n - g.n // 2)
+    counts = crossing_counts(g, *({v for v in range(g.n) if side[v] == s} for s in (0, 1)))
+    assert d_set.tolist() == [v for v in range(g.n) if counts[v] > d_threshold]
+    assert d_size is None or len(d_set) == d_size
 
 
 @pytest.mark.parametrize("seed", [1, 2])
