@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 from . import __version__ as _code_version
 from .classify import (audit_atyp_size, audit_edge_counts,
                        audit_neighbourhoods, classify_vertices)
-from .graphs import Graph, giant_component, is_k_connected, k_core, neighbours_in
+from .graphs import (Graph, _k_connected, giant_component, is_k_connected,
+                     k_core, neighbours_in)
 from .process import (ProcessTrace, graph_at, hitting_time_k_connectivity,
                       hitting_time_min_degree, pair_count, sample_coupled,
                       sample_gnm)
@@ -329,7 +330,11 @@ def _kcore_trial(cfg: ExperimentConfig, n: int, m: int, trial: int) -> TrialReco
             metrics["kconn_attack_absent"] = attack is None
     tau_k = hitting_time_min_degree(trace, k)
     metrics["tau_k"] = tau_k
-    metrics["tau_equal_k"] = is_k_connected(graph_at(trace, tau_k), k)
+    # G_m is a subgraph of G_tau_k, so a k-connected core of G_m seeds the test
+    g_tau = graph_at(trace, tau_k)
+    linked = core.labels if metrics.get("core_k_connected") and tau_k >= m else ()
+    metrics["tau_equal_k"] = (_k_connected(g_tau, k, linked) if linked
+                              else is_k_connected(g_tau, k))
     return TrialRecord("kcore", n, trial, trial_seed, m=m, k=k, metrics=metrics)
 
 

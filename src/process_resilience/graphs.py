@@ -397,34 +397,28 @@ class _SplitNetwork:
     2v+1 -> 2u of capacity 1; node 2n is a super-source with a unit arc to
     each of ``sources``. Arcs are flat lists: arc e runs to ``head[e]`` with
     base capacity ``base[e]`` (1 on even arcs, 0 on odd ones), its reverse
-    is arc ``e ^ 1``, and ``out[x]`` lists the arcs leaving node x. ``cap``
-    holds the residual capacities; every query leaves it equal to ``base``.
-    No arc into the super-source has capacity until a query from node 2n
-    sends flow out of it, so no other query routes through it.
+    is arc ``e ^ 1``, and ``out[x]`` lists the arcs leaving node x in
+    ascending order. ``cap`` holds the residual capacities; every query
+    leaves it equal to ``base``. No arc into the super-source has capacity
+    until a query from node 2n sends flow out of it, so no other query
+    routes through it.
     """
 
     def __init__(self, g: Graph, sources):
-        head, base = [], []
-        out = [[] for _ in range(2 * g.n + 1)]
-
-        def add_arc(x, y):
-            out[x].append(len(head))
-            head.append(y)
-            base.append(1)
-            out[y].append(len(head))
-            head.append(x)
-            base.append(0)
-
-        for v in range(g.n):
-            add_arc(2 * v, 2 * v + 1)
         eu, ev = g._ends
-        for u, v in zip(eu.tolist(), ev.tolist()):
-            add_arc(2 * u + 1, 2 * v)
-            add_arc(2 * v + 1, 2 * u)
-        for s in sources:
-            add_arc(2 * g.n, 2 * s)
-        self.head, self.base, self.out = head, base, out
-        self.cap = base[:]
+        s = np.asarray(sources, dtype=np.int64).reshape(-1)
+        # arc 2j runs arcs[j, 0] -> arcs[j, 1] and arc 2j + 1 back: the
+        # inner arcs, then both arcs of each edge, then the super-source's
+        arcs = np.concatenate((
+            2 * np.arange(g.n)[:, None] + [0, 1],
+            2 * np.column_stack((eu, ev, ev, eu)).reshape(-1, 2) + [1, 0],
+            2 * np.column_stack((np.full(len(s), g.n), s))))
+        order = np.argsort(arcs.ravel(), kind="stable").tolist()
+        ends = np.cumsum(np.bincount(arcs.ravel(), minlength=2 * g.n + 1)).tolist()
+        self.head = arcs[:, ::-1].ravel().tolist()
+        self.base = [1, 0] * len(arcs)
+        self.out = [order[a:b] for a, b in zip([0] + ends, ends)]
+        self.cap = self.base[:]
 
     def paths_at_least(self, source: int, sink: int, k: int, uncapped) -> bool:
         """At least k arc-disjoint source->sink paths once the inner arcs of
@@ -500,14 +494,8 @@ class _SplitNetwork:
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff n >= k+1 and no removal of <= k-1 vertices disconnects g.
 
-    Uses articulation points (k=2) or an Even-style disjoint-paths test
-    (k >= 3).
-
-    For k >= 3 the split-vertex flow network is built once per call, as
-    flat arc lists. The C(k, 2) pivot-pair checks always run; a vertex's
-    super-source check runs only if the fan lemma has not already settled
-    it. Each check uncaps the inner arcs of its endpoints, runs at most k
-    bidirectional augmentations and undoes them on exit.
+    Uses articulation points (k=2) or Even's disjoint-paths test
+    ``_k_connected`` (k >= 3).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -521,24 +509,46 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return True
     if k == 2:
         return not _has_articulation_point(g)
-    # Even's test: fix L = {0..k-1}; check local connectivity within L,
-    # then from a super-source attached to L to every other vertex. Every
-    # local check runs on the one network built here.
-    pivots = range(k)
-    net = _SplitNetwork(g, pivots)
-    for a, b in combinations(pivots, 2):
-        if not net.paths_at_least(2 * a + 1, 2 * b, k, (a, b)):
-            return False
-    # A vertex is settled once it is a pivot or has passed its super-source
-    # check. Fan lemma: a vertex u with k settled neighbours passes without
-    # a check, since any <= k-1 removed vertices miss one such neighbour w,
-    # and w is a pivot or still reaches one. ``ready`` holds settled
-    # vertices whose neighbours have not yet counted them.
+    return _k_connected(g, k, ())
+
+
+def _k_connected(g: Graph, k: int, linked) -> bool:
+    """Even's test: whether g, with n >= k+1 >= 3, is k-connected.
+
+    A vertex is settled once every removal X of <= k-1 other vertices
+    leaves it joined in g - X to the settled vertices outside X, which stay
+    joined to each other; g is k-connected iff every vertex gets settled.
+    The settled set starts as ``linked``, which must induce a k-connected
+    subgraph of g, or, when ``linked`` is empty, as the pivots: the first k
+    vertices of the degree order (descending, ties by index), after their
+    C(k, 2) pair checks. A vertex outside it is then settled by the fan
+    lemma when k of its neighbours are (X misses one of them), or else by
+    a super-source check: k paths, disjoint but for the vertex, to the
+    first k starting vertices in degree order (X misses one path). The
+    vertices are visited in degree order. Conversely, when g is
+    k-connected every check passes (Menger), so the answer is exact.
+
+    The split-vertex network is built at the first flow check. Each check
+    uncaps the inner arcs of its endpoints, runs at most k bidirectional
+    augmentations and undoes them on exit.
+    """
+    order = np.argsort(-g.degree_array, kind="stable").tolist()
+    settled = [False] * g.n
+    for v in linked or order[:k]:
+        settled[v] = True
+    # ``ready`` holds settled vertices whose neighbours have not yet
+    # counted them
+    ready = [v for v in order if settled[v]]
+    sources = ready[:k]
+    net = None
+    if not linked:
+        net = _SplitNetwork(g, sources)
+        for a, b in combinations(sources, 2):
+            if not net.paths_at_least(2 * a + 1, 2 * b, k, (a, b)):
+                return False
     adj = g.adj
-    settled = [v < k for v in range(g.n)]
     count = [0] * g.n
-    ready = list(pivots)
-    for u in range(k, g.n):
+    for u in order:
         while ready:
             for w in adj[ready.pop()]:
                 count[w] += 1
@@ -547,6 +557,8 @@ def is_k_connected(g: Graph, k: int) -> bool:
                     ready.append(w)
         if settled[u]:
             continue
+        if net is None:
+            net = _SplitNetwork(g, sources)
         # with the super-source every graph vertex except the sink is an
         # internal vertex of some source-sink path and must stay unit-capacity
         if not net.paths_at_least(2 * g.n, 2 * u, k, (u,)):

@@ -110,6 +110,33 @@ def split_network_flow(g: Graph, sources, source: int, sink: int,
         flow += 1
 
 
+def split_network_arcs(g: Graph, sources):
+    """(head, base, out) of Even's split-vertex network, added arc by arc:
+    the inner arc of each vertex, then the two arcs of each edge in
+    lexicographic order, then a super-source arc to each of ``sources``.
+    Every arc e gets its reverse e ^ 1 and is appended to the list of
+    arcs out of its tail as it is added."""
+    head, base = [], []
+    out = [[] for _ in range(2 * g.n + 1)]
+
+    def add_arc(x, y):
+        out[x].append(len(head))
+        head.append(y)
+        base.append(1)
+        out[y].append(len(head))
+        head.append(x)
+        base.append(0)
+
+    for v in range(g.n):
+        add_arc(2 * v, 2 * v + 1)
+    for u, v in g.edges:
+        add_arc(2 * u + 1, 2 * v)
+        add_arc(2 * v + 1, 2 * u)
+    for s in sources:
+        add_arc(2 * g.n, 2 * s)
+    return head, base, out
+
+
 def peel_k_core_random_order(g: Graph, k: int, order) -> set:
     """Single-vertex peeling in the given vertex priority order; returns the
     surviving vertex set (independent oracle for k_core).

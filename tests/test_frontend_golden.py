@@ -3,7 +3,7 @@
 ``golden_cli_flags.json`` records, for every subcommand and sub-subcommand
 of ``build_parser()``, each option's strings, dest, default, required,
 type name, choices and nargs. ``golden_study_output.json`` records, for one
-small hitting study and one small sweep study, the records and summary CSV
+small hitting, sweep and kcore study each, the records and summary CSV
 bytes of ``render_output(..., "csv")`` and the JSON envelopes of the
 ``SummaryTable`` and of the records list. The bench digests pin only the
 study JSON, so these pin the rest of what a user reads.
@@ -31,6 +31,11 @@ STUDIES = {
                                 seed=11, restarts=2),
     "sweep": ExperimentConfig(study="sweep", ns=(12, 40), ms=(10, 30),
                               trials=2, seed=7),
+    # n = 96 at m = 90 has empty 3-cores; n = 48 at m = 90 seeds the tau_3
+    # test with the core (tau_3 >= m), and m = 400 runs it unseeded
+    # (tau_3 < m)
+    "kcore": ExperimentConfig(study="kcore", ns=(48, 96), ms=(90, 400), k=3,
+                              trials=3, seed=13),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from process_resilience.graphs import (
     _SplitNetwork,
     _graph_from_arrays,
     _is_edge,
+    _k_connected,
     _pair_arrays,
     ball,
     build_graph,
@@ -25,15 +27,16 @@ from process_resilience.graphs import (
     neighbours_in,
     parse_graph_text,
 )
-from process_resilience.process import (graph_at, pair_count, sample_gnm,
-                                        sample_process)
+from process_resilience.process import (graph_at, hitting_time_min_degree,
+                                        pair_count, sample_gnm, sample_process)
 from process_resilience.resilience import crossing_degrees
 
 from conftest import complete, cycle, path, star
 from oracles import (adjacency_sets, atyp_neighbour_counts, components_by_pairs,
                      crossing_counts, degrees_by_pairs, graph_from_pairs,
                      induced_subgraph_by_edges, is_k_connected_oracle,
-                     peel_k_core_random_order, split_network_flow)
+                     peel_k_core_random_order, split_network_arcs,
+                     split_network_flow)
 
 
 # -- construction ----------------------------------------------------------
@@ -516,14 +519,17 @@ def circulant(n, offsets):
 def planted_separator_graph(n, k, layout, seed):
     """Connected graph of min degree >= k in which k-1 planted vertices
     separate side A from side B; each side is C(1, 2) on its vertices plus
-    random chords, and each separator vertex has k neighbours on each side.
+    random chords, and each separator vertex has k neighbours on each side,
+    the pivots there among them.
 
-    ``layout`` places the separator relative to the pivots {0..k-1} of
-    Even's test: "avoids" them, "contains" pivot 0, or "splits" them, with
-    pivot 0 on side A and the others on side B. "hub" avoids them too and
-    joins one side-B vertex to every separator vertex, so that vertex has
-    k-1 settled neighbours once the separator has passed its checks: one
-    short of the fan lemma's k.
+    The pivots of Even's test are the k vertices first in degree order
+    (descending, ties by index); here they are 0..k-1, raised to the top
+    degree by edges that keep the separator. ``layout`` places the
+    separator relative to them: "avoids" them, "contains" pivot 0, or
+    "splits" them, with pivot 0 on side A and the others on side B. "hub"
+    avoids them too and joins one side-B vertex to every separator vertex,
+    so that vertex has k-1 settled neighbours once the separator is
+    settled: one short of the fan lemma's k.
     """
     rng = random.Random(seed)
     others = list(range(k, n))
@@ -549,11 +555,28 @@ def planted_separator_graph(n, k, layout, seed):
                     edges.add(tuple(sorted((u, v))))
     for s in sep:
         for side in (side_a, side_b):
-            for v in rng.sample(side, k):
-                edges.add(tuple(sorted((s, v))))
+            pivots = [v for v in side if v < k]
+            chosen = rng.sample([v for v in side if v >= k], k - len(pivots))
+            edges.update(tuple(sorted((s, v))) for v in pivots + chosen)
     if layout == "hub":
         edges.update(tuple(sorted((s, side_b[0]))) for s in sep)
-    return build_graph(n, edges), sep
+    # join the lowest pivot to its lowest-degree non-neighbour, pivots
+    # first, on its side (both sides for a separator pivot) until no other
+    # vertex has a higher degree
+    deg = Counter(v for e in edges for v in e)
+    while True:
+        p = min(range(k), key=deg.__getitem__)
+        if deg[p] >= max(deg[v] for v in range(k, n)):
+            break
+        mates = side_a if p in side_a else side_b if p in side_b else side_a + side_b
+        v = min((v for v in mates if v != p and (min(p, v), max(p, v)) not in edges),
+                key=lambda v: (v >= k, deg[v]))
+        edges.add((min(p, v), max(p, v)))
+        deg[p] += 1
+        deg[v] += 1
+    g = build_graph(n, edges)
+    assert sorted(np.argsort(-g.degree_array, kind="stable")[:k].tolist()) == list(range(k))
+    return g, sep
 
 
 @pytest.mark.parametrize("layout", ["avoids", "contains", "splits", "hub"])
@@ -628,6 +651,78 @@ def test_fan_lemma_skips_most_flow_checks(flow_checks, seed):
     assert len(flow_checks) < n / 8
 
 
+@pytest.fixture
+def network_builds(monkeypatch):
+    """The sources of every ``_SplitNetwork`` built in the test."""
+    builds = []
+    original = _SplitNetwork.__init__
+
+    def counted(self, g, sources):
+        builds.append(sources)
+        original(self, g, sources)
+
+    monkeypatch.setattr(_SplitNetwork, "__init__", counted)
+    return builds
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [256, 1024])
+def test_seeded_test_at_tau_3_needs_no_flow(flow_checks, network_builds, n, seed):
+    # deterministic guard on the work done: seeded with the 3-connected
+    # 3-core of G_m, the fan lemma alone settles G_tau_3
+    trace = sample_process(n, seed)
+    m = round(n * math.log(n) / 2)
+    core = k_core(graph_at(trace, m), 3)
+    tau = hitting_time_min_degree(trace, 3)
+    assert tau >= m and is_k_connected(core, 3)
+    flow_checks.clear()
+    network_builds.clear()
+    assert _k_connected(graph_at(trace, tau), 3, core.labels)
+    assert flow_checks == [] and network_builds == []
+
+
+@given(st.integers(0, 2 ** 31), st.integers(12, 40), st.sampled_from([2, 3, 4]),
+       st.integers(0, 99))
+@example(0, 12, 3, 0)
+@example(5, 40, 4, 60)
+@example(11, 29, 3, 99)
+@example(3, 20, 2, 0)
+@settings(max_examples=16, deadline=None)
+def test_seeded_k_connectivity_matches_oracle(seed, n, k, start):
+    trace = sample_process(n, seed)
+    tau = hitting_time_min_degree(trace, k)
+    # the first m from start% of tau_k on whose k-core is k-connected; it
+    # exists, since G_m is its own k-core once it is k-connected
+    m = tau * start // 100
+    while not is_k_connected(core := k_core(graph_at(trace, m), k), k):
+        m += 1
+    assert is_k_connected_oracle(core, k)
+    # k-connectivity is monotone along the process, so the oracle is false
+    # up to one step and true from it on; bisect for that step
+    lo, hi = m, tau + n + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if is_k_connected_oracle(graph_at(trace, mid), k):
+            hi = mid
+        else:
+            lo = mid + 1
+    for t in range(m, tau + n + 1):
+        assert _k_connected(graph_at(trace, t), k, core.labels) is (t >= lo), (t, lo)
+
+
+@pytest.mark.parametrize("layout", ["avoids", "contains", "splits", "hub"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_seeded_k_connectivity_finds_separator_outside_seed(k, layout):
+    # either side of a planted separator is k-connected, yet g is not
+    g, sep = planted_separator_graph(29, k, layout, seed=7 * k)
+    rest = induced_subgraph(g, set(range(g.n)) - set(sep))
+    sides = [sorted(map(rest.labels.__getitem__, c)) for c in connected_components(rest)]
+    assert len(sides) == 2
+    for side in sides:
+        assert is_k_connected_oracle(induced_subgraph(g, side), k)
+        assert _k_connected(g, k, tuple(side)) is is_k_connected_oracle(g, k) is False
+
+
 # -- split-vertex flow network ------------------------------------------------
 
 _SMALL_NETWORK_GRAPHS = [
@@ -650,6 +745,15 @@ def test_split_network_arc_layout(g):
             assert net.head[e ^ 1] == x  # e ^ 1 runs back from head[e] to x
     assert net.base == [1 - (e & 1) for e in range(len(net.head))]
     assert net.cap == net.base
+
+
+@pytest.mark.parametrize("g", _SMALL_NETWORK_GRAPHS + [hypercube(3)])
+def test_split_network_matches_arc_by_arc_build(g):
+    for size in range(min(3, g.n) + 1):
+        for sources in combinations(range(g.n), size):
+            net = _SplitNetwork(g, sources)
+            assert (net.head, net.base, net.out) == split_network_arcs(g, sources)
+            assert net.cap == net.base
 
 
 def test_undo_log_restores_capacities():
