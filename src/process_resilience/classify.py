@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .graphs import (Graph, VertexSet, _components, _is_edge, _row_positions,
-                     _spans, neighbours_in)
+                     _spans, _vertex_mask, neighbours_in)
 from .rng import generator
 
 
@@ -38,6 +39,16 @@ class VertexClassification:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def tiny_mask(self) -> np.ndarray:
+        """Read-only boolean mask of ``tiny`` over 0..n-1."""
+        return _vertex_mask(self.n, self.tiny)
+
+    @cached_property
+    def atyp_mask(self) -> np.ndarray:
+        """Read-only boolean mask of ``atyp`` over 0..n-1."""
+        return _vertex_mask(self.n, self.atyp)
 
 
 def chernoff_tail_bounds(n: int, p: float, delta: float):
@@ -182,7 +193,7 @@ def audit_neighbourhoods(g_plus: Graph, cls: VertexClassification, L: int):
         _count_audit("tiny-3ball", "C2", "vertex", vertices,
                      _tiny_ball_counts(g_plus, cls.tiny, 3), 2, params),
         _count_audit("atyp-neighbourhood", "C2", "vertex", vertices,
-                     neighbours_in(g_plus, cls.atyp), L, params),
+                     neighbours_in(g_plus, cls.atyp_mask), L, params),
         _count_audit("triangle-tiny", "C3", "triangle", tris.tolist(), corners,
                      1, params),
     ]

@@ -344,10 +344,21 @@ def ball(g: Graph, v: int, radius: int):
     return VertexSet(out)
 
 
+def _vertex_mask(n: int, members) -> np.ndarray:
+    """The boolean mask over 0..n-1 of ``members``, an iterable of vertices
+    or such a mask already; a mask it builds is read-only."""
+    if isinstance(members, np.ndarray) and members.dtype == bool:
+        return members
+    mask = np.zeros(n, dtype=bool)
+    mask[members if isinstance(members, np.ndarray) else list(members)] = True
+    mask.setflags(write=False)
+    return mask
+
+
 def neighbours_in(g: Graph, members) -> list:
-    """counts[v]: the neighbours of v among the vertices ``members``."""
-    inside = np.zeros(g.n, dtype=bool)
-    inside[list(members)] = True
+    """counts[v]: the neighbours of v among the vertices ``members``, or
+    among those of a boolean mask over 0..n-1."""
+    inside = _vertex_mask(g.n, members)
     eu, ev = g._ends
     return incidence(g.n, eu[inside[ev]], ev[inside[eu]]).tolist()
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations, compress
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .classify import VertexClassification
-from .graphs import (Graph, VertexSet, _is_edge, _pair_arrays, incidence,
-                     is_connected, is_k_connected)
+from .graphs import (Graph, VertexSet, _is_edge, _pair_arrays, _row_positions,
+                     incidence, is_connected, is_k_connected)
 from .rng import generator
 
 # Exact-mode size caps: configuration, not physics.
@@ -81,16 +82,26 @@ class BudgetRule:
         """Exact per-vertex caps on deg_H; can be negative where the rule is
         unsatisfiable at a vertex (then no H, not even the empty one, passes).
         """
+        return self._cap_array(g).tolist()
+
+    def _cap_array(self, g: Graph) -> np.ndarray:
+        """The caps as an array. Each degree value in use gets one cap in
+        Python ints, exact for any denominator; a cap lies in [-k, deg], so
+        the array is int64 when k <= 2^63 and holds Python ints otherwise."""
         num, den = self.alpha.numerator, self.alpha.denominator
         deg = g.degree_array
-        # one Python-int cap per degree value in use, exact for any denominator
-        table = np.empty(int(deg.max(initial=0)) + 1, dtype=object)
         present = np.flatnonzero(np.bincount(deg))
+        table = np.zeros(int(deg.max(initial=0)) + 1,
+                         dtype=np.int64 if self.k <= 2 ** 63 else object)
         table[present] = [min(num * d // den, d - self.k) for d in present.tolist()]
-        return table[deg].tolist()
+        return table[deg]
+
+    def _admits(self, g: Graph, deg_h) -> bool:
+        """True iff every deg_h[v] is within v's cap."""
+        return bool((deg_h <= self._cap_array(g)).all())
 
 
-def _h_degrees(g: Graph, h_edges: Iterable) -> list:
+def _h_degrees(g: Graph, h_edges: Iterable) -> np.ndarray:
     """deg_H(v) for every vertex of g; ValueError for a pair of h_edges
     that is not an edge of g."""
     us, vs = _pair_arrays(h_edges)
@@ -98,16 +109,12 @@ def _h_degrees(g: Graph, h_edges: Iterable) -> list:
     if not member.all():
         i = int(np.argmin(member))
         raise ValueError(f"h contains ({us[i]}, {vs[i]}) which is not an edge of g")
-    return incidence(g.n, us, vs).tolist()
-
-
-def _within(deg_h: list, caps: list) -> bool:
-    return all(d <= c for d, c in zip(deg_h, caps))
+    return incidence(g.n, us, vs)
 
 
 def budget_allows(g: Graph, h_edges: Iterable, rule: BudgetRule) -> bool:
     """True iff the edge set h_edges respects the rule at every vertex."""
-    return _within(_h_degrees(g, h_edges), rule.caps(g))
+    return rule._admits(g, _h_degrees(g, h_edges))
 
 
 @dataclass(frozen=True)
@@ -130,8 +137,11 @@ class Cut:
             raise ValueError("separator and sides must be pairwise disjoint")
 
     def validate_for(self, g: Graph) -> None:
-        cover = self.separator | self.side_a | self.side_b
-        if cover != frozenset(range(g.n)):
+        """ValueError unless the disjoint parts cover exactly 0..n-1, that
+        is, all lie in [0, n) and their sizes add up to n."""
+        parts = (self.separator, self.side_a, self.side_b)
+        if sum(map(len, parts)) != g.n or any(
+                min(part) < 0 or max(part) >= g.n for part in parts if part):
             raise ValueError("cut does not cover the graph's vertex set")
 
 
@@ -171,7 +181,7 @@ def cut_from_json_dict(d: dict) -> Cut:
 def attack_ratios(g: Graph, h_edges: Iterable) -> dict:
     """Per-vertex deg_H(v) / deg_G(v) for vertices of positive degree;
     ValueError for a pair of h_edges that is not an edge of g."""
-    deg_h = _h_degrees(g, h_edges)
+    deg_h = _h_degrees(g, h_edges).tolist()
     return {v: Fraction(deg_h[v], g.degree(v))
             for v in range(g.n) if g.degree(v) > 0}
 
@@ -203,7 +213,7 @@ class ResilienceReport:
 def _crosses(g: Graph, side) -> np.ndarray:
     """Mask over g's edges: True where one endpoint is on each side."""
     eu, ev = g._ends
-    at = np.asarray(side, dtype=np.int64)
+    at = np.asarray(side, dtype=np.int8)  # gathers a third faster than int64
     return at[eu] + at[ev] == 1
 
 
@@ -216,12 +226,20 @@ def _side_vector(n: int, cut: Cut) -> np.ndarray:
     return side
 
 
-def random_equipartition(n: int, rng) -> list:
-    """A side vector splitting 0..n-1 uniformly at random: the last n - n//2
-    vertices of rng's permutation go to side B (1), the rest to A (0)."""
+def random_equipartition(n: int, rng) -> np.ndarray:
+    """An int64 side vector splitting 0..n-1 uniformly at random: the last
+    n - n//2 vertices of rng's permutation go to side B (1), the rest to A."""
     side = np.zeros(n, dtype=np.int64)
     side[rng.permutation(n)[n // 2:]] = 1
-    return side.tolist()
+    return side
+
+
+def _crossing(g: Graph, side) -> np.ndarray:
+    """crossing_degrees as an int64 array. The crossing edges are taken by
+    position: a boolean mask index costs several times flatnonzero + take."""
+    eu, ev = g._ends
+    cut = np.flatnonzero(_crosses(g, side))
+    return incidence(g.n, eu.take(cut), ev.take(cut))
 
 
 def crossing_degrees(g: Graph, side) -> list:
@@ -230,9 +248,7 @@ def crossing_degrees(g: Graph, side) -> list:
     side[v] is 0 for side A, 1 for side B, and -1 for a separator or
     unplaced vertex, whose edges neither count nor are counted.
     """
-    eu, ev = g._ends
-    cut = _crosses(g, side)
-    return incidence(g.n, eu[cut], ev[cut]).tolist()
+    return _crossing(g, side).tolist()
 
 
 def _equipartition_d_set(g: Graph, d_threshold, seed: int) -> tuple:
@@ -240,8 +256,7 @@ def _equipartition_d_set(g: Graph, d_threshold, seed: int) -> tuple:
     and D, the ascending array of the vertices crossing more than
     d_threshold of its edges."""
     side = random_equipartition(g.n, generator(seed))
-    cross = np.asarray(crossing_degrees(g, side))
-    return side, np.flatnonzero(cross > d_threshold)
+    return side, np.flatnonzero(_crossing(g, side) > d_threshold)
 
 
 def _sides(side) -> tuple:
@@ -398,7 +413,7 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
 
     best = None  # (max_ratio Fraction, cut)
     for r in range(restarts):
-        side = random_equipartition(n, generator(seed, r))
+        side = random_equipartition(n, generator(seed, r)).tolist()
         on_b = n - n // 2
         cross = crossing_degrees(g, side)
         top, lim, at, held, near = summit(cross)
@@ -514,8 +529,8 @@ def verify_star_condition(g: Graph, cut: Cut, epsilon) -> bool:
     if cut.separator:
         raise ValueError("star condition is defined for separator-free cuts")
     cut.validate_for(g)
-    caps = BudgetRule(Fraction(1, 2) + eps).caps(g)
-    return _within(crossing_degrees(g, _side_vector(g.n, cut)), caps)
+    return BudgetRule(Fraction(1, 2) + eps)._admits(
+        g, _crossing(g, _side_vector(g.n, cut)))
 
 
 def greedy_partition_attack(g: Graph, cls: VertexClassification,
@@ -533,6 +548,15 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     pass terminates; it is capped at n sweeps and raises
     RearrangementOverflowError (carrying the partial sides) if exceeded.
 
+    A sweep visits the vertices in ascending order; its worklist makes the
+    same moves in the same order, since a vertex off the worklist is within
+    its cap and a visit would not move it. The worklist is a heap of the
+    vertices over their caps at the sweep's start, popped in ascending
+    order with each cap rechecked. A move raises only its same-side
+    neighbours' crossing degrees; one that crosses its cap joins this
+    sweep's heap if it comes after the mover, else the next sweep's
+    worklist, as does a mover still over its cap.
+
     The returned outcome's ``satisfied`` flag replays the cut through
     verify_star_condition at the given epsilon.
     """
@@ -546,27 +570,26 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
         raise ValueError("attack needs at least two vertices")
 
     side, d_set = _equipartition_d_set(g, d_threshold, seed)
-    drop = np.zeros(g.n, dtype=bool)
+    tiny = cls.tiny_mask
+    drop = cls.atyp_mask.copy()
     drop[d_set] = True
-    drop[list(cls.atyp)] = True
-    side = np.where(drop, -1, side).tolist()
     removed = np.flatnonzero(drop)
-    tiny = np.zeros(g.n, dtype=bool)
-    tiny[list(cls.tiny)] = True
     # the non-tiny first, then the tiny, each in ascending order
-    insertion = removed[np.argsort(tiny[removed], kind="stable")].tolist()
+    insertion = removed[np.argsort(tiny[removed], kind="stable")]
+    side[drop] = -1
+    side[insertion] = _majority_sides(g, side, insertion)
 
+    # star budgets: deg/2 on tiny vertices, (1/2 + epsilon) deg elsewhere;
+    # slack[v] = cap - cross is negative iff v is over its cap, and a move
+    # turns it into turn[v] - slack[v]
+    caps = np.where(tiny, BudgetRule(Fraction(1, 2))._cap_array(g),
+                    BudgetRule(Fraction(1, 2) + eps)._cap_array(g))
+    slack = caps - _crossing(g, side)
+    pending = np.flatnonzero(slack < 0).tolist()
+    slack, turn = slack.tolist(), (2 * caps - g.degree_array).tolist()
+    side_of = side.tolist()
     # CSR row slices: one whole-graph indices.tolist() costs more memory
     at, indices = g.indptr.tolist(), g.indices
-    for v in insertion:
-        placed = [side[u] for u in indices[at[v]:at[v + 1]].tolist()]
-        side[v] = 0 if placed.count(0) >= placed.count(1) else 1
-
-    deg = g.degrees
-    cross = crossing_degrees(g, side)
-    # star budgets: deg/2 on tiny vertices, (1/2 + epsilon) deg elsewhere
-    caps = np.where(tiny, BudgetRule(Fraction(1, 2)).caps(g),
-                    BudgetRule(Fraction(1, 2) + eps).caps(g)).tolist()
 
     moves = sweeps = 0
     while True:
@@ -577,21 +600,33 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
                 partial_sides=_sides(side),
                 diagnostics={"moves": moves, "sweeps": sweeps,
                              "removed": len(removed)})
+        heap, pending, last = pending, set(), -1
         moved = False
-        for v in range(g.n):
-            if cross[v] > caps[v]:
-                s = side[v]
-                for u in indices[at[v]:at[v + 1]].tolist():
-                    if side[u] == s:
-                        cross[u] += 1
-                    else:
-                        cross[u] -= 1
-                side[v] = 1 - s
-                cross[v] = deg[v] - cross[v]
-                moves += 1
-                moved = True
+        while heap:
+            v = heappop(heap)
+            if v == last or slack[v] >= 0:
+                continue
+            last = v
+            s = side_of[v]
+            side_of[v] = side[v] = 1 - s
+            slack[v] = turn[v] - slack[v]
+            if slack[v] < 0:
+                pending.add(v)
+            for u in indices[at[v]:at[v + 1]].tolist():
+                if side_of[u] != s:
+                    slack[u] += 1
+                else:
+                    slack[u] -= 1
+                    if slack[u] == -1:
+                        if u > v:
+                            heappush(heap, u)
+                        else:
+                            pending.add(u)
+            moves += 1
+            moved = True
         if not moved:
             break
+        pending = sorted(pending)
 
     side_a, side_b = _sides(side)
     diagnostics = {"moves": moves, "sweeps": sweeps, "removed": len(removed),
@@ -607,19 +642,45 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
                          diagnostics=diagnostics)
 
 
+def _majority_sides(g: Graph, side: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The sides the unplaced vertices ``order`` (side -1) take when each
+    in turn joins the majority side of its placed neighbours, ties to A.
+
+    lead[i] is order[i]'s placed neighbours on A minus those on B; then
+    each edge i < j between unplaced vertices, in ascending i, adds
+    order[i]'s vote to lead[j]. The edges into i come before those out of
+    it, so lead[i] is final when read.
+    """
+    deg = g.degree_array[order]
+    nbrs = g.indices[_row_positions(g, order)]
+    # +1 for a neighbour on A, -1 on B, summed row by row from prefix sums
+    vote = ((side == 0).astype(np.int64) - (side == 1))[nbrs]
+    prefix = np.concatenate(([0], np.cumsum(vote)))
+    ends = np.cumsum(deg)
+    lead = (prefix[ends] - prefix[ends - deg]).tolist()
+    rank = np.full(g.n, -1, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    # the edges i < j between unplaced vertices, by insertion rank
+    row, col = np.repeat(np.arange(len(order)), deg), rank[nbrs]
+    later = np.flatnonzero(col > row)
+    for i, j in zip(row[later].tolist(), col[later].tolist()):
+        lead[j] += 1 if lead[i] >= 0 else -1
+    return (np.array(lead, dtype=np.int64) < 0).astype(np.int64)
+
+
 def replay_cut(g: Graph, cut: Cut, rule: BudgetRule) -> dict:
     """Self-verification of a certificate: recount deg_H from the cut and
     check the budget. Removing H and the separator always disconnects a cut
     that covers g, since A and B are nonempty and H is every A-B edge.
     """
     cut.validate_for(g)
-    deg_h = crossing_degrees(g, _side_vector(g.n, cut))
-    allowed = _within(deg_h, rule.caps(g))
-    keep_ok = all(d - dh >= rule.k for d, dh in zip(g.degrees, deg_h))
+    deg_h = _crossing(g, _side_vector(g.n, cut))
+    allowed = rule._admits(g, deg_h)
+    keep_ok = bool((g.degree_array - deg_h >= rule.k).all())
     return {
         "budget_allowed": allowed,
         "disconnects": True,
         "keep_degree_ok": keep_ok,
         "valid": allowed and keep_ok,
-        "h_size": sum(deg_h) // 2,
+        "h_size": int(deg_h.sum()) // 2,
     }

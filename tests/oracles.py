@@ -22,6 +22,8 @@ import numpy as np
 
 from process_resilience.graphs import Graph, build_graph
 from process_resilience.process import index_from_pair, pair_count
+from process_resilience.resilience import (PartitionCollapsedError,
+                                           RearrangementOverflowError)
 from process_resilience.rng import generator
 
 
@@ -475,6 +477,52 @@ def local_search_threshold_reference(g: Graph, restarts: int, seed: int):
             best = (ratio, frozenset(np.flatnonzero(side == 0).tolist()),
                     frozenset(np.flatnonzero(side == 1).tolist()))
     return best
+
+
+def greedy_attack_reference(g: Graph, tiny, atyp, d_threshold, epsilon, seed: int):
+    """The greedy partition attack by full scans over adjacency sets: the
+    same seeded equipartition, D, reinsertion order and sweeps as the
+    library, with every placed neighbour recounted at each insertion and
+    every crossing degree recounted at each visit of a sweep. Returns a
+    dict of side_a, side_b, moves, sweeps and satisfied, or the AttackError
+    subclass the construction ends in."""
+    n = g.n
+    adj = adjacency_sets(g)
+    side = [0] * n
+    for v in generator(seed).permutation(n)[n // 2:].tolist():
+        side[v] = 1
+
+    def cross(v):
+        return sum(side[u] != side[v] for u in adj[v])
+
+    removed = sorted({v for v in range(n) if cross(v) > d_threshold} | set(atyp))
+    for v in removed:
+        side[v] = -1
+    for v in ([v for v in removed if v not in tiny] + [v for v in removed if v in tiny]):
+        placed = [side[u] for u in adj[v]]
+        side[v] = 0 if placed.count(0) >= placed.count(1) else 1
+
+    alpha = Fraction(1, 2) + Fraction(epsilon)
+    cap = [len(adj[v]) // 2 if v in tiny else math.floor(alpha * len(adj[v]))
+           for v in range(n)]
+    moves = sweeps = 0
+    moved = True
+    while moved:
+        sweeps += 1
+        if sweeps > n:
+            return RearrangementOverflowError
+        moved = False
+        for v in range(n):
+            if cross(v) > cap[v]:
+                side[v] = 1 - side[v]
+                moves += 1
+                moved = True
+    side_a = frozenset(v for v in range(n) if side[v] == 0)
+    side_b = frozenset(range(n)) - side_a
+    if not side_a or not side_b:
+        return PartitionCollapsedError
+    return {"side_a": side_a, "side_b": side_b, "moves": moves, "sweeps": sweeps,
+            "satisfied": star_condition_holds(g, side_a, side_b, epsilon)}
 
 
 # -- tuple graph construction ----------------------------------------------

@@ -79,6 +79,16 @@ def test_classify_restriction():
         classify_vertices(star(6), 0.5, 0.5, restrict_to={7})
 
 
+def test_classification_masks_are_cached_read_only_and_not_fields():
+    cls = classify_vertices(star(6), 0.5, 0.5, restrict_to={0, 1, 2})
+    plain = repr(cls), hash(cls)
+    assert cls.tiny_mask.tolist() == [False, True, True, False, False, False]
+    assert cls.atyp_mask.tolist() == [True, True, True, False, False, False]
+    assert cls.tiny_mask is cls.tiny_mask and not cls.atyp_mask.flags.writeable
+    assert (repr(cls), hash(cls)) == plain and "mask" not in repr(cls)
+    assert cls == classify_vertices(star(6), 0.5, 0.5, restrict_to={0, 1, 2})
+
+
 def test_classify_idempotent():
     g = sample_gnp(64, 0.1, 3)
     a = classify_vertices(g, 0.1, 0.3)

@@ -275,6 +275,9 @@ def test_neighbours_in_extremes():
             assert neighbours_in(g, members) == want
             assert neighbours_in(g, sorted(members)) == want
             assert neighbours_in(g, np.array(sorted(members), dtype=np.int64)) == want
+            mask = np.zeros(g.n, dtype=bool)
+            mask[sorted(members)] = True
+            assert neighbours_in(g, mask) == want
     assert neighbours_in(star(5), {0}) == [0, 1, 1, 1, 1]
 
 

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -45,6 +46,7 @@ from oracles import (
     exists_kconn_attack_h_literal,
     first_cherry,
     first_cut_in_mask_order,
+    greedy_attack_reference,
     local_search_threshold_reference,
     min_max_ratio_cut,
     removal_disconnects,
@@ -123,6 +125,24 @@ def test_caps_match_the_python_formula_past_the_int64_guard():
             assert BudgetRule(alpha, k).caps(g) == [
                 min(num * d // den, d - k) for d in g.degrees], (g.n, alpha, k)
     assert BudgetRule(Fraction(0.6)).caps(big)[0] == 1199
+
+
+def test_caps_stay_python_ints_outside_int64():
+    # a cap min(num * d // den, d - k) of k = 2^70 lies below int64, and
+    # one of a 2^71 denominator is exact only in Python ints
+    g = sample_gnm(12, 30, 3)
+    for alpha, k in ((Fraction(1), 2 ** 70), (Fraction(2 ** 70 + 1, 2 ** 71), 0),
+                     (Fraction(1), 2 ** 63), (Fraction(1), 2 ** 63 + 1)):
+        caps = BudgetRule(alpha, k).caps(g)
+        assert caps == [min(alpha.numerator * d // alpha.denominator, d - k)
+                        for d in g.degrees]
+        assert all(type(c) is int for c in caps)
+    # no wrap-around: a keep-degree 2^70 admits nothing, not even the empty H
+    rule = BudgetRule(Fraction(1), 2 ** 70)
+    assert not budget_allows(g, (), rule)
+    cut = Cut(frozenset(), frozenset(range(6)), frozenset(range(6, 12)))
+    verdict = replay_cut(g, cut, rule)
+    assert not verdict["budget_allowed"] and not verdict["keep_degree_ok"]
 
 
 def test_caps_are_negative_where_k_exceeds_the_degree():
@@ -753,6 +773,64 @@ def test_greedy_satisfied_is_replayable():
         assert verdict["disconnects"]
 
 
+@st.composite
+def greedy_cases(draw):
+    """A G(n, m) on 2..60 vertices (isolated vertices included) with tiny
+    and atypical sets (none, all, or any), a D threshold (0 up to one no
+    degree reaches, so that nothing may be removed), an epsilon anywhere in
+    (0, 1/2) and an attack seed."""
+    n = draw(st.integers(2, 60))
+    g = sample_gnm(n, draw(st.integers(0, min(pair_count(n), 4 * n))),
+                   draw(st.integers(0, 2 ** 32)))
+    vertex_sets = st.one_of(st.just(frozenset()), st.just(frozenset(range(n))),
+                            st.frozensets(st.integers(0, n - 1)))
+    return (g, draw(vertex_sets), draw(vertex_sets),
+            draw(st.one_of(st.integers(0, 8), st.just(n))),
+            draw(st.one_of(st.sampled_from([Fraction(1, 1000), Fraction(499, 1000)]),
+                           st.fractions(Fraction(1, 50), Fraction(24, 50),
+                                        max_denominator=50))),
+            draw(st.integers(0, 2 ** 32)))
+
+
+def _golden_greedy_case(n, m, gseed, delta, factor, eps, seed):
+    """A run of test_greedy_golden.py as a greedy_cases draw."""
+    g = giant_component(sample_gnm(n, m, gseed))
+    p = m / pair_count(n)
+    cls = classify_vertices(g, p, delta)
+    return g, cls.tiny, cls.atyp, factor * n * p, eps, seed
+
+
+@given(greedy_cases())
+# the COLLAPSE run of test_greedy_golden.py
+@example(_golden_greedy_case(64, 150, 0, 0.5, 0.7, Fraction(1, 10), 0))
+# in the first sweep, moving 2 puts 6 over its cap, which moves later in
+# that sweep, and moving 5 and 6 put 2 and 1 over theirs, which wait
+@example((sample_gnm(9, 17, 329), frozenset({2}), frozenset({6, 7}), 9,
+          Fraction(1, 100), 4))
+# isolated atypical 4 ties 0-0 and goes to A; at seed 1, 0 and 2 lie on A and
+# B, so the path's middle ties 1-1
+@example((build_graph(5, [(0, 1), (1, 2)]), frozenset(), frozenset({1, 4}), 9,
+          Fraction(1, 1000), 1))
+# everything tiny and atypical; nothing removed
+@example((sample_gnm(20, 60, 1), frozenset(range(20)), frozenset(range(20)), 0,
+          Fraction(499, 1000), 2))
+@example((sample_gnm(20, 60, 1), frozenset(), frozenset(), 20, Fraction(1, 1000), 2))
+@settings(max_examples=400, deadline=None)
+def test_greedy_matches_full_scan_reference(case):
+    g, tiny, atyp, d_threshold, eps, seed = case
+    want = greedy_attack_reference(g, tiny, atyp, d_threshold, eps, seed)
+    try:
+        outcome = greedy_partition_attack(g, manual_cls(g, tiny, atyp), d_threshold,
+                                          eps, seed)
+    except AttackError as exc:
+        assert type(exc) is want
+        return
+    assert want == {"side_a": outcome.cut.side_a, "side_b": outcome.cut.side_b,
+                    "moves": outcome.diagnostics["moves"],
+                    "sweeps": outcome.diagnostics["sweeps"],
+                    "satisfied": outcome.satisfied}
+
+
 def test_greedy_universe_mismatch_rejected():
     g = sample_gnm(16, 40, 1)
     cls = classify_vertices(sample_gnm(17, 40, 1), 0.3, 0.5)
@@ -768,7 +846,9 @@ def test_greedy_universe_mismatch_rejected():
 @pytest.mark.parametrize("seed", [0, 3])
 def test_equipartition_d_set_matches_crossing_recount(g, d_threshold, d_size, seed):
     side, d_set = _equipartition_d_set(g, d_threshold, seed)
-    assert side == random_equipartition(g.n, generator(seed))
+    assert side.dtype == np.int64
+    side = side.tolist()
+    assert side == random_equipartition(g.n, generator(seed)).tolist()
     assert sorted(side) == [0] * (g.n // 2) + [1] * (g.n - g.n // 2)
     counts = crossing_counts(g, *({v for v in range(g.n) if side[v] == s} for s in (0, 1)))
     assert d_set.tolist() == [v for v in range(g.n) if counts[v] > d_threshold]
@@ -864,6 +944,10 @@ def test_cut_validation():
     cut = Cut(frozenset(), frozenset({0}), frozenset({1}))
     with pytest.raises(ValueError, match="cover"):
         cut.validate_for(complete(3))
+    for side_b in ({2}, {-1}):  # the sizes add up to n, a vertex is outside
+        cut = Cut(frozenset(), frozenset({0}), frozenset(side_b))
+        with pytest.raises(ValueError, match="cover"):
+            cut.validate_for(complete(2))
 
 
 def test_attack_ratios_match_h():
