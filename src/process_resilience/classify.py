@@ -124,8 +124,9 @@ def audit_atyp_size(cls: VertexClassification) -> AuditReport:
                         n / math.log(n), {"p": cls.p, "delta": cls.delta, "n": n})
 
 
-def _tiny_ball_counts(g: Graph, tiny, radius: int) -> np.ndarray:
-    """counts[v]: the tiny vertices t != v within distance ``radius`` of v.
+def _tiny_ball_counts(g: Graph, tiny: np.ndarray, radius: int) -> np.ndarray:
+    """counts[v]: the tiny vertices t != v within distance ``radius`` of v,
+    for ``tiny`` an int64 array of distinct vertices in any order.
 
     Distance is symmetric, so v's punctured ball holds t exactly when t's
     holds v. Bit j of reach[v] marks the j-th tiny vertex of one 64-bit
@@ -137,7 +138,6 @@ def _tiny_ball_counts(g: Graph, tiny, radius: int) -> np.ndarray:
     extra memory O(m).
     """
     counts = np.zeros(g.n, dtype=np.int64)
-    tiny = np.fromiter(tiny, dtype=np.int64, count=len(tiny))
     for w in range(-(-len(tiny) // 64)):
         word = tiny[64 * w:64 * (w + 1)]
         reach = np.zeros(g.n, dtype=np.uint64)
@@ -151,9 +151,10 @@ def _tiny_ball_counts(g: Graph, tiny, radius: int) -> np.ndarray:
     return counts
 
 
-def _tiny_triangles(g: Graph, tiny) -> tuple:
+def _tiny_triangles(g: Graph, t: np.ndarray) -> tuple:
     """(tris, corners): the triangles u < v < w of g with a tiny corner, as
-    the ascending rows of a (k, 3) array, and the tiny corners of each.
+    the ascending rows of a (k, 3) array, and the tiny corners of each;
+    ``t`` is an int64 array of the distinct tiny vertices in any order.
 
     Every pair a < b of a tiny vertex's CSR row is looked up among the
     sorted edge keys u n + v; a triangle is found once from each of its
@@ -161,7 +162,6 @@ def _tiny_triangles(g: Graph, tiny) -> tuple:
     tiny corner counts 0, so these are all that can violate or set the
     maximum.
     """
-    t = np.fromiter(tiny, dtype=np.int64, count=len(tiny))
     first = _row_positions(g, t)
     # the number of later entries in the same row, then their positions
     later = np.repeat(g.indptr[t + 1], g.degree_array[t]) - first - 1
@@ -179,7 +179,8 @@ def audit_neighbourhoods(g_plus: Graph, cls: VertexClassification, L: int):
     reference graph: (C2) at most 2 tiny vertices in any radius-3 ball and at
     most L atypical neighbours of any vertex; (C3) at most 1 tiny vertex per
     triangle, searched from the tiny corners only. Returns the three reports
-    in that order. All three read the CSR arrays, never ``g_plus.adj``.
+    in that order. All three read the CSR arrays; the tiny class enters
+    as the vertex array of its mask.
     """
     if g_plus.n != cls.n:
         raise ValueError(f"vertex universes differ: graph has {g_plus.n}, "
@@ -188,10 +189,11 @@ def audit_neighbourhoods(g_plus: Graph, cls: VertexClassification, L: int):
         raise ValueError(f"L must be nonnegative, got {L}")
     params = {"p": cls.p, "delta": cls.delta, "L": L}
     vertices = range(g_plus.n)
-    tris, corners = _tiny_triangles(g_plus, cls.tiny)
+    tiny = np.flatnonzero(cls.tiny_mask)
+    tris, corners = _tiny_triangles(g_plus, tiny)
     return [
         _count_audit("tiny-3ball", "C2", "vertex", vertices,
-                     _tiny_ball_counts(g_plus, cls.tiny, 3), 2, params),
+                     _tiny_ball_counts(g_plus, tiny, 3), 2, params),
         _count_audit("atyp-neighbourhood", "C2", "vertex", vertices,
                      neighbours_in(g_plus, cls.atyp_mask), L, params),
         _count_audit("triangle-tiny", "C3", "triangle", tris.tolist(), corners,
@@ -280,8 +282,8 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
     elif n <= 40:
         smalls_mode = "exhaustive"
         eu, ev = g._ends
-        adj = np.zeros((n, n), dtype=np.int64)
-        adj[eu, ev] = adj[ev, eu] = 1
+        matrix = np.zeros((n, n), dtype=np.int64)
+        matrix[eu, ev] = matrix[ev, eu] = 1
         # the subsets of size s in combinations order, each extended by
         # every larger vertex in turn, give those of size s + 1 in order
         subsets, counts = np.arange(n)[:, None], np.zeros(n, dtype=np.int64)
@@ -291,7 +293,7 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
             offset = np.cumsum(grow) - grow
             subsets, counts = np.repeat(subsets, grow, axis=0), np.repeat(counts, grow)
             new = np.arange(len(counts)) + np.repeat(last + 1 - offset, grow)
-            counts += adj[subsets, new[:, None]].sum(axis=1)
+            counts += matrix[subsets, new[:, None]].sum(axis=1)
             subsets = np.column_stack((subsets, new))
             # check's formula, elementwise; check itself lists the violators
             norms = np.abs(counts - s * (s - 1) / 2 * p) / (s * scale)

@@ -3,9 +3,9 @@ the package is built on: components, giants, k-cores, k-connectivity, and
 bounded-radius neighbourhoods.
 
 Vertices are integers 0..n-1. A Graph is frozen after construction and safe
-to share across threads: the views it caches on first read are pure
-functions of its arrays, so a race can only build one twice. Every function
-here is pure. Induced subgraphs
+to share across threads: the one view it caches on first read,
+``degree_array``, is a pure function of its arrays, so a race can only
+build it twice. Every function here is pure. Induced subgraphs
 (giant, k-core) carry a ``labels`` tuple mapping their vertex indices back to
 the indices of the graph they were cut from, so attack certificates computed
 downstream can be reported in original coordinates.
@@ -38,8 +38,9 @@ class Graph:
 
     Row v is ``indices[indptr[v]:indptr[v + 1]]``, v's neighbours in
     ascending order; ``_ends`` = (eu, ev) lists each edge once, u < v, in
-    lexicographic order. All four arrays are read-only int64. The tuple
-    rows ``adj`` and the degree views are built on first read and cached.
+    lexicographic order. All four arrays are read-only int64, as is the
+    cached ``degree_array``. A walk reads row v as the slice
+    ``indices[at[v]:at[v + 1]].tolist()``, with ``at = indptr.tolist()``.
     """
 
     n: int
@@ -56,15 +57,6 @@ class Graph:
     def __hash__(self):
         return hash((self.n, self._ends[0].tobytes(), self._ends[1].tobytes()))
 
-    @cached_property
-    def adj(self) -> tuple:
-        """adj[v]: v's sorted neighbour tuple. Every neighbour goes through
-        one ``verts`` list, so each vertex is one int object in ``adj``."""
-        verts = list(range(self.n))
-        nbrs = list(map(verts.__getitem__, self.indices.tolist()))
-        bounds = self.indptr.tolist()
-        return tuple(tuple(nbrs[a:b]) for a, b in zip(bounds, bounds[1:]))
-
     @property
     def edges(self) -> tuple:
         """Lexicographically sorted (u, v) pairs with u < v, built per call."""
@@ -80,13 +72,6 @@ class Graph:
         deg = np.diff(self.indptr)
         deg.setflags(write=False)
         return deg
-
-    @cached_property
-    def degrees(self) -> tuple:
-        return tuple(self.degree_array.tolist())
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
 
     def min_degree(self) -> int:
         return int(self.degree_array.min()) if self.n else 0
@@ -322,26 +307,24 @@ def k_core(g: Graph, k: int) -> Graph:
 
 
 def ball(g: Graph, v: int, radius: int):
-    """Vertices at graph distance 1..radius from v (v itself excluded)."""
+    """Vertices at graph distance 1..radius from v (v itself excluded),
+    found breadth-first: level d is the vertices first met in the rows of
+    level d - 1."""
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} out of range")
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    seen = {v}
-    frontier = [v]
-    out = []
-    for _ in range(radius):
-        nxt = []
-        for x in frontier:
-            for y in g.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-                    out.append(y)
-        if not nxt:
+    dist = np.full(g.n, -1)
+    dist[v] = 0
+    frontier = np.array([v])
+    for d in range(1, radius + 1):
+        nbrs = g.indices[_row_positions(g, frontier)]
+        nbrs = nbrs[dist[nbrs] < 0]
+        if not len(nbrs):
             break
-        frontier = nxt
-    return VertexSet(out)
+        dist[nbrs] = d
+        frontier = np.flatnonzero(dist == d)
+    return VertexSet(np.flatnonzero(dist > 0).tolist())
 
 
 def _vertex_mask(n: int, members) -> np.ndarray:
@@ -366,12 +349,14 @@ def neighbours_in(g: Graph, members) -> list:
 # -- k-connectivity ------------------------------------------------------
 
 def _has_articulation_point(g: Graph) -> bool:
-    """Iterative Tarjan lowpoint scan (assumes g connected, n >= 3)."""
+    """Iterative Tarjan lowpoint scan (assumes g connected, n >= 3); each
+    row is read once, when its vertex is discovered."""
+    at, indices = g.indptr.tolist(), g.indices
     disc = [-1] * g.n
     low = [0] * g.n
     parent = [-1] * g.n
     timer = 0
-    stack = [(0, iter(g.adj[0]))]
+    stack = [(0, iter(indices[at[0]:at[1]].tolist()))]
     disc[0] = low[0] = timer
     timer += 1
     root_children = 0
@@ -385,7 +370,7 @@ def _has_articulation_point(g: Graph) -> bool:
                 timer += 1
                 if v == 0:
                     root_children += 1
-                stack.append((u, iter(g.adj[u])))
+                stack.append((u, iter(indices[at[u]:at[u + 1]].tolist())))
                 advanced = True
                 break
             elif u != parent[v]:
@@ -557,11 +542,13 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
         for a, b in combinations(sources, 2):
             if not net.paths_at_least(2 * a + 1, 2 * b, k, (a, b)):
                 return False
-    adj = g.adj
+    # each settled vertex's row is read once, when it leaves ``ready``
+    at, indices = g.indptr.tolist(), g.indices
     count = [0] * g.n
     for u in order:
         while ready:
-            for w in adj[ready.pop()]:
+            x = ready.pop()
+            for w in indices[at[x]:at[x + 1]].tolist():
                 count[w] += 1
                 if count[w] == k and not settled[w]:
                     settled[w] = True

@@ -136,18 +136,10 @@ class Cut:
                 or self.side_b & self.separator):
             raise ValueError("separator and sides must be pairwise disjoint")
 
-    def validate_for(self, g: Graph) -> None:
-        """ValueError unless the disjoint parts cover exactly 0..n-1, that
-        is, all lie in [0, n) and their sizes add up to n."""
-        parts = (self.separator, self.side_a, self.side_b)
-        if sum(map(len, parts)) != g.n or any(
-                min(part) < 0 or max(part) >= g.n for part in parts if part):
-            raise ValueError("cut does not cover the graph's vertex set")
-
 
 def crossing_edges(g: Graph, cut: Cut) -> tuple:
     """E_G(A, B), the adversary subgraph of the cut, in edge order."""
-    return tuple(compress(g.edges, _crosses(g, _side_vector(g.n, cut)).tolist()))
+    return tuple(compress(g.edges, _crosses(g, _side_vector(g, cut)).tolist()))
 
 
 def cut_to_json_dict(g: Graph, cut: Cut, satisfied: Optional[bool] = None) -> dict:
@@ -182,8 +174,8 @@ def attack_ratios(g: Graph, h_edges: Iterable) -> dict:
     """Per-vertex deg_H(v) / deg_G(v) for vertices of positive degree;
     ValueError for a pair of h_edges that is not an edge of g."""
     deg_h = _h_degrees(g, h_edges).tolist()
-    return {v: Fraction(deg_h[v], g.degree(v))
-            for v in range(g.n) if g.degree(v) > 0}
+    return {v: Fraction(deg_h[v], d)
+            for v, d in enumerate(g.degree_array.tolist()) if d > 0}
 
 
 @dataclass(frozen=True)
@@ -217,12 +209,21 @@ def _crosses(g: Graph, side) -> np.ndarray:
     return at[eu] + at[ev] == 1
 
 
-def _side_vector(n: int, cut: Cut) -> np.ndarray:
+def _side_vector(g: Graph, cut: Cut) -> np.ndarray:
     """The cut as a crossing_degrees side vector: 0 on A, 1 on B, -1 in
-    the separator."""
-    side = np.full(n, -1, dtype=np.int64)
-    side[list(cut.side_a)] = 0
-    side[list(cut.side_b)] = 1
+    the separator. ValueError unless its disjoint parts cover exactly
+    0..n-1, that is, their sizes add up to n and each part is an integer
+    array within [0, n); a vertex past int64 makes an object array."""
+    parts = (cut.separator, cut.side_a, cut.side_b)
+    if sum(map(len, parts)) != g.n:
+        raise ValueError("cut does not cover the graph's vertex set")
+    side = np.full(g.n, -1, dtype=np.int64)
+    for s, part in zip((-1, 0, 1), parts):
+        if part:
+            at = np.array(list(part))
+            if not (at.dtype.kind in "iu" and at.min() >= 0 and at.max() < g.n):
+                raise ValueError("cut does not cover the graph's vertex set")
+            side[at] = s
     return side
 
 
@@ -289,7 +290,9 @@ def _first_feasible_cut(g: Graph, caps: list, separator=()) -> Optional[Cut]:
     if len(remaining) < 2 or min(caps) < 0:
         return None
     bit = {v: j for j, v in enumerate(remaining)}
-    nbr = [sum(1 << bit[u] for u in g.adj[v] if u in bit) for v in remaining]
+    at = g.indptr.tolist()
+    nbr = [sum(1 << bit[u] for u in g.indices[at[v]:at[v + 1]].tolist() if u in bit)
+           for v in remaining]
     cap = [caps[v] for v in remaining]
 
     def search(j: int, a: int, b: int) -> int:
@@ -354,7 +357,8 @@ def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
             raise ValueError(f"n={g.n} exceeds exact-mode limit "
                              f"{EXACT_BIPARTITION_LIMIT}; use mode='local_search'")
         # alpha* is some c/d, d a degree: the least at which a cut fits
-        ratios = sorted({Fraction(c, d) for d in set(g.degrees) for c in range(d + 1)})
+        ratios = sorted({Fraction(c, d) for d in set(g.degree_array.tolist())
+                         for c in range(d + 1)})
         cuts = {}
 
         def fits(alpha):
@@ -392,9 +396,14 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
     correctly rounded and every degree is below 10^6, so equal floats are
     equal rationals and the largest float is a true maximum.
     """
-    n, adj = g.n, g.adj
-    deg, deg_arr = g.degrees, g.degree_array
+    n, deg_arr = g.n, g.degree_array
+    deg = deg_arr.tolist()
     degree_values = range(int(deg_arr.max()) + 1)
+    # the rows, read many times: every neighbour goes through one ``verts``
+    # list, so each vertex is one int object in ``rows``
+    verts, bounds = list(range(n)), g.indptr.tolist()
+    nbrs = list(map(verts.__getitem__, g.indices.tolist()))
+    rows = [nbrs[a:b] for a, b in zip(bounds, bounds[1:])]
 
     def summit(cross):
         """(top, lim, at, held, near) of a crossing-degree list."""
@@ -407,7 +416,7 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
         near = [0] * n
         for u in tops:
             near[u] += 1
-            for w in adj[u]:
+            for w in rows[u]:
                 near[w] += 1
         return top, lim, at, len(tops), near
 
@@ -436,7 +445,7 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
                 # +1 where a moved vertex reaches the top, -1 where it leaves
                 own = (c == at[d]) - (cross[v] == at[d])
                 gain = own
-                for u in adj[v]:
+                for u in rows[v]:
                     if side[u] != s:
                         gain -= cross[u] == at[deg[u]]
                     elif cross[u] < lim[deg[u]]:
@@ -452,9 +461,9 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
                 cross[v] = c
                 if own:
                     near[v] += own
-                    for w in adj[v]:
+                    for w in rows[v]:
                         near[w] += own
-                for u in adj[v]:
+                for u in rows[v]:
                     if side[u] == s:
                         cross[u] += 1
                         shift = cross[u] == at[deg[u]]
@@ -463,7 +472,7 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
                         cross[u] -= 1
                     if shift:
                         near[u] += shift
-                        for w in adj[u]:
+                        for w in rows[u]:
                             near[w] += shift
                 if not held:
                     top, lim, at, held, near = summit(cross)
@@ -528,9 +537,8 @@ def verify_star_condition(g: Graph, cut: Cut, epsilon) -> bool:
         raise ValueError(f"epsilon must be in [-1/2, 1/2], got {eps}")
     if cut.separator:
         raise ValueError("star condition is defined for separator-free cuts")
-    cut.validate_for(g)
     return BudgetRule(Fraction(1, 2) + eps)._admits(
-        g, _crossing(g, _side_vector(g.n, cut)))
+        g, _crossing(g, _side_vector(g, cut)))
 
 
 def greedy_partition_attack(g: Graph, cls: VertexClassification,
@@ -673,8 +681,7 @@ def replay_cut(g: Graph, cut: Cut, rule: BudgetRule) -> dict:
     check the budget. Removing H and the separator always disconnects a cut
     that covers g, since A and B are nonempty and H is every A-B edge.
     """
-    cut.validate_for(g)
-    deg_h = _crossing(g, _side_vector(g.n, cut))
+    deg_h = _crossing(g, _side_vector(g, cut))
     allowed = rule._admits(g, deg_h)
     keep_ok = bool((g.degree_array - deg_h >= rule.k).all())
     return {

@@ -14,7 +14,8 @@ sets built from ``g.edges``, without the library's ``ball``,
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
+from dataclasses import fields
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
 
@@ -143,15 +144,16 @@ def peel_k_core_random_order(g: Graph, k: int, order) -> set:
     """Single-vertex peeling in the given vertex priority order; returns the
     surviving vertex set (independent oracle for k_core).
     """
+    adj = adjacency_sets(g)
     alive = set(range(g.n))
-    deg = {v: g.degree(v) for v in range(g.n)}
+    deg = [len(nbrs) for nbrs in adj]
     changed = True
     while changed:
         changed = False
         for v in order:
             if v in alive and deg[v] < k:
                 alive.discard(v)
-                for u in g.adj[v]:
+                for u in adj[v]:
                     if u in alive:
                         deg[u] -= 1
                 changed = True
@@ -163,9 +165,10 @@ def peel_k_core_random_order(g: Graph, k: int, order) -> set:
 def budget_caps(g: Graph, alpha, keep_degree=None):
     """Exact per-vertex caps floor(alpha*deg) (optionally min'd with deg-k)."""
     num, den = alpha.numerator, alpha.denominator
-    caps = [num * g.degree(v) // den for v in range(g.n)]
+    deg = degrees_by_pairs(g.n, g.edges)
+    caps = [num * d // den for d in deg]
     if keep_degree is not None:
-        caps = [min(c, g.degree(v) - keep_degree) for c, v in zip(caps, range(g.n))]
+        caps = [min(c, d - keep_degree) for c, d in zip(caps, deg)]
     return caps
 
 
@@ -192,8 +195,9 @@ def exists_disconnecting_h(g: Graph, caps) -> bool:
     if any(c < 0 for c in caps):
         return False
     n, m = g.n, g.m
+    deg = degrees_by_pairs(n, g.edges)
     if not _component_size_bound_admits_split(
-            [g.degree(v) - caps[v] for v in range(n)], n, 0):
+            [deg[v] - caps[v] for v in range(n)], n, 0):
         return False
     edges = list(g.edges)
     full = (1 << n) - 1
@@ -278,7 +282,8 @@ def exists_kconn_attack_h(g: Graph, caps, k: int) -> bool:
     if any(c < 0 for c in caps):
         return False
     n = g.n
-    kept_min = [g.degree(v) - caps[v] for v in range(n)]
+    deg = degrees_by_pairs(n, g.edges)
+    kept_min = [deg[v] - caps[v] for v in range(n)]
     if not _component_size_bound_admits_split(kept_min, n, k - 1):
         return False
     from process_resilience.graphs import induced_subgraph
@@ -431,7 +436,8 @@ def local_search_threshold_reference(g: Graph, restarts: int, seed: int):
     recomputes (max ratio, number of vertices within 1e-12 of it) with
     numpy. Same seeded starts, visiting order, guards and 64-pass cap as the
     library."""
-    deg = np.array([g.degree(v) for v in range(g.n)], dtype=np.int64)
+    adj = adjacency_sets(g)
+    deg = np.array([len(nbrs) for nbrs in adj], dtype=np.int64)
     safe_deg = np.maximum(deg, 1)
 
     def objective(cross):
@@ -456,7 +462,7 @@ def local_search_threshold_reference(g: Graph, restarts: int, seed: int):
             for v in range(g.n):
                 new_cross = cross.copy()
                 new_cross[v] = deg[v] - cross[v]
-                nbrs = np.fromiter(g.adj[v], dtype=np.int64, count=deg[v])
+                nbrs = np.fromiter(adj[v], dtype=np.int64, count=deg[v])
                 same = side[nbrs] == side[v]
                 new_cross[nbrs[same]] += 1
                 new_cross[nbrs[~same]] -= 1
@@ -531,8 +537,7 @@ def graph_from_pairs(n: int, pairs, labels=None) -> Graph:
     """The library's original tuple constructor: sorted edges and sorted
     adjacency rows from Python lists, one pair at a time. Pairs must be
     distinct, in range and loop-free. Its CSR arrays are those rows laid
-    end to end, its endpoint arrays are its own sorted edge list, and its
-    ``adj`` is those rows, stored before the library could build its own."""
+    end to end, and its endpoint arrays are its own sorted edge list."""
     edges = sorted((u, v) if u < v else (v, u) for u, v in pairs)
     adj = [[] for _ in range(n)]
     for u, v in edges:
@@ -544,9 +549,7 @@ def graph_from_pairs(n: int, pairs, labels=None) -> Graph:
     ends = tuple(np.array(edges, dtype=np.int64).reshape(-1, 2).T.copy())
     for a in (indptr, indices, *ends):
         a.setflags(write=False)
-    g = Graph(n, indptr, indices, ends, labels)
-    g.__dict__["adj"] = rows
-    return g
+    return Graph(n, indptr, indices, ends, labels)
 
 
 def degrees_by_pairs(n: int, pairs) -> tuple:
@@ -612,6 +615,31 @@ def adjacency_sets(g: Graph):
         adj[u].add(v)
         adj[v].add(u)
     return adj
+
+
+def csr_rows(g: Graph) -> list:
+    """Row v of g's CSR arrays as a tuple, for every v."""
+    return [tuple(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()) for v in range(g.n)]
+
+
+def cached_views(g: Graph) -> set:
+    """The names g has cached beyond its dataclass fields."""
+    return set(vars(g)) - {f.name for f in fields(g)}
+
+
+def ball_by_bfs(g: Graph, v: int, radius: int) -> frozenset:
+    """The vertices at distance 1..radius from v: a breadth-first search
+    over adjacency sets that records each vertex's distance."""
+    adj = adjacency_sets(g)
+    dist = {v: 0}
+    queue = deque([v])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return frozenset(y for y, d in dist.items() if 1 <= d <= radius)
 
 
 def small_subset_counts(g: Graph):

@@ -2,6 +2,7 @@ import json
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,8 +22,9 @@ from process_resilience.resilience import _equipartition_d_set
 from process_resilience.rng import derive_seed, generator
 
 from conftest import complete, cycle, path, star
-from oracles import (adjacency_sets, audit_outcome, degree_classes, recount_audits,
-                     small_subset_counts, tiny_ball_counts, tiny_triangles)
+from oracles import (adjacency_sets, audit_outcome, cached_views, degree_classes,
+                     recount_audits, small_subset_counts, tiny_ball_counts,
+                     tiny_triangles)
 
 
 # -- tail bounds -----------------------------------------------------------
@@ -216,9 +218,9 @@ def test_ball_bound_excludes_all_tiny_two_paths():
         ball_rep, _, _ = audit_neighbourhoods(coupled.g_plus, cls, 10)
         if not ball_rep.holds:
             continue
-        g = coupled.g_plus
+        adj = adjacency_sets(coupled.g_plus)
         for w in cls.tiny:
-            tiny_nbrs = [u for u in g.adj[w] if u in cls.tiny]
+            tiny_nbrs = [u for u in adj[w] if u in cls.tiny]
             assert len(tiny_nbrs) <= 1, (seed, w)
 
 
@@ -306,13 +308,17 @@ _GNM_140 = sample_gnm(140, 300, 0).edges
 def test_array_balls_and_triangles_match_the_pair_recounts(case):
     n, pairs, tiny, radius = case
     g = build_graph(n, pairs)
-    assert _tiny_ball_counts(g, tiny, radius).tolist() == tiny_ball_counts(g, tiny, radius)
-    tris, corners = _tiny_triangles(g, tiny)
-    assert tris.shape == (len(corners), 3)
-    found = list(map(tuple, tris.tolist()))
-    assert found == sorted(tiny_triangles(g, tiny))
-    assert dict(zip(found, corners.tolist())) == tiny_triangles(g, tiny)
-    assert "adj" not in g.__dict__
+    # the audit passes the ascending vertices of the tiny mask; the results
+    # do not depend on their order
+    ascending = np.array(sorted(tiny), dtype=np.int64)
+    for t in (ascending, np.random.default_rng(n).permutation(ascending)):
+        assert _tiny_ball_counts(g, t, radius).tolist() == tiny_ball_counts(g, tiny, radius)
+        tris, corners = _tiny_triangles(g, t)
+        assert tris.shape == (len(corners), 3)
+        found = list(map(tuple, tris.tolist()))
+        assert found == sorted(tiny_triangles(g, tiny))
+        assert dict(zip(found, corners.tolist())) == tiny_triangles(g, tiny)
+    assert cached_views(g) <= {"degree_array"}
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -330,8 +336,8 @@ def test_audit_pipeline_builds_no_adjacency_rows(seed):
     _, d_set = _equipartition_d_set(coupled.g_plus, 0.55 * n * coupled.p1,
                                     derive_seed(seed, 2))
     neighbours_in(coupled.g_plus, d_set)
-    assert "adj" not in coupled.g_plus.__dict__
-    assert "adj" not in coupled.g_minus.__dict__
+    assert cached_views(coupled.g_plus) <= {"degree_array"}
+    assert cached_views(coupled.g_minus) <= {"degree_array"}
 
 
 _HAND_BUILT = [
@@ -488,7 +494,7 @@ def test_top_degree_ties_pick_the_five_smallest_vertices():
     edges = [(3, 5), (3, 8), (3, 10), (5, 8), (5, 10), (8, 10),
              *zip(ring, ring[1:] + ring[:1]), (0, 6), (1, 9), (2, 11)]
     g = build_graph(12, edges)
-    assert g.degrees.count(3) == 10
+    assert g.degree_array.tolist().count(3) == 10
     rep = audit_edge_counts(g, 0.05, c=0.01, subset_trials=0, seed=0)
     bound = 0.01 * 4 * math.sqrt(12 * 0.05)
     assert [v for v in rep.violations if v["kind"] == "neighbourhood"] == [

@@ -266,7 +266,10 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("payload", [{"B": [2]}, [[0, 1], [2]], {"A": 5, "B": [2]}])
+# the last two cover the sizes of C_6 but name a vertex outside it
+@pytest.mark.parametrize("payload", [{"B": [2]}, [[0, 1], [2]], {"A": 5, "B": [2]},
+                                     {"A": [0, 1, 2], "B": [3, 4, -1]},
+                                     {"A": [0, 1, 2], "B": [3, 4, 2 ** 70]}])
 def test_malformed_cut_file_is_usage_error(tmp_path, capsys, c6_file, payload):
     cut_path = tmp_path / "cut.json"
     cut_path.write_text(json.dumps(payload))

@@ -32,8 +32,9 @@ from process_resilience.process import (graph_at, hitting_time_min_degree,
 from process_resilience.resilience import crossing_degrees
 
 from conftest import complete, cycle, path, star
-from oracles import (adjacency_sets, atyp_neighbour_counts, components_by_pairs,
-                     crossing_counts, degrees_by_pairs, graph_from_pairs,
+from oracles import (adjacency_sets, atyp_neighbour_counts, ball_by_bfs, cached_views,
+                     components_by_pairs, crossing_counts, csr_rows,
+                     degrees_by_pairs, graph_from_pairs,
                      induced_subgraph_by_edges, is_k_connected_oracle,
                      peel_k_core_random_order, split_network_arcs,
                      split_network_flow)
@@ -43,7 +44,7 @@ from oracles import (adjacency_sets, atyp_neighbour_counts, components_by_pairs,
 
 def test_build_path():
     g = build_graph(3, [(0, 1), (1, 2)])
-    assert g.degrees == (1, 2, 1)
+    assert g.degree_array.tolist() == [1, 2, 1]
     assert g.edges == ((0, 1), (1, 2))
 
 
@@ -64,15 +65,17 @@ def test_build_rejects_out_of_range():
 
 def test_adjacency_symmetric_and_sorted():
     g = build_graph(5, [(3, 1), (0, 3), (4, 0), (2, 4)])
+    rows = csr_rows(g)
     for u in range(g.n):
-        assert list(g.adj[u]) == sorted(g.adj[u])
-        for v in g.adj[u]:
-            assert u in g.adj[v]
-    assert sum(g.degrees) == 2 * g.m
+        assert list(rows[u]) == sorted(rows[u])
+        for v in rows[u]:
+            assert u in rows[v]
+    assert g.degree_array.sum() == 2 * g.m
 
 
 def _assert_same_graph(g, ref):
-    assert (g.n, g.edges, g.adj, g.labels) == (ref.n, ref.edges, ref.adj, ref.labels)
+    assert ((g.n, g.edges, csr_rows(g), g.labels)
+            == (ref.n, ref.edges, csr_rows(ref), ref.labels))
     eu, ev = g._ends
     assert eu.dtype == ev.dtype == np.int64
     assert not (eu.flags.writeable or ev.flags.writeable)
@@ -118,7 +121,7 @@ def test_array_constructor_small_extremes():
         _assert_same_graph(_graph_from_arrays(n, [], []), graph_from_pairs(n, []))
     _assert_same_graph(_graph_from_arrays(2, [1], [0]), graph_from_pairs(2, [(0, 1)]))
     g = _graph_from_arrays(5, [4], [3])
-    assert g.adj == ((), (), (), (4,), (3,))
+    assert csr_rows(g) == [(), (), (), (4,), (3,)]
 
 
 @given(pair_lists(), st.randoms(use_true_random=False))
@@ -155,16 +158,15 @@ def test_graph_equality_defers_to_other_types():
 # -- CSR views and array kernels against pair-loop references --------------
 
 def _assert_rows_then_graph(g, ref):
-    """g's CSR rows and degrees match ref's rows before g builds ``adj``,
-    then the whole graph matches."""
-    assert "adj" not in g.__dict__
-    rows = [tuple(g.indices[g.indptr[v]:g.indptr[v + 1]].tolist()) for v in range(g.n)]
-    assert rows == list(ref.adj)
-    assert g.degrees == tuple(map(len, ref.adj))
-    assert g.min_degree() == min(g.degrees, default=0)
+    """g's CSR rows and degrees match ref's rows, reading g caches no view
+    but ``degree_array``, and then the whole graph matches."""
+    rows = csr_rows(ref)
+    assert csr_rows(g) == rows
+    assert g.degree_array.tolist() == list(map(len, rows))
+    assert g.min_degree() == min(map(len, rows), default=0)
     for a in (g.indptr, g.indices, g.degree_array):
         assert a.dtype == np.int64 and not a.flags.writeable
-    assert "adj" not in g.__dict__
+    assert cached_views(g) <= {"degree_array"}
     _assert_same_graph(g, ref)
 
 
@@ -188,7 +190,7 @@ def test_csr_rows_degrees_and_components_match_pair_loops(case):
     n, pairs = case
     distinct = {(u, v) if u < v else (v, u) for u, v in pairs}
     g = build_graph(n, pairs)
-    assert g.degrees == degrees_by_pairs(n, distinct)
+    assert tuple(g.degree_array.tolist()) == degrees_by_pairs(n, distinct)
     assert connected_components(g) == components_by_pairs(n, distinct)
     _assert_rows_then_graph(g, graph_from_pairs(n, distinct))
 
@@ -416,7 +418,7 @@ def test_kcore_independent_of_peel_order(seed, n, k):
     g = sample_gnm(n, min(2 * n, pair_count(n)), seed)
     core = k_core(g, k)
     survivors = set(core.labels)
-    assert all(core.degree(v) >= k for v in range(core.n))
+    assert all(len(nbrs) >= k for nbrs in adjacency_sets(core))
     for order_seed in (1, 2, 3):
         order = sorted(range(n), key=lambda v: (v * 2654435761 + order_seed) % 97)
         assert peel_k_core_random_order(g, k, order) == survivors
@@ -828,6 +830,20 @@ def test_ball_on_cycle():
 
 def test_ball_star_center():
     assert ball(star(6), 0, 1) == set(range(1, 6))
+
+
+@given(pair_lists(max_n=30), st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+@example((1, []), 1)                                           # n = 1
+@example((5, [(0, 1), (1, 2), (2, 3)]), 2)                     # isolated vertex 4
+@example((6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]), 8)     # past the diameter
+@example((7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]), 3)  # two components
+def test_ball_matches_breadth_first_oracle(case, radius):
+    n, pairs = case
+    g = build_graph(n, pairs)
+    for v in range(n):
+        assert ball(g, v, radius) == ball_by_bfs(g, v, radius), (v, radius)
+    assert cached_views(g) <= {"degree_array"}
 
 
 def test_ball_never_contains_center_and_is_monotone():

@@ -37,9 +37,12 @@ from process_resilience.resilience import (
 from process_resilience.rng import generator
 from conftest import cherry_gadget, complete, cycle, path, star
 from oracles import (
+    adjacency_sets,
     budget_caps,
+    cached_views,
     connected_graphs_up_to_iso,
     crossing_counts,
+    degrees_by_pairs,
     exists_disconnecting_h,
     exists_disconnecting_h_literal,
     exists_kconn_attack_h,
@@ -110,7 +113,7 @@ def test_fraction_caps_are_the_floor_of_alpha_deg():
     g = sample_gnm(12, 30, 3)
     for alpha in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), 1):
         assert (BudgetRule.fraction(alpha).caps(g)
-                == [math.floor(alpha * d) for d in g.degrees])
+                == [math.floor(alpha * d) for d in g.degree_array.tolist()])
 
 
 def test_caps_match_the_python_formula_past_the_int64_guard():
@@ -123,7 +126,7 @@ def test_caps_match_the_python_formula_past_the_int64_guard():
                          (Fraction(1, 2 ** 70), 0), (Fraction(2 ** 70 - 1, 2 ** 70), 1)):
             num, den = alpha.numerator, alpha.denominator
             assert BudgetRule(alpha, k).caps(g) == [
-                min(num * d // den, d - k) for d in g.degrees], (g.n, alpha, k)
+                min(num * d // den, d - k) for d in g.degree_array.tolist()], (g.n, alpha, k)
     assert BudgetRule(Fraction(0.6)).caps(big)[0] == 1199
 
 
@@ -135,7 +138,7 @@ def test_caps_stay_python_ints_outside_int64():
                      (Fraction(1), 2 ** 63), (Fraction(1), 2 ** 63 + 1)):
         caps = BudgetRule(alpha, k).caps(g)
         assert caps == [min(alpha.numerator * d // alpha.denominator, d - k)
-                        for d in g.degrees]
+                        for d in g.degree_array.tolist()]
         assert all(type(c) is int for c in caps)
     # no wrap-around: a keep-degree 2^70 admits nothing, not even the empty H
     rule = BudgetRule(Fraction(1), 2 ** 70)
@@ -362,7 +365,8 @@ def test_exact_witness_precedes_a_later_tie(name, g, tie):
     assert first < tie
     tie_b = _side_b(g.n, tie)
     counts = crossing_counts(g, frozenset(range(g.n)) - tie_b, tie_b)
-    assert max(Fraction(counts[v], g.degree(v)) for v in range(g.n)) == alpha_star
+    deg = g.degree_array.tolist()
+    assert max(Fraction(counts[v], deg[v]) for v in range(g.n)) == alpha_star
     for alpha in (alpha_star, alpha_star - Fraction(1, 1000)):
         cut = find_disconnecting_attack(g, BudgetRule.fraction(alpha))
         assert _as_triple(cut) == first_cut_in_mask_order(
@@ -742,21 +746,23 @@ def test_greedy_rearrangement_fixes_tiny_vertices():
     outcome = greedy_partition_attack(g, cls, d_threshold=1e9,
                                       epsilon=Fraction(49, 100), seed=3)
     in_b = {v: (v in outcome.cut.side_b) for v in range(g.n)}
+    adj = adjacency_sets(g)
     for v in cls.tiny:
-        cross = sum(1 for u in g.adj[v] if in_b[u] != in_b[v])
-        assert 2 * cross <= g.degree(v)
+        cross = sum(1 for u in adj[v] if in_b[u] != in_b[v])
+        assert 2 * cross <= len(adj[v])
 
 
 def test_greedy_holds_tiny_vertices_to_half_their_degree():
     # at epsilon = 49/100 a non-tiny vertex may cross up to 0.99 of its
     # edges, a tiny one only half: mark the odd-degree vertices tiny
     g = giant_component(sample_gnm(64, 200, 0))
-    tiny = [v for v in range(g.n) if g.degree(v) % 2]
+    deg = g.degree_array.tolist()
+    tiny = [v for v in range(g.n) if deg[v] % 2]
     outcome = greedy_partition_attack(g, manual_cls(g, tiny=tiny), d_threshold=1e9,
                                       epsilon=Fraction(49, 100), seed=0)
     on_b = [int(v in outcome.cut.side_b) for v in range(g.n)]
     over_half = {v for v, c in enumerate(crossing_degrees(g, on_b))
-                 if 2 * c > g.degree(v)}
+                 if 2 * c > deg[v]}
     assert over_half and not over_half & set(tiny)
 
 
@@ -866,9 +872,9 @@ def test_sweep_pipeline_builds_no_adjacency_rows(seed):
     p1 = m / pair_count(n)
     cls = classify_vertices(giant, p1, 0.5)
     cherry_attack(giant)
-    assert "adj" not in g.__dict__ and "adj" not in giant.__dict__
+    assert cached_views(g) <= {"degree_array"} and cached_views(giant) <= {"degree_array"}
     greedy_partition_attack(giant, cls, 0.7 * giant.n * p1, Fraction(1, 10), seed)
-    assert "adj" not in giant.__dict__
+    assert cached_views(giant) <= {"degree_array"}
 
 
 # -- certificates and serialization ----------------------------------------
@@ -920,7 +926,8 @@ def test_replay_disconnects_matches_rebuild():
                     counts[v] <= cap
                     for v, cap in enumerate(budget_caps(g, alpha, keep or None)))
                 assert verdict["keep_degree_ok"] == all(
-                    g.degree(v) - counts[v] >= keep for v in range(g.n))
+                    d - counts[v] >= keep
+                    for v, d in enumerate(degrees_by_pairs(g.n, g.edges)))
                 assert verdict["valid"] == verdict["budget_allowed"]
             assert removal_disconnects(g, cut.separator, cut.side_a, cut.side_b)
             checked += 1
@@ -941,13 +948,30 @@ def test_cut_validation():
         Cut(frozenset(), frozenset(), frozenset({1}))
     with pytest.raises(ValueError, match="disjoint"):
         Cut(frozenset({1}), frozenset({1}), frozenset({2}))
-    cut = Cut(frozenset(), frozenset({0}), frozenset({1}))
-    with pytest.raises(ValueError, match="cover"):
-        cut.validate_for(complete(3))
-    for side_b in ({2}, {-1}):  # the sizes add up to n, a vertex is outside
-        cut = Cut(frozenset(), frozenset({0}), frozenset(side_b))
-        with pytest.raises(ValueError, match="cover"):
-            cut.validate_for(complete(2))
+    # every function that maps a cut onto g checks that its parts cover
+    # exactly 0..n-1
+    checks = (crossing_edges, cut_to_json_dict,
+              lambda g, cut: replay_cut(g, cut, BudgetRule.fraction(1)),
+              lambda g, cut: verify_star_condition(g, cut, 0))
+    p4 = path(4)
+    off_graph = [
+        (complete(3), (), {0}, {1}),         # vertex 2 is in no part
+        (complete(2), (), {0}, {2}),         # the sizes add up, 2 is outside
+        (complete(2), (), {0}, {-1}),
+        (p4, (), {-1}, {0, 1, 2}),           # -1 would alias vertex 3
+        (p4, (), {0, 1, 2}, {4}),            # vertex n
+        (p4, (), {0, 1, 2}, {2 ** 70}),      # past int64, as JSON may hold
+        (p4, {2 ** 70}, {0, 1}, {2}),        # only for separator-aware checks
+        (p4, {-1}, {0, 1}, {2}),
+    ]
+    for g, *parts in off_graph:
+        cut = Cut(*map(frozenset, parts))
+        for check in checks[:3] if cut.separator else checks:
+            with pytest.raises(ValueError, match="cover"):
+                check(g, cut)
+    cut = Cut(frozenset(), frozenset({0, 1}), frozenset({2, 3}))
+    assert crossing_edges(p4, cut) == ((1, 2),)
+    assert cut_to_json_dict(p4, cut)["H"] == [[1, 2]]
 
 
 def test_attack_ratios_match_h():
