@@ -15,8 +15,8 @@ from fractions import Fraction
 from . import __version__
 from .classify import (audit_atyp_size, audit_edge_counts,
                        audit_neighbourhoods, classify_vertices)
-from .experiments import (emit, load_config, parse_config_text,
-                          render_output, run_study)
+from .experiments import (STUDIES, _json_bytes, emit, load_config,
+                          parse_config_text, render_output, run_study)
 from .graphs import (Graph, GraphFormatError, format_graph_text,
                      giant_component, k_core, parse_graph_text)
 from .process import (hitting_time_k_connectivity, hitting_time_min_degree,
@@ -30,7 +30,7 @@ from .resilience import (AttackError, BudgetRule, cherry_attack,
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    sys.stdout.write(_json_bytes(payload).decode())
 
 
 def _load_graph(path: str) -> Graph:
@@ -76,8 +76,8 @@ def _cmd_sample(args) -> int:
     if args.model == "process":
         payload = sample_process(args.n, args.seed).descriptor()
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+            with open(args.out, "wb") as fh:
+                fh.write(_json_bytes(payload))
         _print_json(payload)
     elif args.model == "coupled":
         coupled = sample_coupled(args.n, args.p0, args.p_prime, args.seed)
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # no parent --seed: a study's seed defaults to its config's
     p = command("study", _cmd_study, parents=[out], help="run a Monte Carlo study")
-    p.add_argument("kind", choices=("hitting", "sweep", "kcore", "audit"))
+    p.add_argument("kind", choices=tuple(STUDIES))
     p.add_argument("--config", help="config file (key = value grammar)")
     p.add_argument("--ns", type=int, nargs="+")
     p.add_argument("--ms", type=int, nargs="+")

@@ -1,11 +1,12 @@
 """Seeded, parallel Monte Carlo studies over the random graph process, and
 their machine-readable outputs.
 
-Reproducibility contract: trial t of a study uses the derived seed
-mix(master, study_code, n, m, t), never the OS RNG, so results are identical
-across reruns and across ``threads`` settings; records are canonically
-ordered by (n, m, k, trial) before aggregation. JSON output is byte-stable
-except for the ``generated_at`` timestamp, which comparison helpers drop.
+Reproducibility contract: trial t of a study uses the seed mix(master,
+code, n, m, t), never the OS RNG, with the codes of ``STUDIES`` (hitting 1,
+sweep 2, kcore 3, audit 4) and m = 0 for hitting and audit, so results are
+identical across reruns and ``threads`` settings. Records are ordered by
+(n, m, k, trial) before aggregation. JSON output is byte-stable except for
+the ``generated_at`` timestamp, which comparison helpers drop.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from .rng import derive_seed
 
 RECORDS_SCHEMA = "process-resilience/records/v1"
 SUMMARY_SCHEMA = "process-resilience/summary/v1"
-
-STUDY_CODES = {"hitting": 1, "sweep": 2, "kcore": 3, "audit": 4}
 
 # Minimal published schema for the JSON study output.
 RESULT_JSON_SCHEMA = {
@@ -116,9 +115,6 @@ class ExperimentConfig:
                          for f in self.m_factors)
         return (math.ceil(n * math.log(n) / 6),)
 
-    def epsilon_fraction(self) -> Fraction:
-        return Fraction(self.epsilon)
-
     def to_text(self) -> str:
         lines = ["# process-resilience study config"]
         for f in fields(self):
@@ -149,11 +145,9 @@ def _parse_value(name: str, raw: str):
         return tuple(cast(part.strip()) for part in raw.split(",") if part.strip())
     target = _FIELD_TYPES.get(name, int)
     if target is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"bad boolean for {name}: {raw!r}")
+        if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
+            raise ValueError(f"expected true or false, got {raw!r}")
+        return raw.lower() in ("true", "1", "yes")
     return target(raw)
 
 
@@ -172,7 +166,11 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
         key = key.strip()
         if key not in names:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, raw)
+        try:
+            values[key] = _parse_value(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: bad value for {key}: "
+                             f"{exc}") from None
     values.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentConfig(**values)
 
@@ -249,8 +247,7 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95):
 
 # -- trial bodies ---------------------------------------------------------
 
-def _hitting_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
-    trial_seed = derive_seed(cfg.seed, STUDY_CODES["hitting"], n, 0, trial)
+def _hitting_trial(cfg: ExperimentConfig, n: int, m: None, trial_seed: int) -> dict:
     trace = ProcessTrace(n, derive_seed(trial_seed, 0))
     tau1 = hitting_time_min_degree(trace, 1)
     tau_conn = hitting_time_k_connectivity(trace, 1)
@@ -273,7 +270,7 @@ def _hitting_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
             seed=derive_seed(trial_seed, 2))
         metrics["alpha_upper"] = str(rep.threshold)
         metrics["alpha_upper_float"] = float(rep.threshold)
-    return TrialRecord("hitting", n, trial, trial_seed, metrics=metrics)
+    return metrics
 
 
 def _exact_metrics(giant: Graph) -> dict:
@@ -288,7 +285,7 @@ def _greedy_metrics(cfg: ExperimentConfig, giant: Graph, p1: float,
     cls = classify_vertices(giant, p1, cfg.delta)
     try:
         outcome = greedy_partition_attack(giant, cls, d_threshold,
-                                          cfg.epsilon_fraction(),
+                                          Fraction(cfg.epsilon),
                                           derive_seed(trial_seed, 1))
         return {"greedy_satisfied": outcome.satisfied,
                 "greedy_moves": outcome.diagnostics["moves"]}
@@ -296,26 +293,21 @@ def _greedy_metrics(cfg: ExperimentConfig, giant: Graph, p1: float,
         return {"greedy_satisfied": False, "greedy_moves": -1}
 
 
-def _sweep_trial(cfg: ExperimentConfig, n: int, m: int, trial: int) -> TrialRecord:
-    trial_seed = derive_seed(cfg.seed, STUDY_CODES["sweep"], n, m, trial)
+def _sweep_trial(cfg: ExperimentConfig, n: int, m: int, trial_seed: int) -> dict:
     g = sample_gnm(n, m, derive_seed(trial_seed, 0))
-    metrics = {}
     if g.m == 0:
-        metrics.update({"cherry_present": False, "greedy_satisfied": False,
-                        "giant_frac": 1.0 / n})
-    else:
-        giant = giant_component(g)
-        metrics["giant_frac"] = giant.n / n
-        metrics["cherry_present"] = cherry_attack(giant) is not None
-        p1 = m / pair_count(n)
-        metrics.update(_greedy_metrics(cfg, giant, p1, trial_seed))
-        if n <= cfg.exact_n_limit:
-            metrics.update(_exact_metrics(giant))
-    return TrialRecord("sweep", n, trial, trial_seed, m=m, metrics=metrics)
+        return {"cherry_present": False, "greedy_satisfied": False,
+                "giant_frac": 1.0 / n}
+    giant = giant_component(g)
+    metrics = {"giant_frac": giant.n / n,
+               "cherry_present": cherry_attack(giant) is not None}
+    metrics.update(_greedy_metrics(cfg, giant, m / pair_count(n), trial_seed))
+    if n <= cfg.exact_n_limit:
+        metrics.update(_exact_metrics(giant))
+    return metrics
 
 
-def _kcore_trial(cfg: ExperimentConfig, n: int, m: int, trial: int) -> TrialRecord:
-    trial_seed = derive_seed(cfg.seed, STUDY_CODES["kcore"], n, m, trial)
+def _kcore_trial(cfg: ExperimentConfig, n: int, m: int, trial_seed: int) -> dict:
     k = cfg.k
     trace = ProcessTrace(n, derive_seed(trial_seed, 0))
     g = graph_at(trace, m)
@@ -323,7 +315,7 @@ def _kcore_trial(cfg: ExperimentConfig, n: int, m: int, trial: int) -> TrialReco
     metrics = {"core_frac": core.n / n, "core_nonempty": core.n > 0}
     if core.n:
         metrics["core_k_connected"] = is_k_connected(core, k)
-        alpha = Fraction(1, 2) - cfg.epsilon_fraction()
+        alpha = Fraction(1, 2) - Fraction(cfg.epsilon)
         if core.n <= EXACT_SEPARATOR_LIMIT and metrics["core_k_connected"]:
             attack = find_k_conn_attack(
                 core, BudgetRule.fraction_keep_degree(alpha, k), k)
@@ -335,11 +327,10 @@ def _kcore_trial(cfg: ExperimentConfig, n: int, m: int, trial: int) -> TrialReco
     linked = core.labels if metrics.get("core_k_connected") and tau_k >= m else ()
     metrics["tau_equal_k"] = (_k_connected(g_tau, k, linked) if linked
                               else is_k_connected(g_tau, k))
-    return TrialRecord("kcore", n, trial, trial_seed, m=m, k=k, metrics=metrics)
+    return metrics
 
 
-def _audit_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
-    trial_seed = derive_seed(cfg.seed, STUDY_CODES["audit"], n, 0, trial)
+def _audit_trial(cfg: ExperimentConfig, n: int, m: None, trial_seed: int) -> dict:
     p0 = cfg.p0_factor * math.log(n) / (3 * n)
     p_prime = cfg.p_prime_factor * p0
     coupled = sample_coupled(n, p0, p_prime, derive_seed(trial_seed, 0))
@@ -354,7 +345,7 @@ def _audit_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
                                     derive_seed(trial_seed, 2))
     max_d_nbrs = max(neighbours_in(coupled.g_plus, d_set), default=0)
 
-    metrics = {
+    return {
         "c1_holds": c1.holds,
         "c2_holds": ball_rep.holds and nbr_rep.holds,
         "c2_tiny3ball_holds": ball_rep.holds,
@@ -369,26 +360,27 @@ def _audit_trial(cfg: ExperimentConfig, n: int, trial: int) -> TrialRecord:
         "max_nbrs_in_D": float(max_d_nbrs),
         "p1": coupled.p1,
     }
-    return TrialRecord("audit", n, trial, trial_seed, metrics=metrics)
 
 
 # -- study drivers --------------------------------------------------------
 
+# study -> (seed code, trial body, runs an m grid); a body maps (cfg, n, m,
+# trial seed), with m None off the grid, to the trial's metrics.
+STUDIES = {
+    "hitting": (1, _hitting_trial, False),
+    "sweep": (2, _sweep_trial, True),
+    "kcore": (3, _kcore_trial, True),
+    "audit": (4, _audit_trial, False),
+}
+
+
 def _run_one(task) -> TrialRecord:
-    cfg, study, n, m, trial = task
-    if study == "hitting":
-        return _hitting_trial(cfg, n, trial)
-    if study == "sweep":
-        return _sweep_trial(cfg, n, m, trial)
-    if study == "kcore":
-        return _kcore_trial(cfg, n, m, trial)
-    return _audit_trial(cfg, n, trial)
-
-
-def _groups(cfg: ExperimentConfig) -> list:
-    """(n, m) of each group of trials; m is None where the study has no m."""
-    return [(n, m) for n in cfg.ns for m in
-            (cfg.m_grid(n) if cfg.study in ("sweep", "kcore") else (None,))]
+    cfg, n, m, trial = task
+    code, body, _ = STUDIES[cfg.study]
+    trial_seed = derive_seed(cfg.seed, code, n, 0 if m is None else m, trial)
+    return TrialRecord(cfg.study, n, trial, trial_seed, m=m,
+                       k=cfg.k if cfg.study == "kcore" else None,
+                       metrics=body(cfg, n, m, trial_seed))
 
 
 # (key, studies that read it, test, domain): run_study checks each before
@@ -396,8 +388,8 @@ def _groups(cfg: ExperimentConfig) -> list:
 # Hitting and sweep pass epsilon to the greedy attack, kcore uses
 # alpha = 1/2 - epsilon, and audit only bounds p_prime_factor by it.
 _KEY_CHECKS = (
-    ("trials", STUDY_CODES, lambda v: v >= 1, ">= 1"),
-    ("threads", STUDY_CODES, lambda v: v >= 1, ">= 1"),
+    ("trials", STUDIES, lambda v: v >= 1, ">= 1"),
+    ("threads", STUDIES, lambda v: v >= 1, ">= 1"),
     ("delta", ("hitting", "sweep", "audit"), lambda v: 0 < v < 1, "in (0, 1)"),
     ("epsilon", ("hitting", "sweep"), lambda v: 0 < Fraction(v) < 0.5, "in (0, 1/2)"),
     ("epsilon", ("kcore",), lambda v: 0 <= Fraction(v) <= 0.5, "in [0, 1/2]"),
@@ -424,13 +416,13 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     for key in ("out_json", "out_csv"):
         if getattr(cfg, key) is not None:
             raise ValueError(f"config key {key} is not read; use resil study --out")
-    if cfg.study not in STUDY_CODES:
+    if cfg.study not in STUDIES:
         raise ValueError(f"unknown study {cfg.study!r}")
     for key, studies, test, domain in _KEY_CHECKS:
         if cfg.study in studies and not _holds(test, getattr(cfg, key)):
             raise ValueError(f"{cfg.study} study needs {key} {domain}, "
                              f"got {key}={getattr(cfg, key)}")
-    eps = float(cfg.epsilon_fraction())
+    eps = float(Fraction(cfg.epsilon))
     if cfg.study == "audit" and cfg.p_prime_factor > eps:
         raise ValueError(
             f"audit regime violated: p_prime = {cfg.p_prime_factor} * p0 "
@@ -454,12 +446,16 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
                 f"{cfg.study} study: exact_n_limit={cfg.exact_n_limit} asks "
                 f"for the exact threshold at n={n}, above its limit "
                 f"{EXACT_BIPARTITION_LIMIT}")
-    groups = _groups(cfg)
+    grid = STUDIES[cfg.study][2]
+    groups = [(n, m) for n in cfg.ns for m in (cfg.m_grid(n) if grid else (None,))]
+    if not groups:
+        key = "ns" if not cfg.ns else "ms" if cfg.ms is not None else "m_factors"
+        raise ValueError(f"{cfg.study} study needs a non-empty {key}")
     for n, m in groups:
         if m is not None and not 0 <= m <= pair_count(n):
             raise ValueError(f"{cfg.study} study: ms asks for m={m} at "
                              f"n={n}, outside [0, {pair_count(n)}]")
-    tasks = [(cfg, cfg.study, n, m, t) for n, m in groups for t in range(cfg.trials)]
+    tasks = [(cfg, n, m, t) for n, m in groups for t in range(cfg.trials)]
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             records = list(pool.map(_run_one, tasks, chunksize=8))

@@ -350,6 +350,19 @@ def test_study_exact_n_limit_above_exact_scan_is_usage_error(tmp_path, capsys,
     assert "exact_n_limit=30" in err and "n=28" in err
 
 
+@pytest.mark.parametrize("line, named", [
+    ("ns = ", "hitting study needs a non-empty ns"),
+    ("trials = x", "config line 2: bad value for trials"),
+])
+def test_study_empty_grid_or_unparsed_value_is_usage_error(tmp_path, capsys,
+                                                           line, named):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"study = hitting\n{line}\n")
+    code, out, err = run(capsys, "study", "hitting", "--config", str(cfg))
+    assert code == 2
+    assert named in err and not out
+
+
 @pytest.mark.parametrize("key", ["out_json", "out_csv"])
 def test_study_unread_output_key_is_usage_error(tmp_path, capsys, key):
     target = tmp_path / "never.out"

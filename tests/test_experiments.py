@@ -44,6 +44,14 @@ def test_config_rejects_unknown_keys_and_garbage():
         parse_config_text("bogus = 3\n")
     with pytest.raises(ValueError, match="key = value"):
         parse_config_text("just words\n")
+    for text, line, key in [("trials = x\n", 1, "trials"),
+                            ("study = sweep\nms = 10, 3.5\n", 2, "ms"),
+                            ("# half\n\ndelta = half\n", 3, "delta"),
+                            ("measure_resilience = maybe\n", 1,
+                             "measure_resilience")]:
+        with pytest.raises(ValueError, match=f"^config line {line}: bad value "
+                                             f"for {key}: "):
+            parse_config_text(text)
 
 
 def test_config_overrides():
@@ -159,7 +167,7 @@ def test_audit_study_rejects_negative_counts_before_any_trial(monkeypatch,
     def no_trial(*args):
         raise AssertionError("a trial ran")
 
-    monkeypatch.setattr(experiments, "_audit_trial", no_trial)
+    monkeypatch.setattr(experiments, "_run_one", no_trial)
     bad = ExperimentConfig(study="audit", ns=(64,), trials=1, **{field: value})
     with pytest.raises(ValueError, match=f"{field} >= 0, got {field}={value}"):
         run_study(bad)
@@ -269,6 +277,39 @@ def test_audit_study_rejects_p_prime_above_one_before_any_trial(monkeypatch):
             f"audit study needs p_prime = p_prime_factor * p0 in [0, 1], "
             f"got p_prime={p_prime} for n=64")):
         run_study(bad)
+
+
+@pytest.mark.parametrize("study, text, key", [
+    ("hitting", "ns = \n", "ns"),
+    ("sweep", "ns = 16\nms = \n", "ms"),
+    ("kcore", "ns = 16\nm_factors = \n", "m_factors"),
+])
+def test_study_rejects_an_empty_grid_before_any_trial(monkeypatch, study,
+                                                      text, key):
+    # an empty list parses to (), which would run no trial and report none
+    monkeypatch.setattr(experiments, "_run_one", _no_trial)
+    bad = parse_config_text(f"study = {study}\ntrials = 1\n{text}")
+    with pytest.raises(ValueError, match=f"{study} study needs a non-empty {key}$"):
+        run_study(bad)
+
+
+def test_each_study_seeds_and_records_its_trials_by_one_layout():
+    # trial t at (n, m) uses derive_seed(master, code, n, m or 0, t), with
+    # the codes written out; only kcore records carry k
+    codes = {"hitting": 1, "sweep": 2, "kcore": 3, "audit": 4}
+    master = 23
+    for study, code in codes.items():
+        cfg = ExperimentConfig(study=study, ns=(8, 12), ms=(10, 14), k=2,
+                               trials=2, seed=master, restarts=1)
+        records = run_study(cfg).records
+        grid = (10, 14) if study in ("sweep", "kcore") else (None,)
+        assert [(r.n, r.m, r.trial) for r in records] == [
+            (n, m, t) for n in (8, 12) for m in grid for t in (0, 1)]
+        for rec in records:
+            assert rec.study == study
+            assert rec.seed == derive_seed(master, code, rec.n, rec.m or 0,
+                                           rec.trial)
+            assert rec.k == (2 if study == "kcore" else None)
 
 
 def test_unknown_study_rejected_before_any_trial(monkeypatch):

@@ -3,7 +3,7 @@
 ``golden_cli_flags.json`` records, for every subcommand and sub-subcommand
 of ``build_parser()``, each option's strings, dest, default, required,
 type name, choices and nargs. ``golden_study_output.json`` records, for one
-small hitting, sweep and kcore study each, the records and summary CSV
+small hitting, sweep, kcore and audit study each, the records and summary CSV
 bytes of ``render_output(..., "csv")`` and the JSON envelopes of the
 ``SummaryTable`` and of the records list. The bench digests pin only the
 study JSON, so these pin the rest of what a user reads.
@@ -36,6 +36,8 @@ STUDIES = {
     # (tau_3 < m)
     "kcore": ExperimentConfig(study="kcore", ns=(48, 96), ms=(90, 400), k=3,
                               trials=3, seed=13),
+    # n = 32 runs the exhaustive small-subset stage of the edge-count audit
+    "audit": ExperimentConfig(study="audit", ns=(32, 128), trials=2, seed=17),
 }
 
 
