@@ -8,6 +8,7 @@ input files, reported with line numbers); 3 unexpected runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -240,7 +241,11 @@ def _flags(*args, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``resil`` parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged, and each parse returns a fresh
+    namespace. Callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="resil",
         description="Connectivity resilience in the random graph process: "

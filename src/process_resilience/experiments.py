@@ -166,6 +166,8 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
         key = key.strip()
         if key not in names:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"config line {lineno}: key {key} set twice")
         try:
             values[key] = _parse_value(key, raw)
         except ValueError as exc:
@@ -451,7 +453,12 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     if not groups:
         key = "ns" if not cfg.ns else "ms" if cfg.ms is not None else "m_factors"
         raise ValueError(f"{cfg.study} study needs a non-empty {key}")
-    for n, m in groups:
+    for i, (n, m) in enumerate(groups):
+        if (n, m) in groups[:i]:
+            key = ("ns" if cfg.ns.count(n) > 1 else
+                   "ms" if cfg.ms is not None else "m_factors")
+            raise ValueError(f"{cfg.study} study: {key} repeats a value, so "
+                             f"the trials at n={n}, m={m} would run twice")
         if m is not None and not 0 <= m <= pair_count(n):
             raise ValueError(f"{cfg.study} study: ms asks for m={m} at "
                              f"n={n}, outside [0, {pair_count(n)}]")

@@ -274,10 +274,17 @@ def induced_subgraph(g: Graph, vertices: Iterable) -> Graph:
 
 
 def giant_component(g: Graph) -> Graph:
-    """Induced subgraph on the largest component (ties: smallest vertex)."""
+    """Induced subgraph on the largest component (ties: smallest vertex).
+
+    The giant of a connected g shares g's read-only arrays, with the
+    labels ``_induced`` would give it; only a disconnected g is copied.
+    """
     if g.m == 0:
         raise ValueError("no giant: graph has no edges")
     label = _component_labels(g)
+    if not label.any():
+        labels = tuple(range(g.n) if g.labels is None else g.labels)
+        return Graph(g.n, g.indptr, g.indices, g._ends, labels)
     sizes = np.bincount(label, minlength=g.n)
     return _induced(g, label == np.argmax(sizes))
 

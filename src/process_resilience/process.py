@@ -47,16 +47,39 @@ def _pairs_from_indices(n: int, idx) -> tuple:
 
     A float square root guesses each row u; integer passes then step u
     until row_start(u) <= idx < row_start(u + 1), so the result is exact
-    wherever (2n - 1)**2 fits in int64, n <= 2**27 included.
+    wherever (2n - 1)**2 fits in int64, n <= 2**27 included. The guess
+    halves b - sqrt(b*b - 8 idx) >= 0 and truncates: halving is exact and
+    truncation floors a positive value, so it equals a float floor-divide
+    by 2, which costs about as much as the rest of the decode.
     """
     idx = np.asarray(idx, dtype=np.int64)
     b = 2 * n - 1
-    u = ((b - np.sqrt((b * b - 8 * idx).astype(np.float64))) // 2).astype(np.int64)
+    u = ((b - np.sqrt((b * b - 8 * idx).astype(np.float64))) * 0.5).astype(np.int64)
     while (high := u * (b - u) // 2 > idx).any():
         u -= high
     while (low := (u + 1) * (b - u - 1) // 2 <= idx).any():
         u += low
     return u, idx - u * (b - u) // 2 + u + 1
+
+
+def _repeated(values: np.ndarray) -> np.ndarray:
+    """The positions i whose values[i] occurs more than once in the int64
+    array ``values``, ascending.
+
+    A sort gives ``twice``, the values seen again, in order; a 2**16-entry
+    table of their low 16 bits picks out the few candidate positions in one
+    gather, and a binary search in ``twice`` confirms those. This spares an
+    argsort of all the values, which costs about twice as much. (np.isin
+    would confirm them too, but pulls in about 1 MB more resident memory.)
+    """
+    ordered = np.sort(values)
+    twice = ordered[1:][ordered[1:] == ordered[:-1]]
+    table = np.zeros(1 << 16, dtype=bool)
+    table[twice & 0xFFFF] = True
+    candidates = np.flatnonzero(table[values & 0xFFFF])
+    found = values[candidates]
+    at = np.minimum(np.searchsorted(twice, found), len(twice) - 1)
+    return candidates[twice[at] == found]
 
 
 _BATCH = 8192
@@ -110,14 +133,14 @@ class ProcessTrace:
         The trace keeps the j of every step it has drawn, not the shuffled
         positions: a draw to m replays steps [0, m) from the identity
         through one fresh swap map, walked in Python only at step i where
-        (a) its j repeats among the m draws, or (b) j < m, so j is a step,
-        j == i included. Every other step picks its own j: no earlier step
-        wrote there, and its own write, to a position j >= m no other step
-        draws, is read by no step of [0, m). A draw to fewer than
-        ``_FLAG_MIN_STEPS`` pairs walks every step. A draw costs
-        O(m log m) whatever was drawn before it, so readers grow their
-        prefixes geometrically: ``_first_hit`` by a quarter, ``iter_pairs``
-        by doubling.
+        (a) another of the m steps draws its j too (``_repeated``), or
+        (b) j < m, so j is a step, j == i included. Every other step picks
+        its own j: no earlier step wrote there, and its own write, to a
+        position j >= m no other step draws, is read by no step of [0, m).
+        A draw to fewer than ``_FLAG_MIN_STEPS`` pairs walks every step. A
+        draw costs O(m log m) whatever was drawn before it, so readers grow
+        their prefixes geometrically: ``_first_hit`` by a quarter,
+        ``iter_pairs`` by doubling.
         """
         N = self.num_pairs
         if not (0 <= m <= N):
@@ -134,11 +157,7 @@ class ProcessTrace:
                 walk = np.arange(m)
             else:
                 flag = draws < m                  # (b)
-                order = np.argsort(draws)
-                ordered = draws[order]
-                repeat = ordered[1:] == ordered[:-1]
-                flag[order[1:][repeat]] = True    # (a)
-                flag[order[:-1][repeat]] = True
+                flag[_repeated(draws)] = True     # (a)
                 walk = np.flatnonzero(flag)
             picked, swap = [], {}
             append, get, pop = picked.append, swap.get, swap.pop

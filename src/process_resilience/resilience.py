@@ -384,7 +384,10 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
     (top, held) iff fewer of the moved vertices (v and its neighbours) sit at
     the top after it than before. near[w] counts the top vertices in w's
     closed neighbourhood, and only flips with near[v] > 0 are scored: any
-    other moves no top vertex, so it cannot pass that test.
+    other moves no top vertex, so it cannot pass that test. A pass visits
+    ``compress(range(n), near)``, which reads near[v] when it reaches v, so
+    ``near`` stays one list per restart: it is all zero when no vertex is
+    left at the top, and ``summit`` adds the new top's counts into it.
 
     Flips are scored in integers against the top a/b. A vertex of degree d
     and crossing degree c is within the top iff c <= lim[d] = d*a // b, and
@@ -405,35 +408,34 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
     nbrs = list(map(verts.__getitem__, g.indices.tolist()))
     rows = [nbrs[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def summit(cross):
-        """(top, lim, at, held, near) of a crossing-degree list."""
+    def summit(cross, near):
+        """(top, lim, at, held) of a crossing-degree list; adds the counts
+        of the top vertices into ``near``, which must be all zero."""
         ratio = np.array(cross, dtype=np.int64) / deg_arr
         tops = np.flatnonzero(ratio == ratio.max()).tolist()
         top = Fraction(cross[tops[0]], deg[tops[0]])
         a, b = top.numerator, top.denominator
         lim = [d * a // b for d in degree_values]
         at = [c if d * a % b == 0 else -1 for d, c in enumerate(lim)]
-        near = [0] * n
         for u in tops:
             near[u] += 1
             for w in rows[u]:
                 near[w] += 1
-        return top, lim, at, len(tops), near
+        return top, lim, at, len(tops)
 
     best = None  # (max_ratio Fraction, cut)
     for r in range(restarts):
         side = random_equipartition(n, generator(seed, r)).tolist()
         on_b = n - n // 2
         cross = crossing_degrees(g, side)
-        top, lim, at, held, near = summit(cross)
+        near = [0] * n
+        top, lim, at, held = summit(cross, near)
         improved = True
         passes = 0
         while improved and passes < 64:
             improved = False
             passes += 1
-            for v in range(n):
-                if not near[v]:
-                    continue
+            for v in compress(range(n), near):
                 s = side[v]
                 if (s == 1 and on_b == 1) or (s == 0 and on_b == n - 1):
                     continue  # the flip would empty a side
@@ -475,7 +477,7 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
                         for w in rows[u]:
                             near[w] += shift
                 if not held:
-                    top, lim, at, held, near = summit(cross)
+                    top, lim, at, held = summit(cross, near)
                 improved = True
         if best is None or top < best[0]:
             best = (top, Cut(frozenset(), *_sides(side)))
@@ -565,8 +567,9 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     sweep's heap if it comes after the mover, else the next sweep's
     worklist, as does a mover still over its cap.
 
-    The returned outcome's ``satisfied`` flag replays the cut through
-    verify_star_condition at the given epsilon.
+    The returned outcome's ``satisfied`` flag is verify_star_condition of
+    the cut at the given epsilon, checked on the final side vector itself:
+    every crossing degree within BudgetRule(1/2 + epsilon).
     """
     if cls.n != g.n:
         raise ValueError(f"classification universe {cls.n} does not match "
@@ -645,9 +648,9 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
             f"partition collapsed to one side (moves={moves}, "
             f"removed={len(removed)}); the input is outside the regime "
             f"where the construction converges")
-    cut = Cut(frozenset(), side_a, side_b)
-    return AttackOutcome(cut=cut, satisfied=verify_star_condition(g, cut, eps),
-                         diagnostics=diagnostics)
+    satisfied = BudgetRule(Fraction(1, 2) + eps)._admits(g, _crossing(g, side))
+    return AttackOutcome(cut=Cut(frozenset(), side_a, side_b),
+                         satisfied=satisfied, diagnostics=diagnostics)
 
 
 def _majority_sides(g: Graph, side: np.ndarray, order: np.ndarray) -> np.ndarray:

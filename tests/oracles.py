@@ -771,6 +771,18 @@ def stream_indices(n: int, seed: int, m: int) -> list:
     return picked
 
 
+def repeated_positions_by_argsort(values) -> list:
+    """The positions whose value occurs more than once in ``values``,
+    ascending: the neighbours of each equal pair of a stable argsort."""
+    values = np.asarray(values, dtype=np.int64)
+    order = np.argsort(values, kind="stable")
+    same = values[order][1:] == values[order][:-1]
+    flag = np.zeros(len(values), dtype=bool)
+    flag[order[1:][same]] = True
+    flag[order[:-1][same]] = True
+    return np.flatnonzero(flag).tolist()
+
+
 def gnp_indices(n: int, p: float, seed: int) -> list:
     """Ascending pair indices of G(n,p), one geometric skip at a time.
 

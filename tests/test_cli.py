@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from process_resilience.cli import build_parser, main
 from process_resilience.graphs import format_graph_text, parse_graph_text
+from process_resilience.process import sample_gnm
 
 from conftest import cycle, cherry_gadget
 
@@ -37,6 +42,27 @@ def test_subcommand_help_flags(capsys):
     code, out, _ = run(capsys, "attack", "exact", "--help")
     assert code == 0
     assert "--graph" in out and "--alpha" in out
+
+
+def test_one_parser_serves_every_call_as_a_fresh_process_would(capsys, tmp_path):
+    # the parser is built once per process; a call after others prints
+    # what the same call prints as the first of a fresh interpreter
+    assert build_parser() is build_parser()
+    graph = tmp_path / "g.txt"
+    graph.write_text(format_graph_text(sample_gnm(60, 240, 3)))
+    calls = [("study", "sweep", "--ns", "16", "--ms", "30", "--trials", "2",
+              "--format", "csv"),
+             ("attack", "greedy", "--graph", str(graph), "--epsilon", "1/10",
+              "--seed", "1"),
+             ("sample", "gnm", "--n", "8", "--m", "5", "--seed", "2"),
+             ("study", "hitting", "--ns", "1"),
+             ("attack", "exact", "--graph", str(graph))]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "process_resilience.cli", *argv],
+                               env=env, capture_output=True, text=True, timeout=120)
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert build_parser() is build_parser()
 
 
 def test_unknown_flag_is_usage_error(capsys):

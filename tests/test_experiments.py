@@ -293,6 +293,34 @@ def test_study_rejects_an_empty_grid_before_any_trial(monkeypatch, study,
         run_study(bad)
 
 
+@pytest.mark.parametrize("study, text, key, n, m", [
+    ("hitting", "ns = 16, 24, 16\n", "ns", 16, None),
+    ("sweep", "ns = 16, 16\nms = 30, 40\n", "ns", 16, 30),
+    ("sweep", "ns = 16\nms = 30, 30\n", "ms", 16, 30),
+    ("kcore", "ns = 16\nm_factors = 1.0, 1.0\n", "m_factors", 16, 8),
+    # distinct factors that clamp to the same m = C(6, 2)
+    ("sweep", "ns = 6\nm_factors = 50, 60\n", "m_factors", 6, 15),
+])
+def test_study_rejects_a_repeated_grid_value_before_any_trial(
+        monkeypatch, study, text, key, n, m):
+    # a repeated value would run the same seeded trials again and count
+    # them as new samples in the summary
+    monkeypatch.setattr(experiments, "_run_one", _no_trial)
+    bad = parse_config_text(f"study = {study}\ntrials = 2\n{text}")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{study} study: {key} repeats a value, so the trials at n={n}, "
+            f"m={m} would run twice")):
+        run_study(bad)
+
+
+def test_config_rejects_a_key_given_twice():
+    text = "study = sweep\ntrials = 3\n# again\ntrials = 5\n"
+    with pytest.raises(ValueError, match="^config line 4: key trials set twice$"):
+        parse_config_text(text)
+    # an override is not a second line
+    assert parse_config_text("trials = 3\n", trials=5).trials == 5
+
+
 def test_each_study_seeds_and_records_its_trials_by_one_layout():
     # trial t at (n, m) uses derive_seed(master, code, n, m or 0, t), with
     # the codes written out; only kcore records carry k

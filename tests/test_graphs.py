@@ -12,6 +12,7 @@ from process_resilience.graphs import (
     GraphFormatError,
     _SplitNetwork,
     _graph_from_arrays,
+    _induced,
     _is_edge,
     _k_connected,
     _pair_arrays,
@@ -372,6 +373,39 @@ def test_giant_of_connected_graph_is_identity():
     giant = giant_component(g)
     assert giant.edges == g.edges
     assert giant.labels == tuple(range(5))
+
+
+def _giants_and_inputs():
+    """(g, connected): connected, disconnected and labelled inputs, the
+    giant of a giant among them."""
+    sparse = sample_gnm(300, 320, 2)
+    giant = giant_component(sparse)
+    yield cycle(5), True
+    yield sample_gnm(300, 2000, 1), True
+    yield sparse, False
+    yield giant, True
+    yield k_core(giant, 2), True
+    yield induced_subgraph(cycle(9), [0, 1, 2, 3, 4]), True
+    yield induced_subgraph(cycle(9), [5, 6, 8, 0, 2, 3]), False
+
+
+@pytest.mark.parametrize("g, connected", list(_giants_and_inputs()))
+def test_giant_equals_the_induced_copy(g, connected):
+    # a connected g's giant shares g's arrays; any giant equals the copy
+    # _induced makes of its component, labels included
+    inside = np.zeros(g.n, dtype=bool)
+    inside[list(connected_components(g)[0])] = True
+    assert inside.all() == connected
+    giant, ref = giant_component(g), _induced(g, inside)
+    assert giant.n == ref.n and giant.labels == ref.labels
+    assert type(giant.labels) is tuple
+    for a, b in ((giant.indptr, ref.indptr), (giant.indices, ref.indices),
+                 *zip(giant._ends, ref._ends)):
+        assert a.dtype == np.int64 and not a.flags.writeable
+        assert np.array_equal(a, b)
+    shares = [np.shares_memory(a, b) for a, b in (
+        (giant.indptr, g.indptr), (giant.indices, g.indices), *zip(giant._ends, g._ends))]
+    assert shares == [connected] * 4
 
 
 def test_giant_requires_an_edge():

@@ -13,6 +13,7 @@ from process_resilience.graphs import _pair_arrays
 from process_resilience.process import (
     ProcessTrace,
     _pairs_from_indices,
+    _repeated,
     graph_at,
     hitting_time_k_connectivity,
     hitting_time_min_degree,
@@ -26,7 +27,8 @@ from process_resilience.process import (
 )
 from process_resilience.rng import GENERATOR_ID, derive_seed
 
-from oracles import gnp_indices, is_k_connected_oracle, stream_indices
+from oracles import (gnp_indices, is_k_connected_oracle,
+                     repeated_positions_by_argsort, stream_indices)
 
 
 @dataclass(frozen=True)
@@ -221,6 +223,21 @@ def test_endpoints_match_the_step_by_step_walk(case, seed):
                 for u, v in zip(us.tolist(), vs.tolist())] == expected[:m]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 53) | st.integers(0, 300), max_size=400))
+# values equal mod 2**16 but different, next to an odd repeated value
+@example([5, 5 + 2 ** 16, 3 * 2 ** 16 + 5, 7, 7])
+@example([2 ** 16 + 1, 1])
+# a value drawn three times, and a pair
+@example([9, 2 ** 40 + 9, 9, 4, 9, 2 ** 40 + 9])
+# no repeats, and nothing at all
+@example(list(range(0, 2 ** 20, 4099)))
+@example([])
+def test_repeated_positions_match_the_argsort_reference(values):
+    values = np.array(values, dtype=np.int64)
+    assert _repeated(values).tolist() == repeated_positions_by_argsort(values)
+
+
 @pytest.mark.parametrize("j", [0, 1, 63, 64, 65, 128, 129, 1000, 4095, 4096])
 def test_iter_pairs_stopped_early_draws_at_most_twice_what_it_used(j):
     trace = sample_process(100, 4)
@@ -272,6 +289,23 @@ def test_pair_decode_is_exact_up_to_n_2_pow_27(n):
     idx = np.concatenate((starts - 1, starts, starts + 1, [N - 1],
                           rng.integers(0, N, 3000)))
     _decode_check(n, idx[(0 <= idx) & (idx < N)])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4096, 2 ** 20, 2 ** 26 + 3])
+def test_pair_decode_is_exact_at_every_row_end(n):
+    # the first and last index of every row, where a guess of the row is
+    # likeliest to be off by one; rows are decoded 2**19 at a time
+    for lo in range(0, n - 1, 2 ** 19):
+        rows = np.arange(lo, min(lo + 2 ** 19, n - 1))
+        firsts = _row_starts(n, rows)
+        lasts = firsts + (n - 2 - rows)
+        for i in (0, -1):  # the chunk's end rows, by index_from_pair
+            u = int(rows[i])
+            assert index_from_pair(n, u, u + 1) == firsts[i]
+            assert index_from_pair(n, u, n - 1) == lasts[i]
+        us, vs = _pairs_from_indices(n, np.concatenate((firsts, lasts)))
+        assert np.array_equal(us, np.tile(rows, 2))
+        assert np.array_equal(vs, np.concatenate((rows + 1, np.full(len(rows), n - 1))))
 
 
 def test_trace_rejects_pair_counts_from_2_pow_53():
