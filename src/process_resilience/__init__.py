@@ -12,13 +12,11 @@ from .classify import (
     audit_atyp_size,
     audit_edge_counts,
     audit_neighbourhoods,
-    chernoff_tail_bounds,
     classify_vertices,
 )
 from .graphs import (
     Graph,
     GraphFormatError,
-    VertexSet,
     ball,
     build_graph,
     connected_components,
@@ -41,7 +39,6 @@ from .process import (
     sample_gnm,
     sample_gnp,
     sample_process,
-    trace_from_descriptor,
 )
 from .resilience import (
     AttackError,
@@ -62,7 +59,6 @@ from .resilience import (
     find_k_conn_attack,
     greedy_partition_attack,
     replay_cut,
-    verify_star_condition,
 )
 from .rng import GENERATOR_ID, derive_seed, generator, splitmix64
 

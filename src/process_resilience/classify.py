@@ -1,7 +1,6 @@
 """Degree-based vertex classification (tiny / atypical) and the structural
-audits used to sanity-check sampled graphs: concentration tail bounds,
-atypical-set size, neighbourhood clumping of tiny/atypical vertices, and
-subset edge counts.
+audits used to sanity-check sampled graphs: atypical-set size,
+neighbourhood clumping of tiny/atypical vertices, and subset edge counts.
 
 All audits are empirical checks on concrete graphs, reported with explicit
 witnesses; none of them asserts an asymptotic statement. Thresholds use the
@@ -17,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import (Graph, VertexSet, _components, _is_edge, _row_positions,
+from .graphs import (Graph, _components, _is_edge, _row_positions,
                      _spans, _vertex_mask, neighbours_in)
 from .rng import generator
 
@@ -33,8 +32,8 @@ class VertexClassification:
     graph: Graph = field(repr=False)
     p: float
     delta: float
-    tiny: VertexSet
-    atyp: VertexSet
+    tiny: frozenset
+    atyp: frozenset
 
     @property
     def n(self) -> int:
@@ -51,17 +50,6 @@ class VertexClassification:
         return _vertex_mask(self.n, self.atyp)
 
 
-def chernoff_tail_bounds(n: int, p: float, delta: float):
-    """(upper, lower) multiplicative tail bounds for Bin(n, p) at 1 +- delta.
-
-    upper = exp(-delta^2 * n * p / 3), lower = exp(-delta^2 * n * p / 2).
-    """
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
-    mu = n * p
-    return math.exp(-delta * delta * mu / 3.0), math.exp(-delta * delta * mu / 2.0)
-
-
 def classify_vertices(g_ref: Graph, p: float, delta: float,
                       restrict_to: Optional[Sequence] = None) -> VertexClassification:
     """Classify vertices of g_ref by degree against the n*p scale.
@@ -69,6 +57,8 @@ def classify_vertices(g_ref: Graph, p: float, delta: float,
     ``restrict_to`` intersects both classes with a vertex subset (e.g. the
     vertex set of a giant or core living inside the same universe).
     """
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"p must be in [0, 1], got {p}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must be in (0, 1), got {delta}")
     np_scale = g_ref.n * p

@@ -564,27 +564,6 @@ def _summary_csv_text(table: SummaryTable) -> str:
                      ([_cell(row.get(col)) for col in columns] for row in table.rows))
 
 
-def parse_records_csv(text: str):
-    """Inverse of the records CSV writer (for round-trip checks)."""
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    header = next(reader)
-    out = []
-    for row in reader:
-        base = dict(zip(header, row))
-        metrics = {}
-        for col, val in base.items():
-            if col.startswith("metric:") and val != "":
-                metrics[col[len("metric:"):]] = json.loads(val)
-        out.append(TrialRecord(
-            study=base["study"], n=int(base["n"]),
-            m=None if base["m"] == "" else int(base["m"]),
-            k=None if base["k"] == "" else int(base["k"]),
-            trial=int(base["trial"]), seed=int(base["seed"]),
-            metrics=metrics))
-    return out
-
-
 def render_output(obj, fmt: str, timestamp: Optional[str] = None) -> bytes:
     """Serialize a StudyResult, SummaryTable, or record list as csv or json."""
     if fmt not in ("csv", "json"):

@@ -20,8 +20,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-VertexSet = frozenset
-
 
 class GraphFormatError(ValueError):
     """Malformed graph text; carries the 1-based offending line number."""
@@ -240,7 +238,7 @@ def _components(g: Graph) -> list:
 
 def connected_components(g: Graph):
     """Components as vertex sets, largest first, ties by smallest vertex."""
-    return [VertexSet(c.tolist()) for c in _components(g)]
+    return [frozenset(c.tolist()) for c in _components(g)]
 
 
 def is_connected(g: Graph) -> bool:
@@ -265,12 +263,7 @@ def _induced(g: Graph, inside: np.ndarray) -> Graph:
 
 def induced_subgraph(g: Graph, vertices: Iterable) -> Graph:
     """Subgraph induced on ``vertices``; labels map back to g's originals."""
-    keep = sorted(set(vertices))
-    if keep and not (0 <= keep[0] and keep[-1] < g.n):
-        raise ValueError(f"vertices must be in [0, {g.n}), got {keep[0]}..{keep[-1]}")
-    inside = np.zeros(g.n, dtype=bool)
-    inside[keep] = True
-    return _induced(g, inside)
+    return _induced(g, _vertex_mask(g.n, vertices))
 
 
 def giant_component(g: Graph) -> Graph:
@@ -331,16 +324,24 @@ def ball(g: Graph, v: int, radius: int):
             break
         dist[nbrs] = d
         frontier = np.flatnonzero(dist == d)
-    return VertexSet(np.flatnonzero(dist > 0).tolist())
+    return frozenset(np.flatnonzero(dist > 0).tolist())
 
 
 def _vertex_mask(n: int, members) -> np.ndarray:
     """The boolean mask over 0..n-1 of ``members``, an iterable of vertices
-    or such a mask already; a mask it builds is read-only."""
+    or such a mask already; a mask it builds is read-only. ValueError for
+    a mask of another length or a member outside [0, n): an index of -1
+    would alias vertex n - 1."""
     if isinstance(members, np.ndarray) and members.dtype == bool:
+        if members.shape != (n,):
+            raise ValueError(f"vertex mask must have shape ({n},), got {members.shape}")
         return members
+    at = np.asarray(members if isinstance(members, np.ndarray) else list(members))
     mask = np.zeros(n, dtype=bool)
-    mask[members if isinstance(members, np.ndarray) else list(members)] = True
+    if at.size:
+        if not (at.dtype.kind in "iu" and at.min() >= 0 and at.max() < n):
+            raise ValueError(f"vertices must be integers in [0, {n})")
+        mask[at] = True
     mask.setflags(write=False)
     return mask
 

@@ -35,15 +35,10 @@ def pair_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def index_from_pair(n: int, u: int, v: int) -> int:
-    """Lexicographic rank of the pair (u, v), u < v, in the upper triangle."""
-    if u > v:
-        u, v = v, u
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
-
-
 def _pairs_from_indices(n: int, idx) -> tuple:
-    """Inverse of index_from_pair over an int64 array: (us, vs).
+    """(us, vs): the pairs u < v at the ranks ``idx``, an int64 array, in
+    the lexicographic order of the upper triangle, where row u starts at
+    rank row_start(u) = u (2n - u - 1) / 2.
 
     A float square root guesses each row u; integer passes then step u
     until row_start(u) <= idx < row_start(u + 1), so the result is exact
@@ -196,16 +191,6 @@ class ProcessTrace:
         return {"n": self.n, "seed": self.seed, "generator": GENERATOR_ID}
 
 
-def trace_from_descriptor(d: dict) -> ProcessTrace:
-    if d.get("generator") != GENERATOR_ID:
-        raise ValueError(f"unsupported generator id {d.get('generator')!r}; "
-                         f"this build produces {GENERATOR_ID!r}")
-    missing = [key for key in ("n", "seed") if key not in d]
-    if missing:
-        raise ValueError(f"process descriptor lacks {', '.join(missing)}")
-    return ProcessTrace(int(d["n"]), int(d["seed"]))
-
-
 def sample_process(n: int, seed: int) -> ProcessTrace:
     if n < 2:
         raise ValueError(f"process needs n >= 2, got {n}")
@@ -279,11 +264,9 @@ def hitting_time_k_connectivity(trace: ProcessTrace, k: int) -> int:
 
 
 def sample_gnm(n: int, m: int, seed: int) -> Graph:
-    """Uniform graph with n vertices and m edges."""
-    trace = ProcessTrace(n, seed)
-    if m > trace.num_pairs:
-        raise ValueError(f"m={m} exceeds the {trace.num_pairs} available pairs")
-    return graph_at(trace, m)
+    """Uniform graph with n vertices and m edges; ValueError unless m is in
+    [0, N]."""
+    return graph_at(ProcessTrace(n, seed), m)
 
 
 def _gnp_indices(n: int, p: float, seed: int) -> np.ndarray:

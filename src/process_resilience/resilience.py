@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .classify import VertexClassification
-from .graphs import (Graph, VertexSet, _is_edge, _pair_arrays, _row_positions,
+from .graphs import (Graph, _is_edge, _pair_arrays, _row_positions,
                      incidence, is_connected, is_k_connected)
 from .rng import generator
 
@@ -125,9 +125,9 @@ class Cut:
     subgraph is the set of A-B crossing edges.
     """
 
-    separator: VertexSet
-    side_a: VertexSet
-    side_b: VertexSet
+    separator: frozenset
+    side_a: frozenset
+    side_b: frozenset
 
     def __post_init__(self):
         if not self.side_a or not self.side_b:
@@ -235,21 +235,18 @@ def random_equipartition(n: int, rng) -> np.ndarray:
     return side
 
 
-def _crossing(g: Graph, side) -> np.ndarray:
-    """crossing_degrees as an int64 array. The crossing edges are taken by
-    position: a boolean mask index costs several times flatnonzero + take."""
+def crossing_degrees(g: Graph, side) -> np.ndarray:
+    """cross[v], an int64 array: the neighbours of v on the other side of
+    the cut.
+
+    side[v] is 0 for side A, 1 for side B, and -1 for a separator or
+    unplaced vertex, whose edges neither count nor are counted. The
+    crossing edges are taken by position: a boolean mask index costs
+    several times flatnonzero + take.
+    """
     eu, ev = g._ends
     cut = np.flatnonzero(_crosses(g, side))
     return incidence(g.n, eu.take(cut), ev.take(cut))
-
-
-def crossing_degrees(g: Graph, side) -> list:
-    """cross[v]: the neighbours of v on the other side of the cut.
-
-    side[v] is 0 for side A, 1 for side B, and -1 for a separator or
-    unplaced vertex, whose edges neither count nor are counted.
-    """
-    return _crossing(g, side).tolist()
 
 
 def _equipartition_d_set(g: Graph, d_threshold, seed: int) -> tuple:
@@ -257,7 +254,7 @@ def _equipartition_d_set(g: Graph, d_threshold, seed: int) -> tuple:
     and D, the ascending array of the vertices crossing more than
     d_threshold of its edges."""
     side = random_equipartition(g.n, generator(seed))
-    return side, np.flatnonzero(_crossing(g, side) > d_threshold)
+    return side, np.flatnonzero(crossing_degrees(g, side) > d_threshold)
 
 
 def _sides(side) -> tuple:
@@ -427,7 +424,7 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
     for r in range(restarts):
         side = random_equipartition(n, generator(seed, r)).tolist()
         on_b = n - n // 2
-        cross = crossing_degrees(g, side)
+        cross = crossing_degrees(g, side).tolist()
         near = [0] * n
         top, lim, at, held = summit(cross, near)
         improved = True
@@ -526,23 +523,6 @@ def cherry_attack(g: Graph) -> Optional[tuple]:
     return (c, d) if c < d else (d, c)
 
 
-def verify_star_condition(g: Graph, cut: Cut, epsilon) -> bool:
-    """True iff every vertex has crossing degree <= (1/2 + epsilon) * degree,
-    that is, the crossing edges respect BudgetRule(1/2 + epsilon); an integer
-    crossing degree is within alpha * deg iff it is within floor(alpha * deg).
-
-    epsilon is taken as a rational and must lie in [-1/2, 1/2]. The
-    separator must be empty and the sides must cover the graph.
-    """
-    eps = Fraction(epsilon)
-    if not (-Fraction(1, 2) <= eps <= Fraction(1, 2)):
-        raise ValueError(f"epsilon must be in [-1/2, 1/2], got {eps}")
-    if cut.separator:
-        raise ValueError("star condition is defined for separator-free cuts")
-    return BudgetRule(Fraction(1, 2) + eps)._admits(
-        g, _crossing(g, _side_vector(g, cut)))
-
-
 def greedy_partition_attack(g: Graph, cls: VertexClassification,
                             d_threshold: float, epsilon, seed: int) -> AttackOutcome:
     """Constructive bipartition attack.
@@ -567,9 +547,9 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     sweep's heap if it comes after the mover, else the next sweep's
     worklist, as does a mover still over its cap.
 
-    The returned outcome's ``satisfied`` flag is verify_star_condition of
-    the cut at the given epsilon, checked on the final side vector itself:
-    every crossing degree within BudgetRule(1/2 + epsilon).
+    The returned outcome's ``satisfied`` flag is the BudgetRule(1/2 +
+    epsilon) test of the final side vector: every crossing degree is within
+    floor((1/2 + epsilon) * deg), as ``replay_cut`` finds for the cut.
     """
     if cls.n != g.n:
         raise ValueError(f"classification universe {cls.n} does not match "
@@ -595,7 +575,7 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     # turns it into turn[v] - slack[v]
     caps = np.where(tiny, BudgetRule(Fraction(1, 2))._cap_array(g),
                     BudgetRule(Fraction(1, 2) + eps)._cap_array(g))
-    slack = caps - _crossing(g, side)
+    slack = caps - crossing_degrees(g, side)
     pending = np.flatnonzero(slack < 0).tolist()
     slack, turn = slack.tolist(), (2 * caps - g.degree_array).tolist()
     side_of = side.tolist()
@@ -648,7 +628,7 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
             f"partition collapsed to one side (moves={moves}, "
             f"removed={len(removed)}); the input is outside the regime "
             f"where the construction converges")
-    satisfied = BudgetRule(Fraction(1, 2) + eps)._admits(g, _crossing(g, side))
+    satisfied = BudgetRule(Fraction(1, 2) + eps)._admits(g, crossing_degrees(g, side))
     return AttackOutcome(cut=Cut(frozenset(), side_a, side_b),
                          satisfied=satisfied, diagnostics=diagnostics)
 
@@ -684,7 +664,7 @@ def replay_cut(g: Graph, cut: Cut, rule: BudgetRule) -> dict:
     check the budget. Removing H and the separator always disconnects a cut
     that covers g, since A and B are nonempty and H is every A-B edge.
     """
-    deg_h = _crossing(g, _side_vector(g, cut))
+    deg_h = crossing_degrees(g, _side_vector(g, cut))
     allowed = rule._admits(g, deg_h)
     keep_ok = bool((g.degree_array - deg_h >= rule.k).all())
     return {

@@ -13,6 +13,8 @@ sets built from ``g.edges``, without the library's ``ball``,
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 from collections import Counter, deque
 from dataclasses import fields
@@ -21,8 +23,9 @@ from itertools import accumulate, combinations, permutations
 
 import numpy as np
 
+from process_resilience.experiments import TrialRecord
 from process_resilience.graphs import Graph, build_graph
-from process_resilience.process import index_from_pair, pair_count
+from process_resilience.process import pair_count
 from process_resilience.resilience import (PartitionCollapsedError,
                                            RearrangementOverflowError)
 from process_resilience.rng import generator
@@ -286,17 +289,16 @@ def exists_kconn_attack_h(g: Graph, caps, k: int) -> bool:
     kept_min = [deg[v] - caps[v] for v in range(n)]
     if not _component_size_bound_admits_split(kept_min, n, k - 1):
         return False
-    from process_resilience.graphs import induced_subgraph
-
     for size in range(k):
         for sep in combinations(range(n), size):
             sep_set = set(sep)
             survivors = [v for v in range(n) if v not in sep_set]
             if len(survivors) < 2:
                 continue
-            sub = induced_subgraph(g, survivors)
-            sub_caps = [caps[orig] for orig in sub.labels]
-            if exists_disconnecting_h(sub, sub_caps):
+            # vertex i of the subgraph is survivors[i]: its labels point
+            # past g when g is itself a labelled giant or core
+            sub = induced_subgraph_by_edges(g, survivors)
+            if exists_disconnecting_h(sub, [caps[v] for v in survivors]):
                 return True
     return False
 
@@ -754,6 +756,14 @@ def audit_outcome(report):
 
 # -- the v1 pair stream, walked step by step ------------------------------
 
+def index_from_pair(n: int, u: int, v: int) -> int:
+    """Lexicographic rank of the pair (u, v), u < v, in the upper triangle:
+    the reference for ``process._pairs_from_indices``."""
+    if u > v:
+        u, v = v, u
+    return u * (2 * n - u - 1) // 2 + (v - u - 1)
+
+
 def stream_indices(n: int, seed: int, m: int) -> list:
     """Pair indices of the first m arrivals of the v1 stream of (n, seed).
 
@@ -875,3 +885,24 @@ def _pair_permutation_matrix(n: int) -> np.ndarray:
             u, v = _pair_from_rank(n, j)
             mat[r, j] = index_from_pair(n, sigma[u], sigma[v])
     return mat
+
+
+# -- study output ----------------------------------------------------------
+
+def parse_records_csv(text: str) -> list:
+    """The TrialRecords of a records CSV, for round-trip checks of its
+    writer: "#" lines are skipped, and each "metric:" cell is JSON."""
+    reader = csv.reader(ln for ln in text.splitlines() if not ln.startswith("#"))
+    header = next(reader)
+    out = []
+    for row in reader:
+        base = dict(zip(header, row))
+        metrics = {col[len("metric:"):]: json.loads(val) for col, val in base.items()
+                   if col.startswith("metric:") and val != ""}
+        out.append(TrialRecord(
+            study=base["study"], n=int(base["n"]),
+            m=None if base["m"] == "" else int(base["m"]),
+            k=None if base["k"] == "" else int(base["k"]),
+            trial=int(base["trial"]), seed=int(base["seed"]),
+            metrics=metrics))
+    return out

@@ -13,48 +13,17 @@ from process_resilience.classify import (
     audit_atyp_size,
     audit_edge_counts,
     audit_neighbourhoods,
-    chernoff_tail_bounds,
     classify_vertices,
 )
 from process_resilience.graphs import ball, build_graph, neighbours_in
 from process_resilience.process import pair_count, sample_gnm, sample_coupled, sample_gnp
 from process_resilience.resilience import _equipartition_d_set
-from process_resilience.rng import derive_seed, generator
+from process_resilience.rng import derive_seed
 
 from conftest import complete, cycle, path, star
 from oracles import (adjacency_sets, audit_outcome, cached_views, degree_classes,
                      recount_audits, small_subset_counts, tiny_ball_counts,
                      tiny_triangles)
-
-
-# -- tail bounds -----------------------------------------------------------
-
-def test_chernoff_formula_values():
-    upper, lower = chernoff_tail_bounds(300, 0.1, 0.5)
-    assert upper == pytest.approx(math.exp(-2.5))
-    assert lower == pytest.approx(math.exp(-3.75))
-    assert upper == pytest.approx(0.0821, abs=1e-4)
-
-
-def test_chernoff_small_delta_tends_to_one():
-    upper, lower = chernoff_tail_bounds(1000, 0.5, 1e-9)
-    assert upper > 0.999999 and lower > 0.999999
-
-
-def test_chernoff_rejects_bad_delta():
-    for bad in (0.0, 1.0, -0.2, 1.7):
-        with pytest.raises(ValueError):
-            chernoff_tail_bounds(10, 0.5, bad)
-
-
-def test_chernoff_dominates_empirical_binomial_tail():
-    n, p, delta, trials = 100, 0.5, 0.2, 200_000
-    rng = generator(314159)
-    draws = rng.binomial(n, p, size=trials)
-    upper, lower = chernoff_tail_bounds(n, p, delta)
-    mu = n * p
-    assert (draws >= (1 + delta) * mu).mean() <= upper
-    assert (draws <= (1 - delta) * mu).mean() <= lower
 
 
 # -- classification --------------------------------------------------------
@@ -79,6 +48,21 @@ def test_classify_restriction():
     assert cls.atyp == frozenset({0, 1, 2})
     with pytest.raises(ValueError):
         classify_vertices(star(6), 0.5, 0.5, restrict_to={7})
+
+
+@pytest.mark.parametrize("p", [-0.5, 1.5, math.nan, math.inf, -math.inf])
+def test_classify_rejects_p_outside_unit_interval(p):
+    # p = -0.5 would mark every vertex atypical, and NaN leave both classes
+    # empty, without a word
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+        classify_vertices(star(6), p, 0.5)
+
+
+def test_classify_accepts_p_at_both_ends():
+    # np = 0: no degree is below 0, every positive one is above the band
+    assert classify_vertices(star(6), 0.0, 0.5).atyp == frozenset(range(6))
+    # np = 4: the K_4 degree 3 lies inside the band (2, 6)
+    assert classify_vertices(complete(4), 1.0, 0.5).atyp == frozenset()
 
 
 def test_classification_masks_are_cached_read_only_and_not_fields():

@@ -179,6 +179,14 @@ def test_classify_command(tmp_path, capsys):
     assert payload["atyp"] == [0, 1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("p", ["-0.5", "nan"])
+def test_classify_with_p_outside_unit_interval_is_usage_error(capsys, c6_file, p):
+    code, out, err = run(capsys, "classify", "--graph", c6_file, f"--p={p}",
+                         "--delta", "0.5")
+    assert code == 2 and out == ""
+    assert "p must be in [0, 1]" in err
+
+
 def test_audit_command(tmp_path, capsys):
     import math
     from process_resilience.process import sample_coupled

@@ -15,13 +15,14 @@ from process_resilience.experiments import (
     comparable_json_bytes,
     emit,
     parse_config_text,
-    parse_records_csv,
     render_output,
     result_json_bytes,
     run_study,
     summarize_records,
     wilson_interval,
 )
+
+from oracles import parse_records_csv
 
 
 # -- config ----------------------------------------------------------------

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from process_resilience.graphs import (
@@ -254,7 +254,7 @@ def test_crossing_degrees_match_recount_on_relabelled_giants():
             counts = crossing_counts(
                 g, frozenset(v for v in range(g.n) if side[v] == 0),
                 frozenset(v for v in range(g.n) if side[v] == 1))
-            assert crossing_degrees(g, side) == [counts[v] for v in range(g.n)]
+            assert crossing_degrees(g, side).tolist() == [counts[v] for v in range(g.n)]
 
 
 @given(pair_lists(max_n=9), st.data())
@@ -282,6 +282,22 @@ def test_neighbours_in_extremes():
             mask[sorted(members)] = True
             assert neighbours_in(g, mask) == want
     assert neighbours_in(star(5), {0}) == [0, 1, 1, 1, 1]
+
+
+@given(st.integers(0, 9),
+       st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                 st.integers(0, 12).map(lambda k: np.ones(k, dtype=bool))))
+@example(n=4, bad=-1)                         # would alias vertex n - 1
+@example(n=4, bad=4)                          # vertex n
+@example(n=4, bad=np.ones(3, dtype=bool))     # a mask of length n - 1
+@example(n=4, bad=np.ones(5, dtype=bool))     # a mask of length n + 1
+@settings(max_examples=100, deadline=None)
+def test_neighbours_in_rejects_vertices_outside_the_graph(n, bad):
+    is_mask = isinstance(bad, np.ndarray)
+    assume(len(bad) != n if is_mask else not 0 <= bad < n)
+    with pytest.raises(ValueError, match="mask must have shape" if is_mask
+                       else r"vertices must be integers in \[0, "):
+        neighbours_in(path(n), bad if is_mask else [*range(n), bad])
 
 
 @st.composite

@@ -17,17 +17,15 @@ from process_resilience.process import (
     graph_at,
     hitting_time_k_connectivity,
     hitting_time_min_degree,
-    index_from_pair,
     pair_count,
     sample_coupled,
     sample_gnm,
     sample_gnp,
     sample_process,
-    trace_from_descriptor,
 )
 from process_resilience.rng import GENERATOR_ID, derive_seed
 
-from oracles import (gnp_indices, is_k_connected_oracle,
+from oracles import (gnp_indices, index_from_pair, is_k_connected_oracle,
                      repeated_positions_by_argsort, stream_indices)
 
 
@@ -107,22 +105,13 @@ def test_first_pair_frequencies_uniform():
         assert abs(cnt / trials - 1 / 6) < 3 * sigma, (pair, cnt)
 
 
-def test_descriptor_round_trip():
+def test_descriptor_names_the_trace_and_its_generator():
     trace = sample_process(10, 777)
-    again = trace_from_descriptor(trace.descriptor())
-    assert again == trace
-    with pytest.raises(ValueError, match="generator"):
-        trace_from_descriptor({"n": 4, "seed": 1, "generator": "other"})
-    for key in ("n", "seed"):
-        d = {"n": 4, "seed": 1, "generator": GENERATOR_ID}
-        del d[key]
-        with pytest.raises(ValueError, match=f"lacks {key}"):
-            trace_from_descriptor(d)
+    assert trace.descriptor() == {"n": 10, "seed": 777, "generator": GENERATOR_ID}
 
 
 @pytest.mark.parametrize("make", [
     lambda: ProcessTrace(-3, 0),
-    lambda: trace_from_descriptor({"n": -3, "seed": 0, "generator": GENERATOR_ID}),
     lambda: sample_gnm(-3, 0, 1),
     lambda: sample_gnp(-3, 0.0, 1),
     lambda: sample_gnp(-3, 0.5, 1),
@@ -254,7 +243,7 @@ def test_trace_equals_a_fresh_trace_after_drawing():
     assert trace == fresh and hash(trace) == hash(fresh)
     assert repr(trace) == repr(fresh) == "ProcessTrace(n=16, seed=5)"
     assert trace != ProcessTrace(16, 6) and trace != ProcessTrace(17, 5)
-    assert trace_from_descriptor(trace.descriptor()) == trace
+    assert trace.descriptor() == fresh.descriptor()
 
 
 def _decode_check(n, idx):
