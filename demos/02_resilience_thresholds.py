@@ -41,13 +41,13 @@ def main():
     print("=" * 64)
     g = ring(8)
     alpha_star = connectivity_resilience_threshold(g).threshold
-    at = find_disconnecting_attack(g, BudgetRule.fraction(alpha_star))
+    at = find_disconnecting_attack(g, BudgetRule(alpha_star))
     below = find_disconnecting_attack(
-        g, BudgetRule.fraction(alpha_star - Fraction(1, 100)))
+        g, BudgetRule(alpha_star - Fraction(1, 100)))
     print(f"  C_8 at alpha = {alpha_star}: cut found = {at is not None}")
     print(f"  C_8 at alpha = {alpha_star - Fraction(1, 100)}: "
           f"cut found = {below is not None}")
-    verdict = replay_cut(g, at, BudgetRule.fraction(alpha_star))
+    verdict = replay_cut(g, at, BudgetRule(alpha_star))
     print(f"  certificate replay: {verdict}")
 
     print()

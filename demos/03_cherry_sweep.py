@@ -40,7 +40,7 @@ def main():
         edge = cherry_attack(g)
         if edge is None:
             continue
-        ok = budget_allows(g, [edge], BudgetRule.fraction("1/3"))
+        ok = budget_allows(g, [edge], BudgetRule("1/3"))
         print(f"  seed {seed}: removing edge {edge} "
               f"(original labels {tuple(g.original_label(v) for v in edge)}) "
               f"disconnects the giant; within the 1/3 budget: {ok}")

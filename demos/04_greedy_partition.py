@@ -47,7 +47,7 @@ def main():
               f"star condition: {outcome.satisfied}")
         if seed == 0:
             verdict = replay_cut(giant, outcome.cut,
-                                 BudgetRule.fraction(Fraction(1, 2) + eps))
+                                 BudgetRule(Fraction(1, 2) + eps))
             print(f"    replay under alpha = 1/2 + eps: {verdict}")
 
 

@@ -54,7 +54,7 @@ def main():
     print(f"  2-core: {core.n} vertices, {core.m} edges, "
           f"2-connected: {is_k_connected(core, 2)}")
     for alpha in (Fraction(1, 3), Fraction(2, 3), Fraction(9, 10)):
-        rule = BudgetRule.fraction_keep_degree(alpha, 2)
+        rule = BudgetRule(alpha, 2)
         cut = find_k_conn_attack(core, rule, 2)
         if cut is None:
             print(f"  alpha = {alpha}: no certificate — (alpha, 2)-resilient")

@@ -55,7 +55,9 @@ def classify_vertices(g_ref: Graph, p: float, delta: float,
     """Classify vertices of g_ref by degree against the n*p scale.
 
     ``restrict_to`` intersects both classes with a vertex subset (e.g. the
-    vertex set of a giant or core living inside the same universe).
+    vertex set of a giant or core living inside the same universe), read
+    as ``_vertex_mask`` reads one: ValueError for a member that is not an
+    integer in [0, n).
     """
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must be in [0, 1], got {p}")
@@ -65,15 +67,12 @@ def classify_vertices(g_ref: Graph, p: float, delta: float,
     lo, hi = (1.0 - delta) * np_scale, (1.0 + delta) * np_scale
     tiny_thr = delta * np_scale
     deg = g_ref.degree_array
-    tiny_set = frozenset(np.flatnonzero(deg < tiny_thr).tolist())
-    atyp_set = frozenset(np.flatnonzero((deg < lo) | (deg > hi)).tolist())
+    tiny, atyp = deg < tiny_thr, (deg < lo) | (deg > hi)
     if restrict_to is not None:
-        keep = frozenset(restrict_to)
-        if not all(0 <= v < g_ref.n for v in keep):
-            raise ValueError("restrict_to contains out-of-range vertices")
-        tiny_set &= keep
-        atyp_set &= keep
-    return VertexClassification(g_ref, p, delta, tiny_set, atyp_set)
+        keep = _vertex_mask(g_ref.n, restrict_to)
+        tiny, atyp = tiny & keep, atyp & keep
+    tiny, atyp = (frozenset(np.flatnonzero(m).tolist()) for m in (tiny, atyp))
+    return VertexClassification(g_ref, p, delta, tiny, atyp)
 
 
 @dataclass(frozen=True)

@@ -60,13 +60,6 @@ def _alpha(value: str) -> Fraction:
             f"alpha must be a rational like 2/3, got {value!r}") from None
 
 
-def _rule(alpha: Fraction, keep_degree) -> BudgetRule:
-    """The plain fraction rule, or the (alpha, k) rule if k is given."""
-    if keep_degree is None:
-        return BudgetRule.fraction(alpha)
-    return BudgetRule.fraction_keep_degree(alpha, keep_degree)
-
-
 def _density(g: Graph) -> float:
     return g.m / pair_count(g.n) if g.n >= 2 else 0.0
 
@@ -168,10 +161,9 @@ def _cmd_attack(args) -> int:
         _print_json({"edge": list(edge)})
         return 0
     if args.kind == "exact":
-        rule = BudgetRule.fraction(args.alpha)
-        return _report_cut(g, find_disconnecting_attack(g, rule))
+        return _report_cut(g, find_disconnecting_attack(g, BudgetRule(args.alpha)))
     if args.kind == "kconn":
-        rule = _rule(args.alpha, None if args.no_keep_degree else args.k)
+        rule = BudgetRule(args.alpha, 0 if args.no_keep_degree else args.k)
         return _report_cut(g, find_k_conn_attack(g, rule, args.k))
     # greedy
     p = args.p if args.p is not None else _density(g)
@@ -227,7 +219,7 @@ def _cmd_verify_cut(args) -> int:
     g = _load_graph(args.graph)
     with open(args.cut, "r", encoding="utf-8") as fh:
         cut = cut_from_json_dict(json.load(fh))
-    verdict = replay_cut(g, cut, _rule(args.alpha, args.keep_degree))
+    verdict = replay_cut(g, cut, BudgetRule(args.alpha, args.keep_degree or 0))
     _print_json(verdict)
     return 0 if verdict["valid"] else 1
 

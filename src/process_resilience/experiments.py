@@ -71,8 +71,8 @@ RESULT_JSON_SCHEMA = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One study's full parameterization; round-trips through `key = value`
-    text losslessly. Rationals (epsilon, alpha-like values) are kept as
+    """One study's full parameterization, read from `key = value` text by
+    parse_config_text. Rationals (epsilon, alpha-like values) are kept as
     "p/q" strings so exact decisions stay exact.
     """
 
@@ -114,17 +114,6 @@ class ExperimentConfig:
                                     math.ceil(f * n * math.log(n) / 6)))
                          for f in self.m_factors)
         return (math.ceil(n * math.log(n) / 6),)
-
-    def to_text(self) -> str:
-        lines = ["# process-resilience study config"]
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if val is None:
-                continue
-            if isinstance(val, tuple):
-                val = ", ".join(repr(x) for x in val)
-            lines.append(f"{f.name} = {val}")
-        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {f.name: (list(v) if isinstance(v := getattr(self, f.name), tuple) else v)
@@ -235,15 +224,15 @@ class StudyResult:
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95):
+def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     centre = phat + z2 / (2 * trials)
-    half = z * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4 * trials * trials))
+    half = _Z95 * math.sqrt(phat * (1.0 - phat) / trials + z2 / (4 * trials * trials))
     return (max(0.0, (centre - half) / denom), min(1.0, (centre + half) / denom))
 
 
@@ -319,8 +308,7 @@ def _kcore_trial(cfg: ExperimentConfig, n: int, m: int, trial_seed: int) -> dict
         metrics["core_k_connected"] = is_k_connected(core, k)
         alpha = Fraction(1, 2) - Fraction(cfg.epsilon)
         if core.n <= EXACT_SEPARATOR_LIMIT and metrics["core_k_connected"]:
-            attack = find_k_conn_attack(
-                core, BudgetRule.fraction_keep_degree(alpha, k), k)
+            attack = find_k_conn_attack(core, BudgetRule(alpha, k), k)
             metrics["kconn_attack_absent"] = attack is None
     tau_k = hitting_time_min_degree(trace, k)
     metrics["tau_k"] = tau_k

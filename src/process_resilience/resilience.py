@@ -68,26 +68,14 @@ class BudgetRule:
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
 
-    @staticmethod
-    def fraction(alpha) -> "BudgetRule":
-        return BudgetRule(alpha)
-
-    @staticmethod
-    def fraction_keep_degree(alpha, k: int) -> "BudgetRule":
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        return BudgetRule(alpha, k)
-
-    def caps(self, g: Graph) -> list:
+    def caps(self, g: Graph) -> np.ndarray:
         """Exact per-vertex caps on deg_H; can be negative where the rule is
         unsatisfiable at a vertex (then no H, not even the empty one, passes).
-        """
-        return self._cap_array(g).tolist()
 
-    def _cap_array(self, g: Graph) -> np.ndarray:
-        """The caps as an array. Each degree value in use gets one cap in
-        Python ints, exact for any denominator; a cap lies in [-k, deg], so
-        the array is int64 when k <= 2^63 and holds Python ints otherwise."""
+        Each degree value in use gets one cap in Python ints, exact for any
+        denominator; a cap lies in [-k, deg], so the array is int64 when
+        k <= 2^63 and holds Python ints otherwise.
+        """
         num, den = self.alpha.numerator, self.alpha.denominator
         deg = g.degree_array
         present = np.flatnonzero(np.bincount(deg))
@@ -98,7 +86,7 @@ class BudgetRule:
 
     def _admits(self, g: Graph, deg_h) -> bool:
         """True iff every deg_h[v] is within v's cap."""
-        return bool((deg_h <= self._cap_array(g)).all())
+        return bool((deg_h <= self.caps(g)).all())
 
 
 def _h_degrees(g: Graph, h_edges: Iterable) -> np.ndarray:
@@ -332,7 +320,7 @@ def find_disconnecting_attack(g: Graph, rule: BudgetRule) -> Optional[Cut]:
             f"{EXACT_BIPARTITION_LIMIT}; "
             f"use connectivity_resilience_threshold in local_search mode or "
             f"greedy_partition_attack instead")
-    return _first_feasible_cut(g, rule.caps(g))
+    return _first_feasible_cut(g, rule.caps(g).tolist())
 
 
 def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
@@ -359,7 +347,7 @@ def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
         cuts = {}
 
         def fits(alpha):
-            cuts[alpha] = _first_feasible_cut(g, BudgetRule(alpha).caps(g))
+            cuts[alpha] = _first_feasible_cut(g, BudgetRule(alpha).caps(g).tolist())
             return cuts[alpha] is not None
 
         # bisect_left probes the ratio it returns; the last one, 1, fits
@@ -493,7 +481,7 @@ def find_k_conn_attack(g: Graph, rule: BudgetRule, k: int) -> Optional[Cut]:
     if g.n > EXACT_SEPARATOR_LIMIT:
         raise ValueError(f"n={g.n} exceeds the exact separator-mode limit "
                          f"{EXACT_SEPARATOR_LIMIT}")
-    caps = rule.caps(g)
+    caps = rule.caps(g).tolist()
     for s_size in range(k):
         for sep in combinations(range(g.n), s_size):
             cut = _first_feasible_cut(g, caps, sep)
@@ -573,8 +561,8 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     # star budgets: deg/2 on tiny vertices, (1/2 + epsilon) deg elsewhere;
     # slack[v] = cap - cross is negative iff v is over its cap, and a move
     # turns it into turn[v] - slack[v]
-    caps = np.where(tiny, BudgetRule(Fraction(1, 2))._cap_array(g),
-                    BudgetRule(Fraction(1, 2) + eps)._cap_array(g))
+    caps = np.where(tiny, BudgetRule(Fraction(1, 2)).caps(g),
+                    BudgetRule(Fraction(1, 2) + eps).caps(g))
     slack = caps - crossing_degrees(g, side)
     pending = np.flatnonzero(slack < 0).tolist()
     slack, turn = slack.tolist(), (2 * caps - g.degree_array).tolist()
@@ -663,14 +651,15 @@ def replay_cut(g: Graph, cut: Cut, rule: BudgetRule) -> dict:
     """Self-verification of a certificate: recount deg_H from the cut and
     check the budget. Removing H and the separator always disconnects a cut
     that covers g, since A and B are nonempty and H is every A-B edge.
+    Every cap is at most deg - k, so a cut within budget keeps degree k
+    and ``valid`` is the budget verdict.
     """
     deg_h = crossing_degrees(g, _side_vector(g, cut))
     allowed = rule._admits(g, deg_h)
-    keep_ok = bool((g.degree_array - deg_h >= rule.k).all())
     return {
         "budget_allowed": allowed,
         "disconnects": True,
-        "keep_degree_ok": keep_ok,
-        "valid": allowed and keep_ok,
+        "keep_degree_ok": bool((g.degree_array - deg_h >= rule.k).all()),
+        "valid": allowed,
         "h_size": int(deg_h.sum()) // 2,
     }

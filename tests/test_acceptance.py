@@ -106,14 +106,14 @@ def test_criterion_2_oracle_equivalence():
     checks = 0
     for g in corpus:
         for alpha in ALPHAS:
-            cut = find_disconnecting_attack(g, BudgetRule.fraction(alpha))
+            cut = find_disconnecting_attack(g, BudgetRule(alpha))
             oracle = exists_disconnecting_h(g, budget_caps(g, alpha))
             checks += 1
             if (cut is not None) != oracle:
                 mismatches.append((g.edges, alpha, "conn"))
     for g in _random_connected_graphs(200, 10):
         for alpha in ALPHAS:
-            cut = find_disconnecting_attack(g, BudgetRule.fraction(alpha))
+            cut = find_disconnecting_attack(g, BudgetRule(alpha))
             oracle = exists_disconnecting_h(g, budget_caps(g, alpha))
             checks += 1
             if (cut is not None) != oracle:
@@ -123,7 +123,7 @@ def test_criterion_2_oracle_equivalence():
             if not is_k_connected(g, k):
                 continue
             for alpha in ALPHAS:
-                rule = BudgetRule.fraction_keep_degree(alpha, k)
+                rule = BudgetRule(alpha, k)
                 cut = find_k_conn_attack(g, rule, k)
                 oracle = exists_kconn_attack_h(g, budget_caps(g, alpha, k), k)
                 checks += 1
@@ -143,13 +143,13 @@ def test_criterion_3_cherry_obstruction():
     g = cherry_gadget()
     edge = cherry_attack(g)
     ok = edge == (2, 3)
-    ok = ok and budget_allows(g, [edge], BudgetRule.fraction("1/3"))
+    ok = ok and budget_allows(g, [edge], BudgetRule("1/3"))
     rest = build_graph(g.n, [e for e in g.edges if e != edge])
     comps = connected_components(rest)
     ok = ok and len(comps) == 2 and frozenset({0, 1, 2}) in comps
     report(3, ok, f"edge {edge}, split certified under alpha = 1/3")
     assert edge == (2, 3)
-    assert budget_allows(g, [edge], BudgetRule.fraction("1/3"))
+    assert budget_allows(g, [edge], BudgetRule("1/3"))
     assert len(comps) == 2 and frozenset({0, 1, 2}) in comps
 
 
@@ -290,7 +290,7 @@ def test_criterion_7_kcore_attack_oracle_loop():
     (three seeded samples per grid point). Runtime < 10 min."""
     t0 = time.time()
     alpha = Fraction(1, 3)
-    rule = BudgetRule.fraction_keep_degree(alpha, 2)
+    rule = BudgetRule(alpha, 2)
     mismatches = []
     instances = 0
     for n in range(4, 13):

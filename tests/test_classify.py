@@ -20,7 +20,7 @@ from process_resilience.process import pair_count, sample_gnm, sample_coupled, s
 from process_resilience.resilience import _equipartition_d_set
 from process_resilience.rng import derive_seed
 
-from conftest import complete, cycle, path, star
+from conftest import complete, cycle, manual_cls, path, star
 from oracles import (adjacency_sets, audit_outcome, cached_views, degree_classes,
                      recount_audits, small_subset_counts, tiny_ball_counts,
                      tiny_triangles)
@@ -48,6 +48,20 @@ def test_classify_restriction():
     assert cls.atyp == frozenset({0, 1, 2})
     with pytest.raises(ValueError):
         classify_vertices(star(6), 0.5, 0.5, restrict_to={7})
+
+
+@pytest.mark.parametrize("subset", [{1.5, 2}, [True], {-1}, {7}])
+def test_classify_rejects_a_subset_member_that_is_not_a_vertex(subset):
+    # a float, a bool, -1 and n are not vertices of the 6-vertex star
+    with pytest.raises(ValueError, match=r"integers in \[0, 6\)"):
+        classify_vertices(star(6), 0.5, 0.5, restrict_to=subset)
+
+
+def test_classify_subset_array_gives_python_int_members():
+    cls = classify_vertices(star(6), 0.5, 0.5, restrict_to=np.array([0, 1, 2]))
+    assert cls == classify_vertices(star(6), 0.5, 0.5, restrict_to={0, 1, 2})
+    assert all(type(v) is int for v in cls.tiny | cls.atyp)
+    assert json.dumps(sorted(cls.atyp)) == "[0, 1, 2]"
 
 
 @pytest.mark.parametrize("p", [-0.5, 1.5, math.nan, math.inf, -math.inf])
@@ -135,14 +149,9 @@ def test_atyp_size_monte_carlo():
 
 # -- neighbourhood audits --------------------------------------------------
 
-def _manual_cls(g, tiny=(), atyp=()):
-    from process_resilience.classify import VertexClassification
-    return VertexClassification(g, 0.0, 0.5, frozenset(tiny), frozenset(atyp))
-
-
 def test_neighbourhood_audits_vacuous_without_tiny():
     g = complete(5)
-    ball_rep, nbr_rep, tri_rep = audit_neighbourhoods(g, _manual_cls(g), 5)
+    ball_rep, nbr_rep, tri_rep = audit_neighbourhoods(g, manual_cls(g), 5)
     assert ball_rep.holds and nbr_rep.holds and tri_rep.holds
 
 
@@ -150,11 +159,11 @@ def test_tiny_ball_boundary_and_violation():
     # path a-c-b: both endpoints tiny gives |ball3(c) & tiny| = 2 (boundary);
     # a third tiny pendant on c breaks the bound with c as witness
     g = build_graph(3, [(0, 2), (1, 2)])
-    ball_rep, _, _ = audit_neighbourhoods(g, _manual_cls(g, tiny={0, 1}), 5)
+    ball_rep, _, _ = audit_neighbourhoods(g, manual_cls(g, tiny={0, 1}), 5)
     assert ball_rep.holds and ball_rep.max_observed == 2
 
     g2 = build_graph(4, [(0, 2), (1, 2), (3, 2)])
-    ball_rep, _, _ = audit_neighbourhoods(g2, _manual_cls(g2, tiny={0, 1, 3}), 5)
+    ball_rep, _, _ = audit_neighbourhoods(g2, manual_cls(g2, tiny={0, 1, 3}), 5)
     assert not ball_rep.holds
     assert {"vertex": 2, "measured": 3, "bound": 2} in [dict(v) for v in ball_rep.violations]
 
@@ -166,7 +175,7 @@ def test_tiny_ball_audit_matches_ball_definition(seed, n, m):
     # tiny vertices in every vertex's punctured radius-3 ball
     g = sample_gnm(n, min(m, n * (n - 1) // 2), seed)
     tiny = {v for v in range(n) if (v * 2654435761 + seed) % 3 == 0}
-    ball_rep, _, _ = audit_neighbourhoods(g, _manual_cls(g, tiny=tiny), 5)
+    ball_rep, _, _ = audit_neighbourhoods(g, manual_cls(g, tiny=tiny), 5)
     counts = [len(ball(g, v, 3) & tiny) for v in range(n)]
     assert ball_rep.max_observed == max(counts)
     assert [dict(v) for v in ball_rep.violations] == [
@@ -175,14 +184,14 @@ def test_tiny_ball_audit_matches_ball_definition(seed, n, m):
 
 def test_triangle_with_two_tiny_fails():
     g = complete(3)
-    _, _, tri_rep = audit_neighbourhoods(g, _manual_cls(g, tiny={0, 1}), 5)
+    _, _, tri_rep = audit_neighbourhoods(g, manual_cls(g, tiny={0, 1}), 5)
     assert not tri_rep.holds
     assert tri_rep.violations[0]["triangle"] == [0, 1, 2]
 
 
 def test_atyp_neighbourhood_bound():
     g = star(8)
-    _, nbr_rep, _ = audit_neighbourhoods(g, _manual_cls(g, atyp=set(range(1, 8))), 3)
+    _, nbr_rep, _ = audit_neighbourhoods(g, manual_cls(g, atyp=set(range(1, 8))), 3)
     assert not nbr_rep.holds
     assert nbr_rep.max_observed == 7  # centre sees all seven atypicals
 
@@ -190,7 +199,7 @@ def test_atyp_neighbourhood_bound():
 def test_universe_mismatch_rejected():
     g = complete(4)
     with pytest.raises(ValueError, match="universe"):
-        audit_neighbourhoods(complete(5), _manual_cls(g), 3)
+        audit_neighbourhoods(complete(5), manual_cls(g), 3)
 
 
 def test_ball_bound_excludes_all_tiny_two_paths():
@@ -351,7 +360,7 @@ _HAND_BUILT = [
 @pytest.mark.parametrize("name, g, tiny, atyp, L", _HAND_BUILT,
                          ids=[case[0] for case in _HAND_BUILT])
 def test_recount_matches_library_on_hand_built_graphs(name, g, tiny, atyp, L):
-    cls = _manual_cls(g, tiny=tiny, atyp=atyp)
+    cls = manual_cls(g, tiny=tiny, atyp=atyp)
     expected = recount_audits(g, cls.tiny, cls.atyp, L)
     reports = _audit_reports(g, cls, L)
     assert [rep.property_id for rep in reports] == list(expected)
@@ -493,9 +502,9 @@ def test_audits_reject_negative_counts():
     with pytest.raises(ValueError, match="subset_trials must be nonnegative"):
         audit_edge_counts(g, 0.5, c=1.0, subset_trials=-1, seed=0)
     with pytest.raises(ValueError, match="L must be nonnegative"):
-        audit_neighbourhoods(g, _manual_cls(g), -1)
+        audit_neighbourhoods(g, manual_cls(g), -1)
     assert audit_edge_counts(g, 0.5, c=1.0, subset_trials=0, seed=0).holds
-    assert len(audit_neighbourhoods(g, _manual_cls(g), 0)) == 3
+    assert len(audit_neighbourhoods(g, manual_cls(g), 0)) == 3
 
 
 def test_audit_report_json_shape():

@@ -260,6 +260,21 @@ def test_verify_cut_round_trip(tmp_path, capsys, c6_file):
     assert json.loads(out)["valid"] is False
 
 
+def test_keep_degree_zero_is_the_plain_rule(tmp_path, capsys, c6_file):
+    _, out, _ = run(capsys, "attack", "exact", "--graph", c6_file, "--alpha", "1/2")
+    cut_path = tmp_path / "cut.json"
+    cut_path.write_text(out)
+    for alpha in ("1/2", "49/100"):
+        argv = ("verify-cut", "--graph", c6_file, "--cut", str(cut_path), "--alpha", alpha)
+        plain = run(capsys, *argv)
+        assert run(capsys, *argv, "--keep-degree", "0") == plain
+    # a k-connectivity attack still needs k >= 1
+    code, out, err = run(capsys, "attack", "kconn", "--graph", c6_file,
+                         "--alpha", "1/2", "--k", "0")
+    assert code == 2 and not out
+    assert "k must be >= 1, got 0" in err
+
+
 def test_kconn_attack_command(tmp_path, capsys):
     from conftest import complete
     path = tmp_path / "k5.txt"

@@ -21,7 +21,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from conftest import complete  # noqa: E402
+from conftest import circulant, complete, hypercube  # noqa: E402
 from process_resilience.graphs import build_graph, giant_component  # noqa: E402
 from process_resilience.process import sample_gnm  # noqa: E402
 from process_resilience.resilience import (  # noqa: E402
@@ -32,15 +32,6 @@ GOLDEN_PATH = Path(__file__).parent / "golden_exact.json"
 
 def complete_bipartite(a, b):
     return build_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
-
-
-def circulant(n, offsets):
-    return build_graph(n, [(v, (v + d) % n) for v in range(n) for d in offsets])
-
-
-def hypercube(dim):
-    return build_graph(1 << dim, [(v, v | 1 << i) for v in range(1 << dim)
-                                  for i in range(dim) if not v >> i & 1])
 
 
 KCONN_GRAPHS = [("K_16", complete(16)), ("K_{8,8}", complete_bipartite(8, 8)),
@@ -56,7 +47,7 @@ THRESHOLD_CASES = [("exact K_20", complete(20)), ("exact K_24", complete(24)),
 
 
 def kconn_record(g, k, alpha):
-    cut = find_k_conn_attack(g, BudgetRule.fraction_keep_degree(alpha, k), k)
+    cut = find_k_conn_attack(g, BudgetRule(alpha, k), k)
     if cut is None:
         return None
     return {"S": sorted(cut.separator), "A": sorted(cut.side_a),

@@ -27,17 +27,32 @@ from oracles import parse_records_csv
 
 # -- config ----------------------------------------------------------------
 
-def test_config_text_round_trip():
+def _config_text(head: str, seed: int, threads: int, trials: int,
+                 epsilon: str, p_prime: float, tail: str = "") -> str:
+    """A config file listing every field, as ExperimentConfig.to_text
+    wrote one: the fields in declaration order, None ones left out."""
+    return (f"# process-resilience study config\n{head}k = 2\n"
+            f"epsilon = {epsilon}\ndelta = 0.5\nL = 30\nc = 2.0\n"
+            f"trials = {trials}\nseed = {seed}\nthreads = {threads}\n"
+            f"subset_trials = 200\np0_factor = 1.5\n"
+            f"p_prime_factor = {p_prime}\nexact_n_limit = 20\nrestarts = 8\n"
+            f"measure_resilience = True\n{tail}")
+
+
+def test_config_text_parses_every_field():
+    text = _config_text("study = sweep\nns = 32, 64\nm_factors = 0.5, 1.0, 2.0\n",
+                        seed=99, threads=2, trials=7, epsilon="1/5",
+                        p_prime=0.3, tail="out_json = x.json\n")
     cfg = ExperimentConfig(study="sweep", ns=(32, 64), m_factors=(0.5, 1.0, 2.0),
                            trials=7, seed=99, threads=2, epsilon="1/5",
                            out_json="x.json")
-    again = parse_config_text(cfg.to_text())
-    assert again == cfg
+    assert parse_config_text(text) == cfg
 
 
-def test_config_defaults_round_trip():
-    cfg = ExperimentConfig()
-    assert parse_config_text(cfg.to_text()) == cfg
+def test_config_text_of_the_defaults_parses_to_the_defaults():
+    text = _config_text("study = hitting\nns = 256\n", seed=24301, threads=1,
+                        trials=100, epsilon="1/10", p_prime=0.3)
+    assert parse_config_text(text) == ExperimentConfig()
 
 
 def test_config_rejects_unknown_keys_and_garbage():
@@ -181,8 +196,9 @@ def test_p_prime_factor_default_depends_on_study():
     for study in ("hitting", "sweep", "kcore"):
         assert ExperimentConfig(study=study).p_prime_factor == 0.3
     assert ExperimentConfig(study="audit", p_prime_factor=0.4).p_prime_factor == 0.4
-    cfg = ExperimentConfig(study="audit")
-    assert parse_config_text(cfg.to_text()) == cfg
+    text = _config_text("study = audit\nns = 256\n", seed=24301, threads=1,
+                        trials=100, epsilon="1/10", p_prime=0.1)
+    assert parse_config_text(text) == ExperimentConfig(study="audit")
 
 
 @pytest.mark.parametrize("epsilon", ["-1/10", "3/5"])

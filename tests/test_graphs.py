@@ -32,7 +32,7 @@ from process_resilience.process import (graph_at, hitting_time_min_degree,
                                         pair_count, sample_gnm, sample_process)
 from process_resilience.resilience import crossing_degrees
 
-from conftest import complete, cycle, path, star
+from conftest import circulant, complete, cycle, hypercube, path, star
 from oracles import (adjacency_sets, atyp_neighbour_counts, ball_by_bfs, cached_views,
                      components_by_pairs, crossing_counts, csr_rows,
                      degrees_by_pairs, graph_from_pairs,
@@ -558,17 +558,6 @@ def test_glued_cliques_have_low_connectivity():
     assert not is_k_connected(g, 3) and not is_k_connected(g, 4)
     for k in (2, 3, 4):
         assert is_k_connected(g, k) == is_k_connected_oracle(g, k)
-
-
-def hypercube(d):
-    n = 1 << d
-    return build_graph(n, [(v, v ^ (1 << i)) for v in range(n) for i in range(d)
-                           if v < v ^ (1 << i)])
-
-
-def circulant(n, offsets):
-    return build_graph(n, {tuple(sorted((v, (v + o) % n)))
-                           for v in range(n) for o in offsets})
 
 
 def planted_separator_graph(n, k, layout, seed):
