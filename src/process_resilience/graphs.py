@@ -525,11 +525,18 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
     The settled set starts as ``linked``, which must induce a k-connected
     subgraph of g, or, when ``linked`` is empty, as the pivots: the first k
     vertices of the degree order (descending, ties by index), after their
-    C(k, 2) pair checks. A vertex outside it is then settled by the fan
-    lemma when k of its neighbours are (X misses one of them), or else by
-    a super-source check: k paths, disjoint but for the vertex, to the
-    first k starting vertices in degree order (X misses one path). The
-    vertices are visited in degree order. Conversely, when g is
+    C(k, 2) pair checks. The vertices are visited in degree order, and a
+    vertex u outside it is settled by the first of three rules that holds;
+    in each, u has k paths to settled vertices that share only u, so X
+    misses one whole path (the fan lemma):
+    - the one-step fan: k of u's neighbours are settled;
+    - the two-step fan: u's settled neighbours, plus, for each unsettled
+      neighbour w, the first settled vertex z in w's row that is not yet
+      an endpoint, give k distinct endpoints. The middle vertices w are
+      distinct and unsettled, so no path u-w-z meets another path;
+    - a super-source check: k paths, disjoint but for u, to the first k
+      starting vertices in degree order.
+    The fans only read rows; the check runs a flow. Conversely, when g is
     k-connected every check passes (Menger), so the answer is exact.
 
     The split-vertex network is built at the first flow check. Each check
@@ -563,12 +570,25 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
                     ready.append(w)
         if settled[u]:
             continue
-        if net is None:
-            net = _SplitNetwork(g, sources)
-        # with the super-source every graph vertex except the sink is an
-        # internal vertex of some source-sink path and must stay unit-capacity
-        if not net.paths_at_least(2 * g.n, 2 * u, k, (u,)):
-            return False
+        # the two-step fan; ``ready`` has drained, so fewer than k of u's
+        # neighbours are settled and ``ends`` grows to k at most
+        row = indices[at[u]:at[u + 1]].tolist()
+        ends = {z for z in row if settled[z]}
+        for w in row:
+            if len(ends) == k:
+                break
+            if not settled[w]:
+                for z in indices[at[w]:at[w + 1]].tolist():
+                    if settled[z] and z not in ends:
+                        ends.add(z)
+                        break
+        if len(ends) < k:
+            if net is None:
+                net = _SplitNetwork(g, sources)
+            # with the super-source every graph vertex except the sink is
+            # inside some source-sink path and must stay unit-capacity
+            if not net.paths_at_least(2 * g.n, 2 * u, k, (u,)):
+                return False
         settled[u] = True
         ready.append(u)
     return True
