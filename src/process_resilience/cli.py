@@ -183,8 +183,9 @@ def _cmd_threshold(args) -> int:
     rep = connectivity_resilience_threshold(g, mode=mode,
                                             restarts=args.restarts,
                                             seed=args.seed)
-    payload = {"alpha_star": str(rep.threshold),
-               "alpha_star_float": float(rep.threshold),
+    # local search gives an upper bound, named as the hitting study names it
+    name = "alpha_star" if mode == "exact" else "alpha_upper"
+    payload = {name: str(rep.threshold), f"{name}_float": float(rep.threshold),
                "method": rep.method}
     if rep.witness is not None:
         payload["witness"] = cut_to_json_dict(g, rep.witness)

@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -452,6 +451,8 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
                              f"n={n}, outside [0, {pair_count(n)}]")
     tasks = [(cfg, n, m, t) for n, m in groups for t in range(cfg.trials)]
     if cfg.threads > 1:
+        # imported here: a CLI launch that runs no pool need not load it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             records = list(pool.map(_run_one, tasks, chunksize=8))
     else:

@@ -383,20 +383,29 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
     The top is the largest float quotient cross/deg: quotients are
     correctly rounded and every degree is below 10^6, so equal floats are
     equal rationals and the largest float is a true maximum.
+
+    Each restart divides its crossing_degrees array by the degrees once,
+    into the numpy copy ``ratio``. An accepted flip changes cross only at v
+    and its neighbours, and appends them to ``moved``; a summit writes just
+    those quotients back into ``ratio`` before taking its max. Each is the
+    same IEEE division of the same two ints as numpy's, so ``ratio`` stays
+    bit-identical to cross/deg taken afresh.
     """
     n, deg_arr = g.n, g.degree_array
     deg = deg_arr.tolist()
     degree_values = range(int(deg_arr.max()) + 1)
-    # the rows, read many times: every neighbour goes through one ``verts``
-    # list, so each vertex is one int object in ``rows``
-    verts, bounds = list(range(n)), g.indptr.tolist()
-    nbrs = list(map(verts.__getitem__, g.indices.tolist()))
+    # the rows, read many times: plain slices of one list of the neighbours
+    bounds, nbrs = g.indptr.tolist(), g.indices.tolist()
     rows = [nbrs[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    def summit(cross, near):
+    def summit(ratio, cross, moved, near):
         """(top, lim, at, held) of a crossing-degree list; adds the counts
-        of the top vertices into ``near``, which must be all zero."""
-        ratio = np.array(cross, dtype=np.int64) / deg_arr
+        of the top vertices into ``near``, which must be all zero. The top
+        is read off ``ratio`` once the quotients of ``moved``, the vertices
+        whose cross changed since the last summit, are written back."""
+        if moved:
+            ratio[moved] = [cross[u] / deg[u] for u in moved]
+            moved.clear()
         tops = np.flatnonzero(ratio == ratio.max()).tolist()
         top = Fraction(cross[tops[0]], deg[tops[0]])
         a, b = top.numerator, top.denominator
@@ -410,11 +419,13 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
 
     best = None  # (max_ratio Fraction, cut)
     for r in range(restarts):
-        side = random_equipartition(n, generator(seed, r)).tolist()
+        side = random_equipartition(n, generator(seed, r))
         on_b = n - n // 2
-        cross = crossing_degrees(g, side).tolist()
+        cross = crossing_degrees(g, side)
+        ratio = cross / deg_arr
+        side, cross, moved = side.tolist(), cross.tolist(), []
         near = [0] * n
-        top, lim, at, held = summit(cross, near)
+        top, lim, at, held = summit(ratio, cross, moved, near)
         improved = True
         passes = 0
         while improved and passes < 64:
@@ -446,6 +457,8 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
                 on_b += 1 if s == 0 else -1
                 held += gain
                 cross[v] = c
+                moved.append(v)
+                moved += rows[v]
                 if own:
                     near[v] += own
                     for w in rows[v]:
@@ -462,7 +475,7 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
                         for w in rows[u]:
                             near[w] += shift
                 if not held:
-                    top, lim, at, held = summit(cross, near)
+                    top, lim, at, held = summit(ratio, cross, moved, near)
                 improved = True
         if best is None or top < best[0]:
             best = (top, Cut(frozenset(), *_sides(side)))

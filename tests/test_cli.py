@@ -65,6 +65,16 @@ def test_one_parser_serves_every_call_as_a_fresh_process_would(capsys, tmp_path)
     assert build_parser() is build_parser()
 
 
+def test_cli_import_loads_no_process_pool():
+    # only a study with threads > 1 needs the pool, so it is imported there
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import sys, process_resilience.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    fresh = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, "[]\n", "")
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, "attack", "exact", "--graph", "x", "--bogus")
     assert code == 2
@@ -291,6 +301,18 @@ def test_threshold_command(capsys, c6_file):
     payload = json.loads(out)
     assert payload["alpha_star"] == "1/2"
     assert payload["method"] == "exact"
+
+
+def test_threshold_command_local_search_names_an_upper_bound(capsys, c6_file):
+    code, out, _ = run(capsys, "threshold", "--graph", c6_file,
+                       "--mode", "local-search", "--restarts", "4", "--seed", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["alpha_upper"], payload["alpha_upper_float"]) == ("1/2", 0.5)
+    assert "alpha_star" not in payload and "alpha_star_float" not in payload
+    assert payload["method"] == "local-search-upper-bound"
+    side_a, side_b = payload["witness"]["A"], payload["witness"]["B"]
+    assert sorted(side_a + side_b) == list(range(6))
 
 
 def test_local_search_without_restarts_is_usage_error(capsys, c6_file):

@@ -317,6 +317,9 @@ def connected_graphs(draw, max_n):
 @example(sample_gnm(5, 5, 0), 1, 0)
 @example(sample_gnm(5, 5, 3), 1, 5)
 @example(sample_gnm(4, 4, 0), 2, 0)
+# the quotient copy a summit reads: each flip must patch v and its
+# neighbours into it at every summit, and each restart must copy afresh
+@example(sample_gnm(6, 7, 0), 3, 1)
 @settings(max_examples=150, deadline=None)
 def test_local_search_matches_slow_reference(g, restarts, seed):
     rep = connectivity_resilience_threshold(g, mode="local_search",
