@@ -13,6 +13,7 @@ downstream can be reported in original coordinates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -130,6 +131,17 @@ def _graph_from_arrays(n: int, us, vs, labels=None) -> Graph:
     eu, ev = np.divmod(np.sort(np.minimum(us, vs) * base + np.maximum(us, vs)), base)
     indices = np.sort(np.concatenate((eu * base + ev, ev * base + eu))) % base
     return _graph(n, eu, ev, indices, labels)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; ValueError naming the parameter unless it
+    is an integer. A bool is refused: True would pass as 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _pair_arrays(pairs) -> tuple:
@@ -290,6 +302,7 @@ def k_core(g: Graph, k: int) -> Graph:
     from the dropped vertices' CSR rows. The result is independent of
     peeling order.
     """
+    k = _integer("k", k)
     if k < 2:
         raise ValueError(f"k-core requires k >= 2, got {k}")
     deg = g.degree_array.copy()
@@ -501,6 +514,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     Uses articulation points (k=2) or Even's disjoint-paths test
     ``_k_connected`` (k >= 3).
     """
+    k = _integer("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if g.n < k + 1:
@@ -516,6 +530,37 @@ def is_k_connected(g: Graph, k: int) -> bool:
     return _k_connected(g, k, ())
 
 
+def _clique(g: Graph, k: int, order, at, indices) -> list:
+    """A k-clique of g found by a bounded scan from the top of ``order``,
+    or [] when the scan finds none.
+
+    Each vertex u in turn is tried with each neighbour v: the common
+    neighbours of u and v are the candidates, and the least of them joins
+    the clique and narrows the candidates to its own neighbours, until the
+    clique has k vertices or no candidate is left. For k = 3 the scan is
+    exhaustive at each u it finishes. It stops once the rows of the v it
+    has tried hold m entries, so it reads O(k m) row entries, about what
+    one flow check costs.
+    """
+    budget = g.m
+    for u in order:
+        row = indices[at[u]:at[u + 1]].tolist()
+        mates = set(row)
+        for v in row:
+            clique = [u, v]
+            common = mates.intersection(indices[at[v]:at[v + 1]].tolist())
+            while common and len(clique) < k:
+                w = min(common)
+                clique.append(w)
+                common.intersection_update(indices[at[w]:at[w + 1]].tolist())
+            if len(clique) == k:
+                return clique
+            budget -= at[v + 1] - at[v]
+            if budget <= 0:
+                return []
+    return []
+
+
 def _k_connected(g: Graph, k: int, linked) -> bool:
     """Even's test: whether g, with n >= k+1 >= 3, is k-connected.
 
@@ -523,10 +568,12 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
     leaves it joined in g - X to the settled vertices outside X, which stay
     joined to each other; g is k-connected iff every vertex gets settled.
     The settled set starts as ``linked``, which must induce a k-connected
-    subgraph of g, or, when ``linked`` is empty, as the pivots: the first k
+    subgraph of g. When ``linked`` is empty it starts as a k-clique found
+    by ``_clique``: no removal separates two vertices of a clique, since
+    they are adjacent. Failing that, it starts as the pivots: the first k
     vertices of the degree order (descending, ties by index), after their
     C(k, 2) pair checks. The vertices are visited in degree order, and a
-    vertex u outside it is settled by the first of three rules that holds;
+    vertex u outside it is settled by the first of four rules that holds;
     in each, u has k paths to settled vertices that share only u, so X
     misses one whole path (the fan lemma):
     - the one-step fan: k of u's neighbours are settled;
@@ -534,6 +581,14 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
       neighbour w, the first settled vertex z in w's row that is not yet
       an endpoint, give k distinct endpoints. The middle vertices w are
       distinct and unsettled, so no path u-w-z meets another path;
+    - the three-step fan: for each neighbour w that the two-step fan left
+      without an endpoint, the first unsettled x in w's row that is not u,
+      not a neighbour of u and not tried before, whose row has a settled z
+      that is not yet an endpoint, adds the path u-w-x-z. Each x is a
+      non-neighbour of u, so it is none of the w, and is tried once, so
+      the interior vertices are distinct and unsettled, and the paths
+      still share only u. An x tried without success stays useless, since
+      the endpoints only grow;
     - a super-source check: k paths, disjoint but for u, to the first k
       starting vertices in degree order.
     The fans only read rows; the check runs a flow. Conversely, when g is
@@ -544,21 +599,22 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
     augmentations and undoes them on exit.
     """
     order = np.argsort(-g.degree_array, kind="stable").tolist()
+    at, indices = g.indptr.tolist(), g.indices
+    start = linked or _clique(g, k, order, at, indices)
     settled = [False] * g.n
-    for v in linked or order[:k]:
+    for v in start or order[:k]:
         settled[v] = True
     # ``ready`` holds settled vertices whose neighbours have not yet
     # counted them
     ready = [v for v in order if settled[v]]
     sources = ready[:k]
     net = None
-    if not linked:
+    if not start:
         net = _SplitNetwork(g, sources)
         for a, b in combinations(sources, 2):
             if not net.paths_at_least(2 * a + 1, 2 * b, k, (a, b)):
                 return False
     # each settled vertex's row is read once, when it leaves ``ready``
-    at, indices = g.indptr.tolist(), g.indices
     count = [0] * g.n
     for u in order:
         while ready:
@@ -574,6 +630,7 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
         # neighbours are settled and ``ends`` grows to k at most
         row = indices[at[u]:at[u + 1]].tolist()
         ends = {z for z in row if settled[z]}
+        stuck = []
         for w in row:
             if len(ends) == k:
                 break
@@ -582,6 +639,23 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
                     if settled[z] and z not in ends:
                         ends.add(z)
                         break
+                else:
+                    stuck.append(w)
+        # the three-step fan; ``tried`` holds u, its neighbours and every x
+        # tried so far
+        if stuck and len(ends) < k:
+            tried = {u, *row}
+            for w in stuck:
+                for x in indices[at[w]:at[w + 1]].tolist():
+                    if not settled[x] and x not in tried:
+                        tried.add(x)
+                        z = next((z for z in indices[at[x]:at[x + 1]].tolist()
+                                  if settled[z] and z not in ends), None)
+                        if z is not None:
+                            ends.add(z)
+                            break
+                if len(ends) == k:
+                    break
         if len(ends) < k:
             if net is None:
                 net = _SplitNetwork(g, sources)

@@ -27,7 +27,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .graphs import Graph, _graph_from_arrays, incidence, is_k_connected
+from .graphs import (Graph, _graph_from_arrays, _integer, incidence,
+                     is_k_connected)
 from .rng import GENERATOR_ID, derive_seed, generator
 
 
@@ -236,6 +237,7 @@ def _first_hit(trace: ProcessTrace, lo: int, *tests: Callable) -> int:
 
 def _min_degree_test(trace: ProcessTrace, k: int) -> Callable:
     """The test "min degree >= k" of a prefix of the trace; 1 <= k < n."""
+    k = _integer("k", k)
     if not (1 <= k <= trace.n - 1):
         raise ValueError(f"k must be in [1, {trace.n - 1}], got {k}")
     n = trace.n
@@ -245,7 +247,8 @@ def _min_degree_test(trace: ProcessTrace, k: int) -> Callable:
 def hitting_time_min_degree(trace: ProcessTrace, k: int) -> int:
     """Smallest m with min degree >= k. The search starts at ceil(k n / 2),
     since min degree k needs 2m >= k n."""
-    return _first_hit(trace, -(-k * trace.n // 2), _min_degree_test(trace, k))
+    min_degree = _min_degree_test(trace, k)
+    return _first_hit(trace, -(-k * trace.n // 2), min_degree)
 
 
 def hitting_time_k_connectivity(trace: ProcessTrace, k: int) -> int:

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .classify import VertexClassification
-from .graphs import (Graph, _is_edge, _pair_arrays, _row_positions,
+from .graphs import (Graph, _integer, _is_edge, _pair_arrays, _row_positions,
                      incidence, is_connected, is_k_connected)
 from .rng import generator
 
@@ -65,6 +65,7 @@ class BudgetRule:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         if not (0 <= self.alpha <= 1):
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        object.__setattr__(self, "k", _integer("k", self.k))
         if self.k < 0:
             raise ValueError(f"k must be >= 0, got {self.k}")
 
@@ -487,6 +488,7 @@ def find_k_conn_attack(g: Graph, rule: BudgetRule, k: int) -> Optional[Cut]:
     crossing edges: a certificate that g is not rule-resilient w.r.t.
     k-connectivity. None iff no certificate exists.
     """
+    k = _integer("k", k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not is_k_connected(g, k):

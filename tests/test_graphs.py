@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from process_resilience.graphs import (
     GraphFormatError,
     _SplitNetwork,
+    _clique,
     _graph_from_arrays,
     _induced,
     _is_edge,
@@ -28,9 +30,11 @@ from process_resilience.graphs import (
     neighbours_in,
     parse_graph_text,
 )
-from process_resilience.process import (graph_at, hitting_time_min_degree,
-                                        pair_count, sample_gnm, sample_process)
-from process_resilience.resilience import crossing_degrees
+from process_resilience.process import (graph_at, hitting_time_k_connectivity,
+                                        hitting_time_min_degree, pair_count,
+                                        sample_gnm, sample_process)
+from process_resilience.resilience import (BudgetRule, crossing_degrees,
+                                           find_k_conn_attack)
 
 from conftest import circulant, complete, cycle, hypercube, path, star
 from oracles import (adjacency_sets, atyp_neighbour_counts, ball_by_bfs, cached_views,
@@ -462,6 +466,27 @@ def test_kcore_requires_k_at_least_two():
         k_core(cycle(4), 1)
 
 
+_K_TAKERS = {
+    "k_core": lambda k: k_core(complete(5), k),
+    "is_k_connected": lambda k: is_k_connected(complete(5), k),
+    "hitting_time_min_degree": lambda k: hitting_time_min_degree(sample_process(5, 0), k),
+    "hitting_time_k_connectivity":
+        lambda k: hitting_time_k_connectivity(sample_process(5, 0), k),
+    "BudgetRule": lambda k: BudgetRule(Fraction(1, 2), k),
+    "find_k_conn_attack":
+        lambda k: find_k_conn_attack(complete(5), BudgetRule(Fraction(1, 2)), k),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True, np.True_, "2", None])
+@pytest.mark.parametrize("take", list(_K_TAKERS))
+def test_k_must_be_an_integer(take, bad):
+    # a float would be truncated or fail inside numpy, and True would pass as 1
+    with pytest.raises(ValueError, match="k must be an integer"):
+        _K_TAKERS[take](bad)
+    _K_TAKERS[take](np.int64(2))
+
+
 @given(st.integers(0, 2 ** 31), st.integers(5, 9), st.integers(2, 3))
 @settings(max_examples=60, deadline=None)
 def test_kcore_independent_of_peel_order(seed, n, k):
@@ -684,18 +709,6 @@ def test_k_connectivity_matches_oracle_on_random_cores(flow_checks):
     assert skipped > 0
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("n, most", [(256, 16), (1024, 28)])
-def test_fan_lemma_skips_most_flow_checks(flow_checks, n, most, seed):
-    # deterministic guard on the work done: without the fan lemmas the
-    # 3-core of a process graph runs one check per vertex; with the
-    # one-step fan alone it runs 28-34 (n = 256) and 52-56 (n = 1024)
-    core = k_core(graph_at(sample_process(n, seed),
-                           round(n * math.log(n) / 2)), 3)
-    assert is_k_connected(core, 3)
-    assert len(flow_checks) < most
-
-
 @pytest.fixture
 def network_builds(monkeypatch):
     """The sources of every ``_SplitNetwork`` built in the test."""
@@ -708,6 +721,97 @@ def network_builds(monkeypatch):
 
     monkeypatch.setattr(_SplitNetwork, "__init__", counted)
     return builds
+
+
+@pytest.mark.parametrize("n, seed, checks, builds", [
+    (256, 0, 0, 0), (256, 1, 1, 1), (256, 2, 0, 0),
+    (1024, 0, 0, 0), (1024, 1, 1, 1), (1024, 2, 2, 1),
+])
+def test_fan_lemma_skips_most_flow_checks(flow_checks, network_builds, n, seed,
+                                          checks, builds):
+    # deterministic guard on the work done: without the fan lemmas the
+    # 3-core of a process graph runs one check per vertex; with the
+    # one-step fan lemma alone it runs 28-34 (n = 256) and 52-56
+    # (n = 1024), and with the two-step fan from the pivots 5-10 and 15-19
+    core = k_core(graph_at(sample_process(n, seed),
+                           round(n * math.log(n) / 2)), 3)
+    assert is_k_connected(core, 3)
+    assert len(flow_checks) <= checks and len(network_builds) <= builds
+
+
+@pytest.mark.slow
+def test_tau_3_connectivity_at_n_4096_needs_one_flow_check(flow_checks, network_builds):
+    # the README figure; G at tau_3 is the one graph here where the fans
+    # leave a vertex to a super-source check
+    trace = sample_process(4096, 5)
+    assert hitting_time_min_degree(trace, 3) == hitting_time_k_connectivity(trace, 3) == 25273
+    assert len(flow_checks) <= 1 and len(network_builds) <= 1
+
+
+def _seed_clique(g, k):
+    order = np.argsort(-g.degree_array, kind="stable").tolist()
+    return sorted(_clique(g, k, order, g.indptr.tolist(), g.indices))
+
+
+def cubes_on_a_2_separator(attach, chord):
+    """Two 3-cubes, A on 2..9 and B on 10..17 (cube vertex c at 2 + c and
+    at 10 + c), joined only through the separator {0, 1}: separator vertex
+    s meets the cube vertices ``attach[s]`` in both cubes, and ``chord``
+    joins two vertices of A. The cubes are bipartite and 0 and 1 meet only
+    cube vertices of even weight, so every triangle uses the chord."""
+    edges = {(off + c, off + (c ^ 1 << i)) for off in (2, 10) for c in range(8)
+             for i in range(3) if c < c ^ 1 << i}
+    edges |= {(s, off + c) for s in (0, 1) for off in (2, 10) for c in attach[s]}
+    edges.add(chord)
+    return build_graph(18, edges)
+
+
+@pytest.mark.parametrize("attach, chord, seed", [
+    # the seed triangle wholly inside side A, away from both separator vertices
+    (((3, 5), (3, 6)), (2, 8), [2, 4, 8]),
+    # separator vertex 0 inside the seed triangle, its other two vertices in A
+    (((0, 3, 5, 6), (5, 6)), (2, 5), [0, 2, 5]),
+])
+def test_k_connectivity_finds_2_separator_around_the_seed_triangle(attach, chord, seed):
+    g = cubes_on_a_2_separator(attach, chord)
+    assert g.min_degree() >= 3 and _seed_clique(g, 3) == seed
+    assert is_k_connected(g, 3) is is_k_connected_oracle(g, 3) is False
+    assert is_k_connected(g, 2) is is_k_connected_oracle(g, 2) is True
+
+
+@pytest.mark.parametrize("g, k", [(hypercube(3), 3), (hypercube(4), 4)])
+def test_clique_free_graphs_fall_back_to_the_pivots(flow_checks, g, k):
+    # no k-clique, so the pivots' pair checks run first
+    assert _seed_clique(g, k) == []
+    assert is_k_connected(g, k) is is_k_connected_oracle(g, k) is True
+    pivots = np.argsort(-g.degree_array, kind="stable")[:k].tolist()
+    assert [c[:2] for c in flow_checks[:math.comb(k, 2)]] == [
+        (2 * a + 1, 2 * b) for a, b in combinations(pivots, 2)]
+
+
+# graphs that are not 3-connected, which a settle rule that lets its paths
+# meet, or a seed that is no clique, would read as 3-connected
+_MEETING_PATH_TRAPS = {
+    "three-step x is a neighbour of u": (11, [
+        (0, 2), (0, 3), (0, 5), (1, 3), (1, 5), (1, 7), (2, 5), (2, 7), (3, 5),
+        (3, 10), (4, 7), (4, 8), (4, 9), (5, 10), (6, 8), (6, 9), (6, 10),
+        (8, 9), (8, 10)]),
+    "three-step x on two paths": (12, [
+        (0, 4), (0, 7), (0, 8), (1, 7), (1, 8), (1, 9), (2, 5), (2, 10),
+        (2, 11), (3, 5), (3, 10), (3, 11), (4, 5), (4, 6), (4, 11), (5, 10),
+        (5, 11), (6, 7), (6, 8), (7, 8), (8, 9), (9, 10), (10, 11)]),
+    "seed triangle without its third edge": (6, [
+        (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 5),
+        (3, 4), (4, 5)]),
+}
+
+
+@pytest.mark.parametrize("trap", list(_MEETING_PATH_TRAPS))
+def test_k_connectivity_paths_share_only_their_start(trap):
+    n, edges = _MEETING_PATH_TRAPS[trap]
+    g = build_graph(n, edges)
+    assert g.min_degree() >= 3
+    assert is_k_connected(g, 3) is is_k_connected_oracle(g, 3) is False
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
