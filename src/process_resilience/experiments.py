@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 from . import __version__ as _code_version
 from .classify import (audit_atyp_size, audit_edge_counts,
                        audit_neighbourhoods, classify_vertices)
-from .graphs import (Graph, _k_connected, giant_component, is_connected,
-                     is_k_connected, k_core, neighbours_in)
+from .graphs import (Graph, _integer, _k_connected, giant_component,
+                     is_connected, is_k_connected, k_core, neighbours_in)
 from .process import (ProcessTrace, graph_at, hitting_time_k_connectivity,
                       hitting_time_min_degree, pair_count, sample_coupled,
                       sample_gnm)
@@ -224,7 +224,11 @@ _Z95 = 1.959963984540054
 
 
 def wilson_interval(successes: int, trials: int):
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion; ValueError
+    unless 0 <= successes <= trials."""
+    if not 0 <= successes <= trials:
+        raise ValueError(f"need 0 <= successes <= trials, got {successes} "
+                         f"successes in {trials} trials")
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials
@@ -390,6 +394,9 @@ _KEY_CHECKS = (
     ("subset_trials", ("audit",), lambda v: v >= 0, ">= 0"),
     ("c", ("audit",), lambda v: v > 0, "> 0"),
     ("p_prime_factor", ("audit",), lambda v: v >= 0, ">= 0"),
+    ("d_threshold_factor", ("hitting", "sweep"),
+     lambda v: v is None or math.isfinite(v) and v >= 0,
+     "None or a finite number >= 0"),
 )
 
 
@@ -418,8 +425,12 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
         raise ValueError(
             f"audit regime violated: p_prime = {cfg.p_prime_factor} * p0 "
             f"exceeds epsilon = {eps} * p0")
+    for f in cfg.m_factors or ():
+        if not math.isfinite(f):
+            raise ValueError(f"{cfg.study} study needs finite m_factors, "
+                             f"got m_factors={f}")
     for n in cfg.ns:
-        if n < 2:
+        if _integer("ns", n) < 2:
             raise ValueError(f"{cfg.study} study needs n >= 2, got n={n}")
         if cfg.study == "kcore" and not 2 <= cfg.k <= n - 1:
             raise ValueError(f"kcore study needs k in [2, n-1], "
@@ -448,7 +459,7 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
                    "ms" if cfg.ms is not None else "m_factors")
             raise ValueError(f"{cfg.study} study: {key} repeats a value, so "
                              f"the trials at n={n}, m={m} would run twice")
-        if m is not None and not 0 <= m <= pair_count(n):
+        if m is not None and not 0 <= _integer("ms", m) <= pair_count(n):
             raise ValueError(f"{cfg.study} study: ms asks for m={m} at "
                              f"n={n}, outside [0, {pair_count(n)}]")
     tasks = [(cfg, n, m, t) for n, m in groups for t in range(cfg.trials)]

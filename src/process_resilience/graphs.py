@@ -561,22 +561,64 @@ def _clique(g: Graph, k: int, order, at, indices) -> list:
     return []
 
 
+# The most vertices whose fans failed that wait for the settled set to grow
+# before any of them gets a flow check; see ``_k_connected``.
+_WAIT = 16
+
+
+def _fans(u: int, k: int, settled, at, indices) -> bool:
+    """Whether a two-step or a three-step fan settles u: k paths from u to
+    distinct settled vertices that share only u (see ``_k_connected``).
+    Fewer than k of u's neighbours may be settled."""
+    row = indices[at[u]:at[u + 1]].tolist()
+    ends = {z for z in row if settled[z]}
+    stuck = []
+    for w in row:
+        if len(ends) == k:
+            return True
+        if not settled[w]:
+            for z in indices[at[w]:at[w + 1]].tolist():
+                if settled[z] and z not in ends:
+                    ends.add(z)
+                    break
+            else:
+                stuck.append(w)
+    # the three-step fan; ``tried`` holds u, its neighbours and every x
+    # tried so far
+    if stuck and len(ends) < k:
+        tried = {u, *row}
+        for w in stuck:
+            for x in indices[at[w]:at[w + 1]].tolist():
+                if not settled[x] and x not in tried:
+                    tried.add(x)
+                    z = next((z for z in indices[at[x]:at[x + 1]].tolist()
+                              if settled[z] and z not in ends), None)
+                    if z is not None:
+                        ends.add(z)
+                        break
+            if len(ends) == k:
+                break
+    return len(ends) == k
+
+
 def _k_connected(g: Graph, k: int, linked) -> bool:
     """Even's test: whether g, with n >= k+1 >= 3, is k-connected.
 
     A vertex is settled once every removal X of <= k-1 other vertices
     leaves it joined in g - X to the settled vertices outside X, which stay
     joined to each other; g is k-connected iff every vertex gets settled.
-    The settled set starts as ``linked``, which must induce a k-connected
-    subgraph of g. When ``linked`` is empty it starts as a k-clique found
-    by ``_clique``: no removal separates two vertices of a clique, since
-    they are adjacent. Failing that, it starts as the pivots: the first k
-    vertices of the degree order (descending, ties by index), after their
-    C(k, 2) pair checks. The vertices are visited in degree order, and a
-    vertex u outside it is settled by the first of four rules that holds;
-    in each, u has k paths to settled vertices that share only u, so X
-    misses one whole path (the fan lemma):
-    - the one-step fan: k of u's neighbours are settled;
+    The settled set starts as the seed ``linked``, which must induce a
+    k-connected subgraph of g. When ``linked`` is empty the seed is a
+    k-clique found by ``_clique``: no removal separates two vertices of a
+    clique, since they are adjacent. Failing that, it is the pivots: the
+    first k vertices of the degree order (descending, ties by index),
+    after their C(k, 2) pair checks. A vertex u is settled by the first of
+    four rules that holds; in each, u has k paths to settled vertices that
+    share only u, so X misses one whole path (the fan lemma):
+    - the one-step fan: k of u's neighbours are settled. The seed's rows
+      are counted in one numpy pass; only the rows of the vertices
+      settled later are read one at a time, and each settled vertex
+      counts once in its neighbours' counts;
     - the two-step fan: u's settled neighbours, plus, for each unsettled
       neighbour w, the first settled vertex z in w's row that is not yet
       an endpoint, give k distinct endpoints. The middle vertices w are
@@ -590,79 +632,93 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
       still share only u. An x tried without success stays useless, since
       the endpoints only grow;
     - a super-source check: k paths, disjoint but for u, to the first k
-      starting vertices in degree order.
+      seed vertices in degree order.
     The fans only read rows; the check runs a flow. Conversely, when g is
-    k-connected every check passes (Menger), so the answer is exact.
+    k-connected every check passes (Menger), so the answer is exact, and
+    it does not depend on the order in which vertices are settled.
+
+    The vertices are visited in degree order. A vertex whose two fans fail
+    waits: when more than ``_WAIT`` = 16 vertices wait, and once more after
+    the walk, each retries its fans if the settled set has grown since its
+    last try, and gets the check if they fail again. A fan that fails for
+    want of settled vertices nearby often succeeds once the walk has
+    settled more. The tests of the 80 trials of the kcore benchmark study
+    (n = 256, seeds 20260810 and 1-9) built the network 43 times with no
+    waiting place, 11 times with 3, once with 12 and never with 16; with
+    16 it is not built either on the 3-cores at m = n ln n / 2 of
+    ``sample_process(n, s)``, n = 256 and 1024, s = 0-2, or at tau_3 of
+    ``sample_process(4096, 5)``. The
+    bound keeps a separator cheap: past one every fan fails, the settled
+    set stops growing, and at most ``_WAIT`` + 1 fans fail before the
+    first check ends the test.
 
     The split-vertex network is built at the first flow check. Each check
     uncaps the inner arcs of its endpoints, runs at most k bidirectional
     augmentations and undoes them on exit.
     """
-    order = np.argsort(-g.degree_array, kind="stable").tolist()
+    rank = np.argsort(-g.degree_array, kind="stable")
+    order = rank.tolist()
     at, indices = g.indptr.tolist(), g.indices
     start = linked or _clique(g, k, order, at, indices)
-    settled = [False] * g.n
-    for v in start or order[:k]:
-        settled[v] = True
-    # ``ready`` holds settled vertices whose neighbours have not yet
-    # counted them
-    ready = [v for v in order if settled[v]]
-    sources = ready[:k]
+    seed = np.zeros(g.n, dtype=bool)
+    seed[np.asarray(start or order[:k])] = True
+    sources = rank[seed[rank]][:k].tolist()
     net = None
     if not start:
         net = _SplitNetwork(g, sources)
         for a, b in combinations(sources, 2):
             if not net.paths_at_least(2 * a + 1, 2 * b, k, (a, b)):
                 return False
-    # each settled vertex's row is read once, when it leaves ``ready``
-    count = [0] * g.n
-    for u in order:
+    count = np.bincount(indices[_row_positions(g, np.flatnonzero(seed))],
+                        minlength=g.n)
+    settled = seed.tolist()
+    grown = 0  # vertices settled after the seed
+
+    def spread(ready):
+        # settle the vertices ``ready`` and count each in its neighbours'
+        # rows; a neighbour whose count reaches k is settled in turn
+        nonlocal grown
+        grown += len(ready)
+        for x in ready:
+            settled[x] = True
         while ready:
             x = ready.pop()
             for w in indices[at[x]:at[x + 1]].tolist():
                 count[w] += 1
                 if count[w] == k and not settled[w]:
                     settled[w] = True
+                    grown += 1
                     ready.append(w)
+
+    def retry(waiting) -> bool:
+        # retry the fans of each waiting vertex, if the settled set has
+        # grown since its last try, and check those that fail again
+        nonlocal net
+        for v, stamp in waiting:
+            if settled[v]:
+                continue
+            if stamp == grown or not _fans(v, k, settled, at, indices):
+                if net is None:
+                    net = _SplitNetwork(g, sources)
+                # with the super-source every graph vertex except the sink
+                # is inside some source-sink path and must stay unit-capacity
+                if not net.paths_at_least(2 * g.n, 2 * v, k, (v,)):
+                    return False
+            spread([v])
+        waiting.clear()
+        return True
+
+    ready = np.flatnonzero((count >= k) & ~seed).tolist()
+    count = count.tolist()
+    spread(ready)
+    waiting = []  # (vertex, ``grown`` at its last try)
+    for u in order:
         if settled[u]:
             continue
-        # the two-step fan; ``ready`` has drained, so fewer than k of u's
-        # neighbours are settled and ``ends`` grows to k at most
-        row = indices[at[u]:at[u + 1]].tolist()
-        ends = {z for z in row if settled[z]}
-        stuck = []
-        for w in row:
-            if len(ends) == k:
-                break
-            if not settled[w]:
-                for z in indices[at[w]:at[w + 1]].tolist():
-                    if settled[z] and z not in ends:
-                        ends.add(z)
-                        break
-                else:
-                    stuck.append(w)
-        # the three-step fan; ``tried`` holds u, its neighbours and every x
-        # tried so far
-        if stuck and len(ends) < k:
-            tried = {u, *row}
-            for w in stuck:
-                for x in indices[at[w]:at[w + 1]].tolist():
-                    if not settled[x] and x not in tried:
-                        tried.add(x)
-                        z = next((z for z in indices[at[x]:at[x + 1]].tolist()
-                                  if settled[z] and z not in ends), None)
-                        if z is not None:
-                            ends.add(z)
-                            break
-                if len(ends) == k:
-                    break
-        if len(ends) < k:
-            if net is None:
-                net = _SplitNetwork(g, sources)
-            # with the super-source every graph vertex except the sink is
-            # inside some source-sink path and must stay unit-capacity
-            if not net.paths_at_least(2 * g.n, 2 * u, k, (u,)):
-                return False
-        settled[u] = True
-        ready.append(u)
-    return True
+        if _fans(u, k, settled, at, indices):
+            spread([u])
+            continue
+        waiting.append((u, grown))
+        if len(waiting) > _WAIT and not retry(waiting):
+            return False
+    return retry(waiting)

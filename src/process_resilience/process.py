@@ -104,6 +104,7 @@ class ProcessTrace:
     _prefix: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer("n", self.n))
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got n={self.n}")
         # a draw i + int(u * (N - i)) is exact only while N < 2**53
@@ -139,6 +140,7 @@ class ProcessTrace:
         ``iter_pairs`` by doubling.
         """
         N = self.num_pairs
+        m = _integer("m", m)
         if not (0 <= m <= N):
             raise ValueError(f"m must be in [0, {N}], got {m}")
         prefix = self._prefix

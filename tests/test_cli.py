@@ -386,6 +386,18 @@ def test_study_trials_and_ms_outside_their_range_are_usage_errors(capsys, argv,
     assert named in err and not out
 
 
+@pytest.mark.parametrize("value", ["nan", "-3"])
+def test_sweep_study_d_threshold_factor_outside_its_range_is_usage_error(
+        tmp_path, capsys, value):
+    # nan once read every trial as greedy_satisfied, -3 as greedy_moves -1
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"study = sweep\nns = 16\nms = 30\ntrials = 1\n"
+                   f"d_threshold_factor = {value}\n")
+    code, out, err = run(capsys, "study", "sweep", "--config", str(cfg))
+    assert code == 2
+    assert f"got d_threshold_factor={float(value)}" in err and not out
+
+
 @pytest.mark.parametrize("field, value", [("subset_trials", -3), ("L", -1)])
 def test_audit_study_negative_count_is_usage_error(tmp_path, capsys, field,
                                                    value):

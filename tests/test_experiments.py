@@ -92,6 +92,15 @@ def test_wilson_interval_basics():
     assert lo < 0.5 < hi
 
 
+@pytest.mark.parametrize("successes, trials", [(5, 3), (-1, 3), (0, -1)])
+def test_wilson_interval_rejects_successes_outside_the_trials(successes, trials):
+    # each once raised "math domain error", or returned a made-up interval
+    with pytest.raises(ValueError, match=re.escape(
+            f"need 0 <= successes <= trials, got {successes} successes in "
+            f"{trials} trials")):
+        wilson_interval(successes, trials)
+
+
 # -- reproducibility -------------------------------------------------------
 
 def hitting_cfg(**kw):
@@ -261,6 +270,8 @@ def test_study_rejects_trials_below_one_before_any_trial(monkeypatch, study,
     ("hitting", "epsilon", "abc", "in (0, 1/2)"),
     ("kcore", "epsilon", "1/0", "in [0, 1/2]"),
     ("audit", "epsilon", "abc", "a rational >= 0"),
+    *[(study, "d_threshold_factor", v, "None or a finite number >= 0")
+      for study in ("hitting", "sweep") for v in (math.nan, math.inf, -3.0)],
 ])
 def test_study_rejects_key_outside_its_domain_before_any_trial(
         monkeypatch, study, key, value, domain):
@@ -328,6 +339,25 @@ def test_study_rejects_a_repeated_grid_value_before_any_trial(
             f"{study} study: {key} repeats a value, so the trials at n={n}, "
             f"m={m} would run twice")):
         run_study(bad)
+
+
+@pytest.mark.parametrize("grid, named", [
+    # the dataclass path takes what it is given; the text parser casts
+    (dict(ns=(6.5,), m_factors=(6.0,)), "ns must be an integer, got 6.5"),
+    (dict(ns=(16, True), ms=(10,)), "ns must be an integer, got True"),
+    (dict(ns=(16,), ms=(10.0,)), "ms must be an integer, got 10.0"),
+    (dict(ns=(16,), m_factors=(1.0, math.nan)),
+     "sweep study needs finite m_factors, got m_factors=nan"),
+    (dict(ns=(16,), m_factors=(math.inf,)),
+     "sweep study needs finite m_factors, got m_factors=inf"),
+])
+def test_study_rejects_a_grid_value_of_the_wrong_kind_before_any_trial(
+        monkeypatch, grid, named):
+    # each once failed inside a trial, with a TypeError from derive_seed or
+    # "cannot convert float NaN to integer", naming neither key nor value
+    monkeypatch.setattr(experiments, "_run_one", _no_trial)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        run_study(ExperimentConfig(study="sweep", trials=1, **grid))
 
 
 def test_config_rejects_a_key_given_twice():

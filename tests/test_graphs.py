@@ -9,8 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import process_resilience.graphs as graphs
 from process_resilience.graphs import (
     GraphFormatError,
+    _WAIT,
     _SplitNetwork,
     _clique,
     _graph_from_arrays,
@@ -723,29 +725,89 @@ def network_builds(monkeypatch):
     return builds
 
 
-@pytest.mark.parametrize("n, seed, checks, builds", [
-    (256, 0, 0, 0), (256, 1, 1, 1), (256, 2, 0, 0),
-    (1024, 0, 0, 0), (1024, 1, 1, 1), (1024, 2, 2, 1),
-])
-def test_fan_lemma_skips_most_flow_checks(flow_checks, network_builds, n, seed,
-                                          checks, builds):
+@pytest.mark.parametrize("n, seed", [(256, 0), (256, 1), (256, 2),
+                                     (1024, 0), (1024, 1), (1024, 2)])
+def test_fan_lemma_skips_most_flow_checks(flow_checks, network_builds, n, seed):
     # deterministic guard on the work done: without the fan lemmas the
     # 3-core of a process graph runs one check per vertex; with the
     # one-step fan lemma alone it runs 28-34 (n = 256) and 52-56
-    # (n = 1024), and with the two-step fan from the pivots 5-10 and 15-19
+    # (n = 1024), with the two-step fan from the pivots 5-10 and 15-19,
+    # and with a check the moment a vertex's fans fail 0-2 on 0-1 networks
     core = k_core(graph_at(sample_process(n, seed),
                            round(n * math.log(n) / 2)), 3)
     assert is_k_connected(core, 3)
-    assert len(flow_checks) <= checks and len(network_builds) <= builds
+    assert flow_checks == [] and network_builds == []
 
 
 @pytest.mark.slow
-def test_tau_3_connectivity_at_n_4096_needs_one_flow_check(flow_checks, network_builds):
-    # the README figure; G at tau_3 is the one graph here where the fans
-    # leave a vertex to a super-source check
+def test_tau_3_connectivity_at_n_4096_needs_no_flow_check(flow_checks, network_builds):
+    # the README figure; G at tau_3 is where a vertex's fans fail until
+    # the walk has settled more, and once ran a super-source check
     trace = sample_process(4096, 5)
     assert hitting_time_min_degree(trace, 3) == hitting_time_k_connectivity(trace, 3) == 25273
-    assert len(flow_checks) <= 1 and len(network_builds) <= 1
+    assert flow_checks == [] and network_builds == []
+
+
+@pytest.fixture
+def fan_tries(monkeypatch):
+    """The verdict of every two- and three-step fan tried in the test."""
+    verdicts = []
+    original = graphs._fans
+
+    def counted(*args):
+        verdicts.append(original(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(graphs, "_fans", counted)
+    return verdicts
+
+
+@pytest.mark.parametrize("h", [8, 40])
+def test_a_separator_ends_the_test_after_a_bounded_wait(flow_checks, fan_tries, h):
+    # two K_h and a 2-separator {0, 1} joined to all of them: every fan
+    # from the second K_h fails, and the settled set stops growing, so the
+    # vertices that wait retry nothing and the first check ends the test
+    a, b = range(2, h + 2), range(h + 2, 2 * h + 2)
+    g = build_graph(2 * h + 2, [(u, v) for side in (a, b) for u, v in combinations(side, 2)]
+                    + [(s, v) for s in (0, 1) for v in (*a, *b)])
+    assert is_k_connected(g, 3) is False
+    assert len(flow_checks) == 1 and fan_tries == [False] * min(h, _WAIT + 1)
+    if h <= 8:
+        assert is_k_connected_oracle(g, 3) is False
+
+
+_K_CONNECTED_KEEP = {"all": lambda u, v: True,
+                     "halves": lambda u, v: u % 2 == v % 2,
+                     "bipartite": lambda u, v: u % 2 != v % 2}
+
+
+def _process_graph_kept(trace, m, keep):
+    """G_m of the trace, less the edges that ``keep`` drops: two halves,
+    which disconnect g, or a bipartite graph, which has no triangle."""
+    keep = _K_CONNECTED_KEEP[keep]
+    return build_graph(trace.n, [e for e in graph_at(trace, m).edges if keep(*e)])
+
+
+@given(st.integers(0, 2 ** 31), st.integers(4, 12), st.sampled_from([3, 4]),
+       st.integers(0, 100), st.integers(0, 100), st.sampled_from(list(_K_CONNECTED_KEEP)))
+@example(0, 6, 3, 100, 0, "all")         # K_6: a clique start
+@example(0, 10, 3, 90, 0, "bipartite")   # no triangle: the pivots start
+@example(0, 10, 3, 55, 80, "all")        # seeded with 8 of the 10 vertices
+@example(1, 10, 3, 45, 70, "all")        # seeded with 7; not 3-connected
+@example(0, 8, 3, 100, 0, "halves")      # two disjoint K_4
+@example(0, 4, 3, 100, 0, "all")         # n = k + 1: K_4
+@example(0, 4, 3, 80, 0, "all")          # n = k + 1, an edge short
+@settings(max_examples=80, deadline=None)
+def test_k_connected_matches_oracle(seed, n, k, fill, seed_at, keep):
+    # the seed, when there is one, is the k-connected k-core of an earlier
+    # graph of the same process, a subgraph of g
+    assume(n >= k + 1)
+    trace = sample_process(n, seed)
+    m = pair_count(n) * fill // 100
+    g = _process_graph_kept(trace, m, keep)
+    core = k_core(_process_graph_kept(trace, m * seed_at // 100, keep), k)
+    linked = core.labels if core.n and is_k_connected_oracle(core, k) else ()
+    assert _k_connected(g, k, linked) is is_k_connected_oracle(g, k)
 
 
 def _seed_clique(g, k):

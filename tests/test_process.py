@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
@@ -120,6 +121,26 @@ def test_descriptor_names_the_trace_and_its_generator():
 def test_negative_vertex_count_is_rejected(make):
     with pytest.raises(ValueError, match="n=-3"):
         make()
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: sample_process(3.5, 0), "n must be an integer, got 3.5"),
+    (lambda: ProcessTrace(True, 0), "n must be an integer, got True"),
+    (lambda: sample_gnm(4.0, 2, 0), "n must be an integer, got 4.0"),
+    (lambda: sample_process(5, 0)._endpoints(2.5), "m must be an integer, got 2.5"),
+    (lambda: graph_at(sample_process(5, 0), 2.0), "m must be an integer, got 2.0"),
+])
+def test_non_integer_vertex_or_pair_count_is_rejected(make, named):
+    # each once ran on: 3.5 gave num_pairs 4.0, and a graph of the trace
+    # then failed with a numpy TypeError
+    with pytest.raises(ValueError, match=re.escape(named)):
+        make()
+
+
+def test_an_integer_like_vertex_count_is_kept_as_an_int():
+    trace = ProcessTrace(np.int64(6), 1)
+    assert type(trace.n) is int and trace == ProcessTrace(6, 1)
+    assert graph_at(trace, np.int64(3)) == graph_at(ProcessTrace(6, 1), 3)
 
 
 def _chunk_ends(N):
