@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import (Graph, _components, _is_edge, _row_positions,
-                     _spans, _vertex_mask, neighbours_in)
+from .graphs import (Graph, _components, _integer, _is_edge, _real,
+                     _row_positions, _spans, _vertex_mask, neighbours_in)
 from .rng import generator
 
 
@@ -59,10 +59,8 @@ def classify_vertices(g_ref: Graph, p: float, delta: float,
     as ``_vertex_mask`` reads one: ValueError for a member that is not an
     integer in [0, n).
     """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    _real("p", p, 0, 1)
+    _real("delta", delta, 0, 1, "()")
     np_scale = g_ref.n * p
     lo, hi = (1.0 - delta) * np_scale, (1.0 + delta) * np_scale
     tiny_thr = delta * np_scale
@@ -174,8 +172,7 @@ def audit_neighbourhoods(g_plus: Graph, cls: VertexClassification, L: int):
     if g_plus.n != cls.n:
         raise ValueError(f"vertex universes differ: graph has {g_plus.n}, "
                          f"classification has {cls.n}")
-    if L < 0:
-        raise ValueError(f"L must be nonnegative, got {L}")
+    L = _integer("L", L, 0)
     params = {"p": cls.p, "delta": cls.delta, "L": L}
     vertices = range(g_plus.n)
     tiny = np.flatnonzero(cls.tiny_mask)
@@ -227,12 +224,9 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
     checked once per kind, and listed, sorted, only when it violates. A
     sound-but-incomplete check by design.
     """
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if subset_trials < 0:
-        raise ValueError(f"subset_trials must be nonnegative, got {subset_trials}")
+    _real("p", p, 0, 1)
+    _real("c", c, 0, math.inf, "(]")
+    subset_trials = _integer("subset_trials", subset_trials, 0)
     n = g.n
     scale = math.sqrt(n * p)
     params = {"p": p, "c": c, "subset_trials": subset_trials, "seed": seed}

@@ -225,10 +225,9 @@ _Z95 = 1.959963984540054
 
 def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion; ValueError
-    unless 0 <= successes <= trials."""
-    if not 0 <= successes <= trials:
-        raise ValueError(f"need 0 <= successes <= trials, got {successes} "
-                         f"successes in {trials} trials")
+    unless trials and successes are integers, 0 <= successes <= trials."""
+    trials = _integer("trials", trials, 0)
+    successes = _integer("successes", successes, 0, trials)
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials

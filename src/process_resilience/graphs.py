@@ -13,6 +13,8 @@ downstream can be reported in original coordinates.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -133,15 +135,41 @@ def _graph_from_arrays(n: int, us, vs, labels=None) -> Graph:
     return _graph(n, eu, ev, indices, labels)
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as a Python int; ValueError naming the parameter unless it
-    is an integer. A bool is refused: True would pass as 1."""
+def _integer(name: str, value, low=None, high=None) -> int:
+    """``value`` as a Python int; ValueError naming the parameter, its
+    domain and the value unless it is an integer within the closed bounds
+    ``low`` and ``high`` (None: unbounded; ``high`` only with ``low``). A
+    bool is refused: True would pass as 1."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+        else:
+            if (low is None or low <= value) and (high is None or value <= high):
+                return value
+    domain = (f" in [{low}, {high}]" if high is not None
+              else f" >= {low}" if low is not None else "")
+    raise _refusal(name, "an integer" + domain, value)
+
+
+def _real(name: str, value, low=-math.inf, high=math.inf, bounds: str = "[]"):
+    """``value`` unchanged; ValueError naming the parameter, its domain and
+    the value unless it is a real number (not a bool, not NaN) between
+    ``low`` and ``high``, each bound closed or open as ``bounds`` writes
+    the interval: "[]", "()", "(]" or "[)"."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (low < value if bounds[0] == "(" else low <= value)
+            and (value < high if bounds[1] == ")" else value <= high)):
+        return value
+    raise _refusal(name, f"a real number in {bounds[0]}{low}, {high}{bounds[1]}", value)
+
+
+def _refusal(name: str, domain: str, value) -> ValueError:
+    """The error of both rules; a number shows as str (nan, 3/2), anything
+    else by repr, so a string '2' is not mistaken for 2."""
+    shown = value if isinstance(value, numbers.Number) else repr(value)
+    return ValueError(f"{name} must be {domain}, got {shown}")
 
 
 def _pair_arrays(pairs) -> tuple:
@@ -153,17 +181,15 @@ def _pair_arrays(pairs) -> tuple:
 def build_graph(n: int, edge_list: Iterable) -> Graph:
     """Build a Graph from unordered vertex pairs, collapsing duplicates.
 
-    Rejects self-loops and out-of-range endpoints.
+    Rejects self-loops and endpoints that are not vertices, integers in
+    [0, n).
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    n = _integer("n", n, 0)
     seen = set()
     for pair in edge_list:
-        u, v = pair
+        u, v = (_integer("vertex", x, 0, n - 1) for x in pair)
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         seen.add((u, v) if u < v else (v, u))
     return _graph_from_arrays(n, *_pair_arrays(seen))
 
@@ -302,9 +328,7 @@ def k_core(g: Graph, k: int) -> Graph:
     from the dropped vertices' CSR rows. The result is independent of
     peeling order.
     """
-    k = _integer("k", k)
-    if k < 2:
-        raise ValueError(f"k-core requires k >= 2, got {k}")
+    k = _integer("k", k, 2)
     deg = g.degree_array.copy()
     alive = np.ones(g.n, dtype=bool)
     drop = np.flatnonzero(deg < k)
@@ -323,10 +347,8 @@ def ball(g: Graph, v: int, radius: int):
     """Vertices at graph distance 1..radius from v (v itself excluded),
     found breadth-first: level d is the vertices first met in the rows of
     level d - 1."""
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} out of range")
-    if radius < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
+    v = _integer("v", v, 0, g.n - 1)
+    radius = _integer("radius", radius, 1)
     dist = np.full(g.n, -1)
     dist[v] = 0
     frontier = np.array([v])
@@ -340,21 +362,26 @@ def ball(g: Graph, v: int, radius: int):
     return frozenset(np.flatnonzero(dist > 0).tolist())
 
 
+def _vertices(n: int, members, name: str = "vertices") -> np.ndarray:
+    """The int64 array of ``members``, an iterable of vertices; ValueError
+    naming them for a member that is not an integer in [0, n): an index of
+    -1 would alias vertex n - 1."""
+    at = np.asarray(members if isinstance(members, np.ndarray) else list(members))
+    if at.size and not (at.dtype.kind in "iu" and at.min() >= 0 and at.max() < n):
+        raise ValueError(f"{name} must be integers in [0, {n})")
+    return at.astype(np.int64, copy=False)
+
+
 def _vertex_mask(n: int, members) -> np.ndarray:
-    """The boolean mask over 0..n-1 of ``members``, an iterable of vertices
+    """The boolean mask over 0..n-1 of ``members``, read by ``_vertices``,
     or such a mask already; a mask it builds is read-only. ValueError for
-    a mask of another length or a member outside [0, n): an index of -1
-    would alias vertex n - 1."""
+    a mask of another length."""
     if isinstance(members, np.ndarray) and members.dtype == bool:
         if members.shape != (n,):
             raise ValueError(f"vertex mask must have shape ({n},), got {members.shape}")
         return members
-    at = np.asarray(members if isinstance(members, np.ndarray) else list(members))
     mask = np.zeros(n, dtype=bool)
-    if at.size:
-        if not (at.dtype.kind in "iu" and at.min() >= 0 and at.max() < n):
-            raise ValueError(f"vertices must be integers in [0, {n})")
-        mask[at] = True
+    mask[_vertices(n, members)] = True
     mask.setflags(write=False)
     return mask
 
@@ -514,9 +541,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     Uses articulation points (k=2) or Even's disjoint-paths test
     ``_k_connected`` (k >= 3).
     """
-    k = _integer("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _integer("k", k, 1)
     if g.n < k + 1:
         return False
     if g.min_degree() < k:

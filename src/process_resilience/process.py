@@ -27,12 +27,13 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .graphs import (Graph, _graph_from_arrays, _integer, incidence,
+from .graphs import (Graph, _graph_from_arrays, _integer, _real, incidence,
                      is_k_connected)
 from .rng import GENERATOR_ID, derive_seed, generator
 
 
 def pair_count(n: int) -> int:
+    n = _integer("n", n, 0)
     return n * (n - 1) // 2
 
 
@@ -104,9 +105,7 @@ class ProcessTrace:
     _prefix: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _integer("n", self.n))
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got n={self.n}")
+        object.__setattr__(self, "n", _integer("n", self.n, 0))
         # a draw i + int(u * (N - i)) is exact only while N < 2**53
         if pair_count(self.n) >= 2 ** 53:
             raise ValueError(f"n={self.n} has {pair_count(self.n)} vertex "
@@ -140,9 +139,7 @@ class ProcessTrace:
         ``iter_pairs`` by doubling.
         """
         N = self.num_pairs
-        m = _integer("m", m)
-        if not (0 <= m <= N):
-            raise ValueError(f"m must be in [0, {N}], got {m}")
+        m = _integer("m", m, 0, N)
         prefix = self._prefix
         rng, draws, us, vs = prefix
         start = len(us)
@@ -195,9 +192,7 @@ class ProcessTrace:
 
 
 def sample_process(n: int, seed: int) -> ProcessTrace:
-    if n < 2:
-        raise ValueError(f"process needs n >= 2, got {n}")
-    return ProcessTrace(n, seed)
+    return ProcessTrace(_integer("n", n, 2), seed)
 
 
 def graph_at(trace: ProcessTrace, m: int) -> Graph:
@@ -239,9 +234,7 @@ def _first_hit(trace: ProcessTrace, lo: int, *tests: Callable) -> int:
 
 def _min_degree_test(trace: ProcessTrace, k: int) -> Callable:
     """The test "min degree >= k" of a prefix of the trace; 1 <= k < n."""
-    k = _integer("k", k)
-    if not (1 <= k <= trace.n - 1):
-        raise ValueError(f"k must be in [1, {trace.n - 1}], got {k}")
+    k = _integer("k", k, 1, trace.n - 1)
     n = trace.n
     return lambda us, vs: incidence(n, us, vs).min() >= k
 
@@ -284,17 +277,16 @@ def _gnp_indices(n: int, p: float, seed: int) -> np.ndarray:
     quotient lies within a relative 1e-9 of an integer it is recomputed
     with ``math.log``: the indices are those of the scalar loop in
     tests/oracles.py, bit for bit. A skip is capped at N, so u = 0, or a p
-    too small for the quotient to be finite, ends the stream.
+    too small for the quotient to be finite, ends the stream. The
+    generator is made first, so every seed is checked, drawn from or not.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got n={n}")
     N = pair_count(n)
+    rng = generator(seed)
     if p == 0.0 or N == 0:
         return np.empty(0, dtype=np.int64)
     if p == 1.0:
         return np.arange(N, dtype=np.int64)
     log_q = math.log1p(-p)
-    rng = generator(seed)
     blocks, last = [], -1
     while True:
         u = rng.random(_BATCH)
@@ -315,8 +307,7 @@ def _gnp_indices(n: int, p: float, seed: int) -> np.ndarray:
 
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Binomial random graph; geometric skipping, runtime ~ output edges."""
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    _real("p", p, 0, 1)
     return _graph_from_arrays(n, *_pairs_from_indices(n, _gnp_indices(n, p, seed)))
 
 
@@ -333,9 +324,8 @@ class CoupledSample:
 
 def sample_coupled(n: int, p0: float, p_prime: float, seed: int) -> CoupledSample:
     """Sample the coupled pair from two independent derived streams."""
-    for name, p in (("p0", p0), ("p_prime", p_prime)):
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"{name} must be in [0, 1], got {p}")
+    _real("p0", p0, 0, 1)
+    _real("p_prime", p_prime, 0, 1)
     below = _gnp_indices(n, p0, derive_seed(seed, 0))
     # union of the two index sets; np.union1d would pull in about 1 MB more
     # resident memory on first use

@@ -19,8 +19,9 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .classify import VertexClassification
-from .graphs import (Graph, _integer, _is_edge, _pair_arrays, _row_positions,
-                     incidence, is_connected, is_k_connected)
+from .graphs import (Graph, _integer, _is_edge, _pair_arrays, _real,
+                     _row_positions, _vertices, incidence, is_connected,
+                     is_k_connected)
 from .rng import generator
 
 # Exact-mode size caps: configuration, not physics.
@@ -49,6 +50,18 @@ class PartitionCollapsedError(AttackError):
     """Insertion/rearrangement drained one side of the partition."""
 
 
+def _fraction(name: str, value, low, high, bounds: str = "[]") -> Fraction:
+    """``value`` as a Fraction; ValueError as ``graphs._real`` gives it
+    unless it is a real number in the interval, or a string that Fraction
+    reads as one ("2/3")."""
+    if isinstance(value, str):
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    return Fraction(_real(name, value, low, high, bounds))
+
+
 @dataclass(frozen=True)
 class BudgetRule:
     """Per-vertex cap on removable edges: deg_H(v) <= alpha * deg_G(v) and
@@ -62,12 +75,8 @@ class BudgetRule:
     k: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if not (0 <= self.alpha <= 1):
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        object.__setattr__(self, "k", _integer("k", self.k))
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
+        object.__setattr__(self, "alpha", _fraction("alpha", self.alpha, 0, 1))
+        object.__setattr__(self, "k", _integer("k", self.k, 0))
 
     def caps(self, g: Graph) -> np.ndarray:
         """Exact per-vertex caps on deg_H; can be negative where the rule is
@@ -201,18 +210,14 @@ def _crosses(g: Graph, side) -> np.ndarray:
 def _side_vector(g: Graph, cut: Cut) -> np.ndarray:
     """The cut as a crossing_degrees side vector: 0 on A, 1 on B, -1 in
     the separator. ValueError unless its disjoint parts cover exactly
-    0..n-1, that is, their sizes add up to n and each part is an integer
-    array within [0, n); a vertex past int64 makes an object array."""
+    0..n-1, that is, their sizes add up to n and ``_vertices`` reads each
+    as vertices of g."""
     parts = (cut.separator, cut.side_a, cut.side_b)
     if sum(map(len, parts)) != g.n:
         raise ValueError("cut does not cover the graph's vertex set")
     side = np.full(g.n, -1, dtype=np.int64)
     for s, part in zip((-1, 0, 1), parts):
-        if part:
-            at = np.array(list(part))
-            if not (at.dtype.kind in "iu" and at.min() >= 0 and at.max() < g.n):
-                raise ValueError("cut does not cover the graph's vertex set")
-            side[at] = s
+        side[_vertices(g.n, part, "cut vertices")] = s
     return side
 
 
@@ -356,9 +361,7 @@ def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
         return ResilienceReport(alpha_star, cuts[alpha_star], "exact")
     if mode != "local_search":
         raise ValueError(f"unknown mode {mode!r}")
-    if restarts < 1:
-        raise ValueError(f"local search needs restarts >= 1, got {restarts}")
-    return _local_search_threshold(g, restarts, seed)
+    return _local_search_threshold(g, _integer("restarts", restarts, 1), seed)
 
 
 def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceReport:
@@ -488,9 +491,7 @@ def find_k_conn_attack(g: Graph, rule: BudgetRule, k: int) -> Optional[Cut]:
     crossing edges: a certificate that g is not rule-resilient w.r.t.
     k-connectivity. None iff no certificate exists.
     """
-    k = _integer("k", k)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = _integer("k", k, 1)
     if not is_k_connected(g, k):
         raise ValueError("attack expects a k-connected input graph")
     if g.n > EXACT_SEPARATOR_LIMIT:
@@ -557,9 +558,8 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     if cls.n != g.n:
         raise ValueError(f"classification universe {cls.n} does not match "
                          f"graph on {g.n} vertices")
-    eps = Fraction(epsilon)
-    if not (0 < eps < Fraction(1, 2)):
-        raise ValueError(f"epsilon must be in (0, 1/2), got {eps}")
+    eps = _fraction("epsilon", epsilon, 0, Fraction(1, 2), "()")
+    _real("d_threshold", d_threshold)
     if g.n < 2:
         raise ValueError("attack needs at least two vertices")
 

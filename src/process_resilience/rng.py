@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .graphs import _integer
+
 GENERATOR_ID = "philox4x64/splitmix64-streams/v1"
 
 _MASK64 = (1 << 64) - 1
@@ -24,17 +26,18 @@ _MASK64 = (1 << 64) - 1
 
 def splitmix64(x: int) -> int:
     """SplitMix64 finalizer: a published 64-bit integer mixer."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = (_integer("x", x) + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
 
 
 def derive_seed(seed: int, *stream: int) -> int:
-    """Derive the child seed for a (possibly nested) stream index."""
-    s = seed & _MASK64
+    """Derive the child seed for a (possibly nested) stream index;
+    ValueError unless the seed and every index are integers."""
+    s = _integer("seed", seed) & _MASK64
     for index in stream:
-        s = splitmix64(splitmix64(s) ^ (index & _MASK64))
+        s = splitmix64(splitmix64(s) ^ (_integer("stream", index) & _MASK64))
     return s
 
 

@@ -68,7 +68,7 @@ def test_classify_subset_array_gives_python_int_members():
 def test_classify_rejects_p_outside_unit_interval(p):
     # p = -0.5 would mark every vertex atypical, and NaN leave both classes
     # empty, without a word
-    with pytest.raises(ValueError, match=r"p must be in \[0, 1\]"):
+    with pytest.raises(ValueError, match=r"p must be a real number in \[0, 1\]"):
         classify_vertices(star(6), p, 0.5)
 
 
@@ -499,9 +499,9 @@ def test_top_degree_ties_pick_the_five_smallest_vertices():
 
 def test_audits_reject_negative_counts():
     g = complete(5)
-    with pytest.raises(ValueError, match="subset_trials must be nonnegative"):
+    with pytest.raises(ValueError, match="subset_trials must be an integer >= 0, got -1"):
         audit_edge_counts(g, 0.5, c=1.0, subset_trials=-1, seed=0)
-    with pytest.raises(ValueError, match="L must be nonnegative"):
+    with pytest.raises(ValueError, match="L must be an integer >= 0, got -1"):
         audit_neighbourhoods(g, manual_cls(g), -1)
     assert audit_edge_counts(g, 0.5, c=1.0, subset_trials=0, seed=0).holds
     assert len(audit_neighbourhoods(g, manual_cls(g), 0)) == 3

@@ -115,7 +115,7 @@ def test_alpha_outside_unit_interval_is_usage_error(capsys, c6_file):
     code, _, err = run(capsys, "attack", "exact", "--graph", c6_file,
                        "--alpha", "3/2")
     assert code == 2
-    assert "alpha must be in [0, 1]" in err
+    assert "alpha must be a real number in [0, 1], got 3/2" in err
 
 
 # -- samplers ----------------------------------------------------------------
@@ -194,7 +194,7 @@ def test_classify_with_p_outside_unit_interval_is_usage_error(capsys, c6_file, p
     code, out, err = run(capsys, "classify", "--graph", c6_file, f"--p={p}",
                          "--delta", "0.5")
     assert code == 2 and out == ""
-    assert "p must be in [0, 1]" in err
+    assert "p must be a real number in [0, 1]" in err
 
 
 def test_audit_command(tmp_path, capsys):
@@ -214,6 +214,14 @@ def test_audit_command(tmp_path, capsys):
     assert [r["property"] for r in reports] == [
         "tiny-3ball", "atyp-neighbourhood", "triangle-tiny", "atyp-size",
         "edge-counts"]
+
+
+def test_audit_with_a_nan_c_is_usage_error(capsys, c6_file):
+    # argparse reads "nan" as a float; the edge-count audit once held at it
+    code, out, err = run(capsys, "audit", "--minus", c6_file, "--plus", c6_file,
+                         "--p0", "0.2", "--c", "nan")
+    assert code == 2 and not out
+    assert "c must be a real number in (0, inf], got nan" in err
 
 
 # -- attacks and verification -------------------------------------------------
@@ -242,6 +250,15 @@ def test_greedy_command(tmp_path, capsys):
     payload = json.loads(out)
     assert code == (0 if payload["satisfied"] else 1)
     assert set(payload) >= {"S", "A", "B", "H", "max_ratio", "satisfied"}
+
+
+def test_greedy_with_a_nan_d_threshold_is_usage_error(capsys, c6_file):
+    # argparse reads "nan" as a float; the attack once ran with an empty D
+    # set and reported its cut
+    code, out, err = run(capsys, "attack", "greedy", "--graph", c6_file,
+                         "--epsilon", "1/10", "--d-threshold", "nan")
+    assert code == 2 and not out
+    assert "d_threshold must be a real number in [-inf, inf], got nan" in err
 
 
 def test_greedy_collapse_exits_one(tmp_path, capsys):
@@ -282,7 +299,7 @@ def test_keep_degree_zero_is_the_plain_rule(tmp_path, capsys, c6_file):
     code, out, err = run(capsys, "attack", "kconn", "--graph", c6_file,
                          "--alpha", "1/2", "--k", "0")
     assert code == 2 and not out
-    assert "k must be >= 1, got 0" in err
+    assert "k must be an integer >= 1, got 0" in err
 
 
 def test_kconn_attack_command(tmp_path, capsys):
@@ -319,7 +336,7 @@ def test_local_search_without_restarts_is_usage_error(capsys, c6_file):
     code, _, err = run(capsys, "threshold", "--graph", c6_file,
                        "--mode", "local-search", "--restarts", "0")
     assert code == 2
-    assert "restarts >= 1" in err
+    assert "restarts must be an integer >= 1, got 0" in err
 
 
 # -- error paths --------------------------------------------------------------
@@ -353,7 +370,7 @@ def test_malformed_cut_file_is_usage_error(tmp_path, capsys, c6_file, payload):
 def test_negative_vertex_count_is_usage_error(capsys):
     code, _, err = run(capsys, "sample", "gnp", "--n", "-3", "--p", "0.5")
     assert code == 2
-    assert "n=-3" in err
+    assert "n must be an integer >= 0, got -3" in err
 
 
 

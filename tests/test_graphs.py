@@ -66,8 +66,10 @@ def test_build_rejects_self_loop():
 
 
 def test_build_rejects_out_of_range():
-    with pytest.raises(ValueError, match="out of range"):
-        build_graph(3, [(0, 3)])
+    # 1.5 was once truncated to 1, and True read as 1
+    for edge in [(0, 3), (-1, 0), (0, 1.5), (True, 2)]:
+        with pytest.raises(ValueError, match=r"^vertex must be an integer in \[0, 2\], "):
+            build_graph(3, [edge])
 
 
 def test_adjacency_symmetric_and_sorted():
@@ -788,8 +790,10 @@ def _process_graph_kept(trace, m, keep):
     return build_graph(trace.n, [e for e in graph_at(trace, m).edges if keep(*e)])
 
 
-@given(st.integers(0, 2 ** 31), st.integers(4, 12), st.sampled_from([3, 4]),
+@given(st.integers(0, 2 ** 31), st.integers(4, 12), st.sampled_from([2, 3, 4]),
        st.integers(0, 100), st.integers(0, 100), st.sampled_from(list(_K_CONNECTED_KEEP)))
+@example(1, 10, 2, 40, 80, "all")         # k = 2, the kcore default: seeded
+@example(1, 10, 2, 35, 80, "all")         # with 7; 2-connected, then not
 @example(0, 6, 3, 100, 0, "all")         # K_6: a clique start
 @example(0, 10, 3, 90, 0, "bipartite")   # no triangle: the pivots start
 @example(0, 10, 3, 55, 80, "all")        # seeded with 8 of the 10 vertices

@@ -119,22 +119,31 @@ def test_descriptor_names_the_trace_and_its_generator():
     lambda: sample_coupled(-3, 0.1, 0.2, 1),
 ])
 def test_negative_vertex_count_is_rejected(make):
-    with pytest.raises(ValueError, match="n=-3"):
+    with pytest.raises(ValueError, match="n must be an integer >= 0, got -3"):
         make()
 
 
 @pytest.mark.parametrize("make, named", [
-    (lambda: sample_process(3.5, 0), "n must be an integer, got 3.5"),
-    (lambda: ProcessTrace(True, 0), "n must be an integer, got True"),
-    (lambda: sample_gnm(4.0, 2, 0), "n must be an integer, got 4.0"),
-    (lambda: sample_process(5, 0)._endpoints(2.5), "m must be an integer, got 2.5"),
-    (lambda: graph_at(sample_process(5, 0), 2.0), "m must be an integer, got 2.0"),
+    (lambda: sample_process(3.5, 0), "n must be an integer >= 2, got 3.5"),
+    (lambda: ProcessTrace(True, 0), "n must be an integer >= 0, got True"),
+    (lambda: sample_gnm(4.0, 2, 0), "n must be an integer >= 0, got 4.0"),
+    (lambda: sample_process(5, 0)._endpoints(2.5), "m must be an integer in [0, 10], got 2.5"),
+    (lambda: graph_at(sample_process(5, 0), 2.0), "m must be an integer in [0, 10], got 2.0"),
 ])
 def test_non_integer_vertex_or_pair_count_is_rejected(make, named):
     # each once ran on: 3.5 gave num_pairs 4.0, and a graph of the trace
     # then failed with a numpy TypeError
     with pytest.raises(ValueError, match=re.escape(named)):
         make()
+
+
+@pytest.mark.parametrize("n, p", [(5, 0.0), (5, 1.0), (1, 0.5)])
+def test_gnp_checks_a_seed_it_draws_nothing_from(n, p):
+    # at p = 0 or 1, or with no vertex pair, a float seed once passed unread
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        sample_gnp(n, p, 1.5)
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        sample_coupled(n, p, p, 1.5)
 
 
 def test_an_integer_like_vertex_count_is_kept_as_an_int():
