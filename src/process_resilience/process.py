@@ -17,6 +17,10 @@ by construction.
 G(n,p) is sampled by geometric skipping (Batagelj and Brandes 2005), one
 block of doubles at a time in numpy, with the skips of the scalar loop bit
 for bit; a coupled pair merges two such index streams.
+
+Every sampler holds the lexicographic ranks of its pairs, and every graph
+is built from them by ``graphs._graph_from_ranks``; only a reader of
+endpoints (the hitting times, ``pairs``, ``iter_pairs``) decodes them.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .graphs import (Graph, _graph_from_arrays, _integer, _real, incidence,
-                     is_k_connected)
+from .graphs import (Graph, _graph_from_arrays, _graph_from_ranks, _integer,
+                     _key_dtype, _real, incidence, is_k_connected)
 from .rng import GENERATOR_ID, derive_seed, generator
 
 
@@ -47,20 +51,26 @@ def _pairs_from_indices(n: int, idx) -> tuple:
     wherever (2n - 1)**2 fits in int64, n <= 2**27 included. The guess
     halves b - sqrt(b*b - 8 idx) >= 0 and truncates: halving is exact and
     truncation floors a positive value, so it equals a float floor-divide
-    by 2, which costs about as much as the rest of the decode.
+    by 2, which costs about as much as the rest of the decode. The integer
+    passes halve products >= 0, so ``>> 1`` is their exact floor-divide by
+    2, and cheaper; they keep row_start(u), from which row u + 1 starts
+    n - 1 - u ranks on and v is read.
     """
     idx = np.asarray(idx, dtype=np.int64)
     b = 2 * n - 1
     u = ((b - np.sqrt((b * b - 8 * idx).astype(np.float64))) * 0.5).astype(np.int64)
-    while (high := u * (b - u) // 2 > idx).any():
+    start = u * (b - u) >> 1
+    while (high := start > idx).any():
         u -= high
-    while (low := (u + 1) * (b - u - 1) // 2 <= idx).any():
+        start = u * (b - u) >> 1
+    while (low := start + (n - 1 - u) <= idx).any():
         u += low
-    return u, idx - u * (b - u) // 2 + u + 1
+        start = u * (b - u) >> 1
+    return u, idx - start + u + 1
 
 
 def _repeated(values: np.ndarray) -> np.ndarray:
-    """The positions i whose values[i] occurs more than once in the int64
+    """The positions i whose values[i] occurs more than once in the integer
     array ``values``, ascending.
 
     A sort gives ``twice``, the values seen again, in order; a 2**16-entry
@@ -73,7 +83,8 @@ def _repeated(values: np.ndarray) -> np.ndarray:
     twice = ordered[1:][ordered[1:] == ordered[:-1]]
     table = np.zeros(1 << 16, dtype=bool)
     table[twice & 0xFFFF] = True
-    candidates = np.flatnonzero(table[values & 0xFFFF])
+    # take, not [], which first copies int32 indices to int64
+    candidates = np.flatnonzero(table.take(values & 0xFFFF))
     found = values[candidates]
     at = np.minimum(np.searchsorted(twice, found), len(twice) - 1)
     return candidates[twice[at] == found]
@@ -92,16 +103,20 @@ class ProcessTrace:
     """A seeded permutation of all vertex pairs, stored implicitly.
 
     Every reader shares the one prefix the trace has drawn, so each pair is
-    drawn once: 24 bytes per drawn pair (its endpoints and its step's j),
-    and no swap map, for the life of the trace. Equality and hashing see
-    only (n, seed); a trace is not safe to draw from in two threads at
-    once.
+    drawn once. The prefix is kept as the lexicographic rank of each pair
+    and its step's j, as 32-bit integers while N <= 2**31 (n <= 65536):
+    8 bytes per drawn pair (16 above that) for a trace read only as
+    graphs, which build straight from the ranks. A reader of endpoints
+    decodes them once, into int64 arrays that add 16 bytes per pair. No
+    swap map is kept. Equality and hashing see only (n, seed); a trace is
+    not safe to draw from in two threads at once.
     """
 
     n: int
     seed: int
-    # [Philox generator, j of every drawn step, us, vs] of the drawn
-    # prefix; see _endpoints
+    # [Philox generator, j of every drawn step, ranks, us, vs]: the ranks
+    # of the drawn prefix (see _ranks) and the endpoints of as many of them
+    # as a reader has decoded (see _endpoints)
     _prefix: list = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -111,15 +126,17 @@ class ProcessTrace:
             raise ValueError(f"n={self.n} has {pair_count(self.n)} vertex "
                              f"pairs; the stream needs fewer than 2**53")
         object.__setattr__(self, "_prefix", [generator(self.seed), _NO_PAIRS,
-                                             _NO_PAIRS, _NO_PAIRS])
+                                             _NO_PAIRS, _NO_PAIRS, _NO_PAIRS])
 
     @property
     def num_pairs(self) -> int:
         return pair_count(self.n)
 
-    def _endpoints(self, m: int) -> tuple:
-        """(us, vs): read-only int64 arrays of the first m pairs, slices of
-        the drawn prefix; only the steps past that prefix are drawn.
+    def _ranks(self, m: int) -> np.ndarray:
+        """A read-only array, int32 while N <= 2**31 and int64 above: the
+        lexicographic ranks (see ``_pairs_from_indices``) of the first m
+        pairs, a slice of the drawn prefix; only the steps past that prefix
+        are drawn.
 
         Partial Fisher-Yates: step i draws one double u and swaps position
         i with j = i + floor(u (N - i)), the same IEEE product and
@@ -141,13 +158,13 @@ class ProcessTrace:
         N = self.num_pairs
         m = _integer("m", m, 0, N)
         prefix = self._prefix
-        rng, draws, us, vs = prefix
-        start = len(us)
+        rng, draws, ranks = prefix[:3]
+        start = len(ranks)
         if m > start:
             steps = np.arange(start, m, dtype=np.int64)
             new = steps + (rng.random(m - start)
                            * (N - steps).astype(np.float64)).astype(np.int64)
-            draws = prefix[1] = np.concatenate((draws, new))
+            draws = prefix[1] = np.concatenate((draws, new), dtype=_key_dtype(N))
             if m < _FLAG_MIN_STEPS:
                 walk = np.arange(m)
             else:
@@ -159,13 +176,27 @@ class ProcessTrace:
             for i, j in zip(walk.tolist(), draws[walk].tolist()):
                 append(get(j, j))
                 swap[j] = pop(i, i)
-            idx = draws.copy()
-            idx[walk] = picked  # a step not walked picks its own j
-            cu, cv = _pairs_from_indices(self.n, idx[start:])
+            # a step not walked picks its own j; a walked step before start
+            # picks the rank the prefix holds already
+            ranks = np.concatenate((ranks, new), dtype=draws.dtype)
+            ranks[walk] = picked
+            ranks.setflags(write=False)
+            prefix[2] = ranks
+        return ranks[:m]
+
+    def _endpoints(self, m: int) -> tuple:
+        """(us, vs): read-only int64 arrays of the first m pairs, slices of
+        the decoded prefix. The first read past it decodes every rank drawn
+        but not yet decoded, in one ``_pairs_from_indices`` call."""
+        m = len(self._ranks(m))
+        prefix = self._prefix
+        us, vs = prefix[3:]
+        if m > len(us):
+            cu, cv = _pairs_from_indices(self.n, prefix[2][len(us):])
             us, vs = np.concatenate((us, cu)), np.concatenate((vs, cv))
             us.setflags(write=False)
             vs.setflags(write=False)
-            prefix[2:] = us, vs
+            prefix[3:] = us, vs
         return us[:m], vs[:m]
 
     def iter_pairs(self) -> Iterator[tuple]:
@@ -197,7 +228,7 @@ def sample_process(n: int, seed: int) -> ProcessTrace:
 
 def graph_at(trace: ProcessTrace, m: int) -> Graph:
     """The process graph after m edge arrivals (distributed as G(n,m))."""
-    return _graph_from_arrays(trace.n, *trace._endpoints(m))
+    return _graph_from_ranks(trace.n, trace._ranks(m))
 
 
 def _first_hit(trace: ProcessTrace, lo: int, *tests: Callable) -> int:
@@ -234,8 +265,11 @@ def _first_hit(trace: ProcessTrace, lo: int, *tests: Callable) -> int:
 
 def _min_degree_test(trace: ProcessTrace, k: int) -> Callable:
     """The test "min degree >= k" of a prefix of the trace; 1 <= k < n."""
-    k = _integer("k", k, 1, trace.n - 1)
     n = trace.n
+    if n < 2:
+        raise ValueError(f"a hitting time needs a trace of n >= 2 vertices, "
+                         f"got n = {n}")
+    k = _integer("k", k, 1, n - 1)
     return lambda us, vs: incidence(n, us, vs).min() >= k
 
 
@@ -308,7 +342,7 @@ def _gnp_indices(n: int, p: float, seed: int) -> np.ndarray:
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Binomial random graph; geometric skipping, runtime ~ output edges."""
     _real("p", p, 0, 1)
-    return _graph_from_arrays(n, *_pairs_from_indices(n, _gnp_indices(n, p, seed)))
+    return _graph_from_ranks(n, _gnp_indices(n, p, seed))
 
 
 @dataclass(frozen=True)
@@ -331,8 +365,8 @@ def sample_coupled(n: int, p0: float, p_prime: float, seed: int) -> CoupledSampl
     # resident memory on first use
     both = np.sort(np.concatenate((below, _gnp_indices(n, p_prime, derive_seed(seed, 1)))))
     union = both[np.diff(both, prepend=-1) != 0]
-    g_minus = _graph_from_arrays(n, *_pairs_from_indices(n, below))
-    g_plus = _graph_from_arrays(n, *_pairs_from_indices(n, union))
+    g_minus = _graph_from_ranks(n, below)
+    g_plus = _graph_from_ranks(n, union)
     if p_prime == 0.0:
         p1 = p0
     elif p0 == 0.0:

@@ -338,7 +338,10 @@ def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
     alpha*. Exact mode bisects the candidate ratios with one cut search per
     probe and returns an exact rational with the first witness in canonical
     order; local_search mode returns a seeded hill-climbing upper bound.
+    ``restarts`` and ``seed`` are checked in either mode.
     """
+    restarts = _integer("restarts", restarts, 1)
+    _integer("seed", seed)
     if not is_connected(g):
         raise ValueError("threshold expects a connected graph")
     if g.n < 2:
@@ -361,7 +364,7 @@ def connectivity_resilience_threshold(g: Graph, mode: str = "exact",
         return ResilienceReport(alpha_star, cuts[alpha_star], "exact")
     if mode != "local_search":
         raise ValueError(f"unknown mode {mode!r}")
-    return _local_search_threshold(g, _integer("restarts", restarts, 1), seed)
+    return _local_search_threshold(g, restarts, seed)
 
 
 def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceReport:

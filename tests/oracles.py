@@ -554,6 +554,13 @@ def graph_from_pairs(n: int, pairs, labels=None) -> Graph:
     return Graph(n, indptr, indices, ends, labels)
 
 
+def graph_from_ranks(n: int, ranks, labels=None) -> Graph:
+    """The tuple constructor of the pairs at the lexicographic ranks
+    ``ranks``, each decoded by walking the rows of the upper triangle: the
+    reference for ``graphs._graph_from_ranks``."""
+    return graph_from_pairs(n, [_pair_from_rank(n, r) for r in ranks], labels)
+
+
 def degrees_by_pairs(n: int, pairs) -> tuple:
     """deg[v], counted one pair at a time: a repeated pair counts each
     time, and a loop (v, v) twice."""

@@ -339,6 +339,14 @@ def test_local_search_without_restarts_is_usage_error(capsys, c6_file):
     assert "restarts must be an integer >= 1, got 0" in err
 
 
+def test_exact_threshold_with_no_restarts_is_usage_error(capsys, c6_file):
+    # exact mode reads no restarts, and once let 0 through
+    code, out, err = run(capsys, "threshold", "--graph", c6_file,
+                         "--mode", "exact", "--restarts", "0")
+    assert (code, out) == (2, "")
+    assert "restarts must be an integer >= 1, got 0" in err
+
+
 # -- error paths --------------------------------------------------------------
 
 def test_malformed_graph_reports_line(tmp_path, capsys):

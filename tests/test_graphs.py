@@ -16,6 +16,7 @@ from process_resilience.graphs import (
     _SplitNetwork,
     _clique,
     _graph_from_arrays,
+    _graph_from_ranks,
     _induced,
     _is_edge,
     _k_connected,
@@ -41,7 +42,7 @@ from process_resilience.resilience import (BudgetRule, crossing_degrees,
 from conftest import circulant, complete, cycle, hypercube, path, star
 from oracles import (adjacency_sets, atyp_neighbour_counts, ball_by_bfs, cached_views,
                      components_by_pairs, crossing_counts, csr_rows,
-                     degrees_by_pairs, graph_from_pairs,
+                     degrees_by_pairs, graph_from_pairs, graph_from_ranks,
                      induced_subgraph_by_edges, is_k_connected_oracle,
                      peel_k_core_random_order, split_network_arcs,
                      split_network_flow)
@@ -131,6 +132,45 @@ def test_array_constructor_small_extremes():
     _assert_same_graph(_graph_from_arrays(2, [1], [0]), graph_from_pairs(2, [(0, 1)]))
     g = _graph_from_arrays(5, [4], [3])
     assert csr_rows(g) == [(), (), (), (4,), (3,)]
+
+
+@st.composite
+def rank_lists(draw, max_n=12):
+    """n, then distinct pair ranks of n vertices in any order: none, some,
+    or all N of them."""
+    n = draw(st.integers(0, max_n))
+    N = pair_count(n)
+    if N == 0:
+        return n, []
+    ranks = st.lists(st.integers(0, N - 1), unique=True, max_size=N)
+    return n, draw(ranks | st.permutations(range(N)))
+
+
+@given(rank_lists(), st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+@example((0, []), random.Random(0))
+@example((1, []), random.Random(0))
+@example((2, []), random.Random(0))
+@example((2, [0]), random.Random(0))
+@example((7, []), random.Random(0))                    # no edges
+@example((7, list(range(20, -1, -1))), random.Random(0))  # m = N
+def test_rank_constructor_matches_the_row_walk(case, rnd):
+    n, ranks = case
+    labels = tuple(rnd.sample(range(100), n))
+    _assert_same_graph(_graph_from_ranks(n, ranks, labels),
+                       graph_from_ranks(n, ranks, labels))
+    _assert_same_graph(_graph_from_ranks(n, np.array(ranks, dtype=np.int64)),
+                       graph_from_ranks(n, ranks))
+
+
+@pytest.mark.parametrize("n, key", [(46340, np.int32), (46341, np.int64)])
+def test_rank_constructor_on_either_side_of_the_32_bit_keys(n, key):
+    # n*n fits in int32 up to n = 46340; ranks from the first two rows and
+    # the last two, where the keys owner*n + neighbour are the largest
+    N = pair_count(n)
+    assert graphs._rows(n)[0].dtype == key
+    ranks = [N - 1, 0, n - 2, N - 3, n - 1, N - 2, 1]
+    _assert_same_graph(_graph_from_ranks(n, ranks), graph_from_ranks(n, ranks))
 
 
 @given(pair_lists(), st.randoms(use_true_random=False))

@@ -46,6 +46,11 @@ class _FixedTrace:
             raise ValueError(f"m must be in [0, {self.num_pairs}], got {m}")
         return _pair_arrays(self.order[:m])
 
+    def _ranks(self, m):  # what every graph reader reads
+        us, vs = self._endpoints(m)
+        return np.array([index_from_pair(self.n, u, v)
+                         for u, v in zip(us.tolist(), vs.tolist())], dtype=np.int64)
+
 
 def _order_of(n, first):
     """The pairs ``first`` (repeats dropped), then every other pair in
@@ -137,6 +142,15 @@ def test_non_integer_vertex_or_pair_count_is_rejected(make, named):
         make()
 
 
+@pytest.mark.parametrize("hitting_time", [hitting_time_min_degree,
+                                          hitting_time_k_connectivity])
+@pytest.mark.parametrize("n", [0, 1])
+def test_hitting_times_refuse_a_trace_with_no_vertex_pair(hitting_time, n):
+    # the error once named k's domain, [1, 0] at n = 1
+    with pytest.raises(ValueError, match=f"trace of n >= 2 vertices, got n = {n}$"):
+        hitting_time(ProcessTrace(n, 0), 1)
+
+
 @pytest.mark.parametrize("n, p", [(5, 0.0), (5, 1.0), (1, 0.5)])
 def test_gnp_checks_a_seed_it_draws_nothing_from(n, p):
     # at p = 0 or 1, or with no vertex pair, a float seed once passed unread
@@ -219,7 +233,7 @@ def _read_schedules(draw):
 @example(case=(5, tuple(range(1, 11))), seed=3)
 # a first draw long enough to be flagged, then up to N
 @example(case=(20, (128, 190)), seed=0)
-# (a) of _endpoints: one j repeats in the draw, and no other step collides
+# (a) of _ranks: one j repeats in the draw, and no other step collides
 @example(case=(300, (200,)), seed=5)
 # (b): one j lands on a later step of its draw; the replay to N walks that
 # step again and reads the position it wrote
@@ -230,6 +244,8 @@ def _read_schedules(draw):
 # small draws that cross _FLAG_MIN_STEPS: walked whole below it, flagged
 # from it on, each replaying the steps drawn before
 @example(case=(300, (100, 127, 128, 129, 600)), seed=2)
+# N > 2**31: the draws and ranks are kept as int64, not int32
+@example(case=(70000, (100, 300)), seed=4)
 def test_endpoints_match_the_step_by_step_walk(case, seed):
     """Every read of a trace, however its prefix was grown, equals the
     stream walked one step at a time."""
@@ -255,6 +271,38 @@ def test_endpoints_match_the_step_by_step_walk(case, seed):
 def test_repeated_positions_match_the_argsort_reference(values):
     values = np.array(values, dtype=np.int64)
     assert _repeated(values).tolist() == repeated_positions_by_argsort(values)
+
+
+def test_graphs_build_from_ranks_and_endpoints_decode_once(monkeypatch):
+    """Samplers and graph_at build from pair ranks without decoding them;
+    the first endpoint read decodes every drawn rank, and only a read past
+    the drawn prefix decodes again, just the new ranks."""
+    decodes = []
+    decode = process._pairs_from_indices
+
+    def counted_decode(n, idx):
+        decodes.append(len(idx))
+        return decode(n, idx)
+
+    monkeypatch.setattr(process, "_pairs_from_indices", counted_decode)
+    trace = sample_process(300, 4)
+    g = graph_at(trace, 2000)
+    assert g == sample_gnm(300, 2000, 4) and graph_at(trace, 700).m == 700
+    sample_gnp(300, 0.1, 4)
+    sample_coupled(300, 0.05, 0.05, 4)
+    assert decodes == [] and _drawn(trace) == 2000
+    us, vs = trace._endpoints(700)
+    assert decodes == [2000]
+    assert trace.pairs(2000)[:700] == list(zip(us.tolist(), vs.tolist()))
+    assert decodes == [2000]
+    assert set(trace.pairs(2000)) == set(g.edges)
+    trace._endpoints(2500)
+    assert decodes == [2000, 500] and _drawn(trace) == 2500
+    expected = stream_indices(300, 4, 2500)
+    us, vs = trace._endpoints(2500)
+    assert [index_from_pair(300, u, v)
+            for u, v in zip(us.tolist(), vs.tolist())] == expected
+    assert trace._ranks(2500).tolist() == expected
 
 
 @pytest.mark.parametrize("j", [0, 1, 63, 64, 65, 128, 129, 1000, 4095, 4096])
@@ -308,6 +356,19 @@ def test_pair_decode_is_exact_up_to_n_2_pow_27(n):
     idx = np.concatenate((starts - 1, starts, starts + 1, [N - 1],
                           rng.integers(0, N, 3000)))
     _decode_check(n, idx[(0 <= idx) & (idx < N)])
+
+
+@pytest.mark.parametrize("shift", [2.0, -2.0])
+def test_pair_decode_corrects_a_guess_a_row_off(monkeypatch, shift):
+    # the float guess is never a row low at the indices the other decode
+    # tests try, so the second integer pass never steps there; a square
+    # root moved by 2 puts almost every guess one row low (shift > 0), or
+    # every guess one row high, and the passes must step each index back
+    # onto its row
+    sqrt = np.sqrt
+    monkeypatch.setattr(np, "sqrt", lambda x: sqrt(x) + shift)
+    for n in (2, 3, 7, 64, 1000):
+        _decode_check(n, np.arange(pair_count(n)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4096, 2 ** 20, 2 ** 26 + 3])
