@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphs import (Graph, _components, _integer, _is_edge, _real,
-                     _row_positions, _spans, _vertex_mask, neighbours_in)
+                     _row_positions, _row_walk, _spans, _vertex_mask,
+                     neighbours_in)
 from .rng import generator
 
 
@@ -302,9 +303,8 @@ def audit_edge_counts(g: Graph, p: float, c: float, subset_trials: int,
     # the five first vertices in (-degree, vertex) order
     top = np.lexsort((np.arange(n), -deg))[:5].tolist()
     # twins share a closed neighbourhood: check each distinct one once
-    at = g.indptr
-    for closed in dict.fromkeys(frozenset((v, *g.indices[at[v]:at[v + 1]].tolist()))
-                                for v in top):
+    at, rows = _row_walk(g)
+    for closed in dict.fromkeys(frozenset((v, *rows[at[v]:at[v + 1]])) for v in top):
         check("neighbourhood", closed, _edge_count_within(g, list(closed)))
 
     violations.sort(key=lambda rec: rec["subset"])

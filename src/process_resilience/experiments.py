@@ -24,7 +24,7 @@ from . import __version__ as _code_version
 from .classify import (audit_atyp_size, audit_edge_counts,
                        audit_neighbourhoods, classify_vertices)
 from .graphs import (Graph, _integer, _k_connected, giant_component,
-                     is_connected, is_k_connected, k_core, neighbours_in)
+                     is_k_connected, k_core, neighbours_in)
 from .process import (ProcessTrace, graph_at, hitting_time_k_connectivity,
                       hitting_time_min_degree, pair_count, sample_coupled,
                       sample_gnm)
@@ -243,9 +243,10 @@ def wilson_interval(successes: int, trials: int):
 def _hitting_trial(cfg: ExperimentConfig, n: int, m: None, trial_seed: int) -> dict:
     trace = ProcessTrace(n, derive_seed(trial_seed, 0))
     tau1 = hitting_time_min_degree(trace, 1)
-    # connectivity needs min degree 1, so tau_conn >= tau1
-    g1 = graph_at(trace, tau1)
-    tau_conn = tau1 if is_connected(g1) else hitting_time_k_connectivity(trace, 1)
+    # connectivity needs min degree 1, so tau_conn >= tau1; G_tau1 has an
+    # edge, so it has a giant, which spans it iff G_tau1 is connected
+    giant = giant_component(graph_at(trace, tau1))
+    tau_conn = tau1 if giant.n == n else hitting_time_k_connectivity(trace, 1)
 
     metrics = {
         "tau1": tau1,
@@ -253,8 +254,6 @@ def _hitting_trial(cfg: ExperimentConfig, n: int, m: None, trial_seed: int) -> d
         "tau_equal": tau1 == tau_conn,
         "tau1_norm": tau1 / (0.5 * n * math.log(n)),
     }
-    if n <= cfg.exact_n_limit or cfg.measure_resilience:
-        giant = giant_component(g1)
     if n <= cfg.exact_n_limit:
         metrics.update(_exact_metrics(giant))
     elif cfg.measure_resilience:

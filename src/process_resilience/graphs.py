@@ -40,8 +40,10 @@ class Graph:
     Row v is ``indices[indptr[v]:indptr[v + 1]]``, v's neighbours in
     ascending order; ``_ends`` = (eu, ev) lists each edge once, u < v, in
     lexicographic order. All four arrays are read-only int64, as is the
-    cached ``degree_array``. A walk reads row v as the slice
-    ``indices[at[v]:at[v + 1]].tolist()``, with ``at = indptr.tolist()``.
+    cached ``degree_array``. A Python walk reads row v as the slice
+    ``rows[at[v]:at[v + 1]]`` of ``rows = memoryview(indices)``, with
+    ``at = indptr.tolist()`` (``_row_walk``): a slice copies nothing, and
+    its items are ints.
     """
 
     n: int
@@ -79,6 +81,11 @@ class Graph:
 
     def original_label(self, v: int) -> int:
         return v if self.labels is None else self.labels[v]
+
+
+def _row_walk(g: Graph) -> tuple:
+    """(at, rows): row v of g is ``rows[at[v]:at[v + 1]]``."""
+    return g.indptr.tolist(), memoryview(g.indices)
 
 
 def _spans(starts, lens) -> np.ndarray:
@@ -128,18 +135,19 @@ def _key_dtype(bound: int):
 
 @lru_cache(maxsize=16)
 def _rows(n: int) -> tuple:
-    """(ends, shift): the row tables of the upper triangle of n vertices, in
-    the key dtype of n*n. Row u holds the ranks [start(u), start(u + 1)),
-    start(u) = u (2n - u - 1) / 2; ``ends`` = start(1 .. n-1), so a rank's
-    row is the number of row ends at or below it, and the pair (u, v) at
-    rank r has v = r + shift[u], shift[u] = u + 1 - start(u)."""
+    """(bounds, rows, shift): the row tables of the upper triangle of n
+    vertices. Row u holds the ranks [start(u), start(u + 1)), start(u) =
+    u (2n - u - 1) / 2; ``bounds`` = start(0 .. n), from 0 to N =
+    n(n-1)/2, and ``shift`` are in the key dtype of n*n, and ``rows`` =
+    0 .. n-1 is int64. The pair (u, v) at rank r has v = r + shift[u],
+    shift[u] = u + 1 - start(u)."""
     dtype = _key_dtype(n * n)
-    u = np.arange(n, dtype=np.int64)
+    u = np.arange(n + 1, dtype=np.int64)
     start = u * (2 * n - u - 1) >> 1
-    ends, shift = start[1:].astype(dtype), (u + 1 - start).astype(dtype)
-    ends.setflags(write=False)
-    shift.setflags(write=False)
-    return ends, shift
+    tables = start.astype(dtype), u[:n], (u + 1 - start)[:n].astype(dtype)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
 
 
 def _graph_from_ranks(n: int, ranks, labels=None) -> Graph:
@@ -147,17 +155,19 @@ def _graph_from_ranks(n: int, ranks, labels=None) -> Graph:
     of pairs u < v of n vertices, in [0, n(n-1)/2), in any order.
 
     Sorted ranks are the edge list: one sort of them, kept 32-bit while n*n
-    fits (n <= 46340), gives the edges, and one ``np.searchsorted`` into the
-    row ends gives each edge's row. One sort of the keys owner*n +
-    neighbour, over both orientations, gives the CSR rows. The Graph's
-    arrays are int64 whatever the key dtype.
+    fits (n <= 46340), gives the edges, and one ``np.searchsorted`` of the
+    n + 1 row bounds into them gives each row's edge count, so the rows
+    repeated by their counts are the lower ends. One sort of the keys
+    owner*n + neighbour, over both orientations, gives the CSR rows. The
+    Graph's arrays are int64 whatever the key dtype.
     """
-    ends, shift = _rows(n)
-    ranks = np.asarray(ranks).astype(ends.dtype)
+    bounds, rows, shift = _rows(n)
+    ranks = np.asarray(ranks).astype(bounds.dtype)
     ranks.sort()
-    eu = np.searchsorted(ends, ranks, side="right")
+    at = ranks.searchsorted(bounds)  # row u's edges are [at[u], at[u + 1])
+    eu = rows.repeat(at[1:] - at[:-1])
     ev = ranks + shift[eu]
-    owner = eu.astype(ends.dtype)
+    owner = eu.astype(bounds.dtype)
     keys = np.concatenate((owner * n + ev, ev * n + owner))
     keys.sort()
     # numpy divides by one divisor several times faster than it takes % n
@@ -170,7 +180,7 @@ def _graph_from_arrays(n: int, us, vs, labels=None) -> Graph:
     in-range and loop-free; their order and orientation are free. Their
     ranks, v - shift[u] for u < v (see ``_rows``), go to
     ``_graph_from_ranks``."""
-    shift = _rows(n)[1]
+    shift = _rows(n)[2]
     us = np.asarray(us, dtype=shift.dtype)
     vs = np.asarray(vs, dtype=shift.dtype)
     ranks = np.maximum(us, vs) - shift.take(np.minimum(us, vs))
@@ -287,23 +297,31 @@ def parse_graph_text(text: str) -> Graph:
 def _component_labels(g: Graph) -> np.ndarray:
     """label[v]: the smallest vertex of v's component.
 
-    Min-label propagation with pointer jumping: each round hooks the larger
-    of the two labels at the ends of every edge whose labels differ to the
-    smaller one, then jumps every vertex to its root, until no edge has two
-    labels. Every label is a vertex of its component and never above it, so
-    the smallest vertex keeps its own label and in the end lends it to all.
+    Min-label propagation with pointer jumping (Shiloach and Vishkin
+    1982). The first hook reads the CSR row heads: a row is ascending, so
+    its first entry is v's least neighbour, and label[v] = min(v, that
+    neighbour) costs O(n), not O(m). After each hook every vertex jumps to
+    its root; then each round hooks the larger of the two labels at the
+    ends of every edge whose labels differ to the smaller one, until no
+    edge has two labels. Every label is a vertex of its component and never
+    above it, so the smallest vertex keeps its own label and in the end
+    lends it to all.
     """
     label = np.arange(g.n)
     eu, ev = g._ends
+    if g.m:
+        # an empty row's head is the next row's, or clipped: not a neighbour
+        head = g.indices.take(g.indptr[:-1], mode="clip")
+        label = np.where(g.degree_array > 0, np.minimum(head, label), label)
     while True:
+        while not np.array_equal(root := label[label], label):
+            label = root
         lu, lv = label[eu], label[ev]
         split = lu != lv
         if not split.any():
             return label
         lu, lv = lu[split], lv[split]
         np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
-        while not np.array_equal(root := label[label], label):
-            label = root
 
 
 def _components(g: Graph) -> list:
@@ -441,12 +459,12 @@ def neighbours_in(g: Graph, members) -> list:
 def _has_articulation_point(g: Graph) -> bool:
     """Iterative Tarjan lowpoint scan (assumes g connected, n >= 3); each
     row is read once, when its vertex is discovered."""
-    at, indices = g.indptr.tolist(), g.indices
+    at, rows = _row_walk(g)
     disc = [-1] * g.n
     low = [0] * g.n
     parent = [-1] * g.n
     timer = 0
-    stack = [(0, iter(indices[at[0]:at[1]].tolist()))]
+    stack = [(0, iter(rows[at[0]:at[1]]))]
     disc[0] = low[0] = timer
     timer += 1
     root_children = 0
@@ -460,7 +478,7 @@ def _has_articulation_point(g: Graph) -> bool:
                 timer += 1
                 if v == 0:
                     root_children += 1
-                stack.append((u, iter(indices[at[u]:at[u + 1]].tolist())))
+                stack.append((u, iter(rows[at[u]:at[u + 1]])))
                 advanced = True
                 break
             elif u != parent[v]:
@@ -597,7 +615,7 @@ def is_k_connected(g: Graph, k: int) -> bool:
     return _k_connected(g, k, ())
 
 
-def _clique(g: Graph, k: int, order, at, indices) -> list:
+def _clique(g: Graph, k: int, order, at, rows) -> list:
     """A k-clique of g found by a bounded scan from the top of ``order``,
     or [] when the scan finds none.
 
@@ -611,15 +629,15 @@ def _clique(g: Graph, k: int, order, at, indices) -> list:
     """
     budget = g.m
     for u in order:
-        row = indices[at[u]:at[u + 1]].tolist()
+        row = rows[at[u]:at[u + 1]]
         mates = set(row)
         for v in row:
             clique = [u, v]
-            common = mates.intersection(indices[at[v]:at[v + 1]].tolist())
+            common = mates.intersection(rows[at[v]:at[v + 1]])
             while common and len(clique) < k:
                 w = min(common)
                 clique.append(w)
-                common.intersection_update(indices[at[w]:at[w + 1]].tolist())
+                common.intersection_update(rows[at[w]:at[w + 1]])
             if len(clique) == k:
                 return clique
             budget -= at[v + 1] - at[v]
@@ -633,18 +651,29 @@ def _clique(g: Graph, k: int, order, at, indices) -> list:
 _WAIT = 16
 
 
-def _fans(u: int, k: int, settled, at, indices) -> bool:
+def _fans(u: int, k: int, settled, at, rows) -> bool:
     """Whether a two-step or a three-step fan settles u: k paths from u to
     distinct settled vertices that share only u (see ``_k_connected``).
-    Fewer than k of u's neighbours may be settled."""
-    row = indices[at[u]:at[u + 1]].tolist()
+    Fewer than k of u's neighbours may be settled.
+
+    The fan gives up, and fails, before the rows of the vertices w and x
+    it tries hold more than k n entries in all. A failing fan on a dense
+    block would read about deg(u)^2; the fans that succeeded in the 80
+    trials of the kcore benchmark study read at most 2n. A fan that gives
+    up only waits, so the answer does not change.
+    """
+    budget = k * len(settled)
+    row = rows[at[u]:at[u + 1]]
     ends = {z for z in row if settled[z]}
     stuck = []
     for w in row:
         if len(ends) == k:
             return True
         if not settled[w]:
-            for z in indices[at[w]:at[w + 1]].tolist():
+            budget -= at[w + 1] - at[w]
+            if budget < 0:
+                return False
+            for z in rows[at[w]:at[w + 1]]:
                 if settled[z] and z not in ends:
                     ends.add(z)
                     break
@@ -655,10 +684,13 @@ def _fans(u: int, k: int, settled, at, indices) -> bool:
     if stuck and len(ends) < k:
         tried = {u, *row}
         for w in stuck:
-            for x in indices[at[w]:at[w + 1]].tolist():
+            for x in rows[at[w]:at[w + 1]]:
                 if not settled[x] and x not in tried:
                     tried.add(x)
-                    z = next((z for z in indices[at[x]:at[x + 1]].tolist()
+                    budget -= at[x + 1] - at[x]
+                    if budget < 0:
+                        return False
+                    z = next((z for z in rows[at[x]:at[x + 1]]
                               if settled[z] and z not in ends), None)
                     if z is not None:
                         ends.add(z)
@@ -716,8 +748,9 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
     ``sample_process(n, s)``, n = 256 and 1024, s = 0-2, or at tau_3 of
     ``sample_process(4096, 5)``. The
     bound keeps a separator cheap: past one every fan fails, the settled
-    set stops growing, and at most ``_WAIT`` + 1 fans fail before the
-    first check ends the test.
+    set stops growing, and at most ``_WAIT`` + 1 fans fail, each after at
+    most k n row entries (see ``_fans``), before the first check ends the
+    test.
 
     The split-vertex network is built at the first flow check. Each check
     uncaps the inner arcs of its endpoints, runs at most k bidirectional
@@ -725,8 +758,8 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
     """
     rank = np.argsort(-g.degree_array, kind="stable")
     order = rank.tolist()
-    at, indices = g.indptr.tolist(), g.indices
-    start = linked or _clique(g, k, order, at, indices)
+    at, rows = _row_walk(g)
+    start = linked or _clique(g, k, order, at, rows)
     seed = np.zeros(g.n, dtype=bool)
     seed[np.asarray(start or order[:k])] = True
     sources = rank[seed[rank]][:k].tolist()
@@ -736,7 +769,7 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
         for a, b in combinations(sources, 2):
             if not net.paths_at_least(2 * a + 1, 2 * b, k, (a, b)):
                 return False
-    count = np.bincount(indices[_row_positions(g, np.flatnonzero(seed))],
+    count = np.bincount(g.indices[_row_positions(g, np.flatnonzero(seed))],
                         minlength=g.n)
     settled = seed.tolist()
     grown = 0  # vertices settled after the seed
@@ -750,7 +783,7 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
             settled[x] = True
         while ready:
             x = ready.pop()
-            for w in indices[at[x]:at[x + 1]].tolist():
+            for w in rows[at[x]:at[x + 1]]:
                 count[w] += 1
                 if count[w] == k and not settled[w]:
                     settled[w] = True
@@ -764,7 +797,7 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
         for v, stamp in waiting:
             if settled[v]:
                 continue
-            if stamp == grown or not _fans(v, k, settled, at, indices):
+            if stamp == grown or not _fans(v, k, settled, at, rows):
                 if net is None:
                     net = _SplitNetwork(g, sources)
                 # with the super-source every graph vertex except the sink
@@ -782,7 +815,7 @@ def _k_connected(g: Graph, k: int, linked) -> bool:
     for u in order:
         if settled[u]:
             continue
-        if _fans(u, k, settled, at, indices):
+        if _fans(u, k, settled, at, rows):
             spread([u])
             continue
         waiting.append((u, grown))

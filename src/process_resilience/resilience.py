@@ -20,8 +20,8 @@ import numpy as np
 
 from .classify import VertexClassification
 from .graphs import (Graph, _integer, _is_edge, _pair_arrays, _real,
-                     _row_positions, _vertices, incidence, is_connected,
-                     is_k_connected)
+                     _row_positions, _row_walk, _vertices, incidence,
+                     is_connected, is_k_connected)
 from .rng import generator
 
 # Exact-mode size caps: configuration, not physics.
@@ -281,8 +281,8 @@ def _first_feasible_cut(g: Graph, caps: list, separator=()) -> Optional[Cut]:
     if len(remaining) < 2 or min(caps) < 0:
         return None
     bit = {v: j for j, v in enumerate(remaining)}
-    at = g.indptr.tolist()
-    nbr = [sum(1 << bit[u] for u in g.indices[at[v]:at[v + 1]].tolist() if u in bit)
+    at, rows = _row_walk(g)
+    nbr = [sum(1 << bit[u] for u in rows[at[v]:at[v + 1]] if u in bit)
            for v in remaining]
     cap = [caps[v] for v in remaining]
 
@@ -585,8 +585,7 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     pending = np.flatnonzero(slack < 0).tolist()
     slack, turn = slack.tolist(), (2 * caps - g.degree_array).tolist()
     side_of = side.tolist()
-    # CSR row slices: one whole-graph indices.tolist() costs more memory
-    at, indices = g.indptr.tolist(), g.indices
+    at, rows = _row_walk(g)
 
     moves = sweeps = 0
     while True:
@@ -609,7 +608,7 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
             slack[v] = turn[v] - slack[v]
             if slack[v] < 0:
                 pending.add(v)
-            for u in indices[at[v]:at[v + 1]].tolist():
+            for u in rows[at[v]:at[v + 1]]:
                 if side_of[u] != s:
                     slack[u] += 1
                 else:

@@ -21,6 +21,7 @@ from process_resilience.graphs import (
     _is_edge,
     _k_connected,
     _pair_arrays,
+    _row_walk,
     ball,
     build_graph,
     connected_components,
@@ -154,6 +155,12 @@ def rank_lists(draw, max_n=12):
 @example((2, [0]), random.Random(0))
 @example((7, []), random.Random(0))                    # no edges
 @example((7, list(range(20, -1, -1))), random.Random(0))  # m = N
+# empty rows: ranks only in row 0, only in the last row (n - 2; row n - 1
+# is always empty), and rows 0 and 4 with rows 1-3 empty between them
+@example((7, [5, 0, 3]), random.Random(0))
+@example((7, [20]), random.Random(0))
+@example((7, [1, 18, 19, 2]), random.Random(0))
+@example((3, [2]), random.Random(0))                   # rows 0 and 2 empty
 def test_rank_constructor_matches_the_row_walk(case, rnd):
     n, ranks = case
     labels = tuple(rnd.sample(range(100), n))
@@ -219,9 +226,21 @@ def _assert_rows_then_graph(g, ref):
     _assert_same_graph(g, ref)
 
 
-# n = 0, 1, 2, no edges, isolated vertices, two components of equal size
+# n = 0, 1, 2, no edges, isolated vertices, two components of equal size;
+# then cases of the component labelling, whose first hook joins each vertex
+# to its least neighbour, the head of its CSR row:
+# - a path in order: the hooks form one chain that the pointer jumps
+#   must collapse;
+# - 0-7-6-...-1, numbered in decreasing order from 7: the chain from 6
+#   ends at 1, whose only neighbour is larger, and an edge round hooks it;
+# - isolated vertices at 0 and n - 1;
+# - 2's only neighbour 5 is larger, yet 1 is the least of its component
 CSR_EXAMPLES = ((0, []), (1, []), (2, []), (2, [(1, 0)]), (5, []), (5, [(3, 1)]),
-                (6, [(0, 5), (5, 3), (2, 1), (4, 2)]))
+                (6, [(0, 5), (5, 3), (2, 1), (4, 2)]),
+                (8, [(v, v + 1) for v in range(7)]),
+                (8, [(0, 7)] + [(v, v - 1) for v in range(7, 1, -1)]),
+                (6, [(1, 2), (3, 2), (4, 3)]),
+                (6, [(2, 5), (1, 5), (3, 4)]))
 
 
 def _with_examples(*extra):
@@ -804,18 +823,50 @@ def fan_tries(monkeypatch):
     return verdicts
 
 
+def two_cliques_on_a_2_separator(h):
+    """Two K_h, on 2..h+1 and h+2..2h+1, and a 2-separator {0, 1} joined
+    to all of them."""
+    a, b = range(2, h + 2), range(h + 2, 2 * h + 2)
+    return build_graph(2 * h + 2, [(u, v) for side in (a, b) for u, v in combinations(side, 2)]
+                       + [(s, v) for s in (0, 1) for v in (*a, *b)])
+
+
 @pytest.mark.parametrize("h", [8, 40])
 def test_a_separator_ends_the_test_after_a_bounded_wait(flow_checks, fan_tries, h):
-    # two K_h and a 2-separator {0, 1} joined to all of them: every fan
-    # from the second K_h fails, and the settled set stops growing, so the
-    # vertices that wait retry nothing and the first check ends the test
-    a, b = range(2, h + 2), range(h + 2, 2 * h + 2)
-    g = build_graph(2 * h + 2, [(u, v) for side in (a, b) for u, v in combinations(side, 2)]
-                    + [(s, v) for s in (0, 1) for v in (*a, *b)])
+    # every fan from the second K_h fails, and the settled set stops
+    # growing, so the vertices that wait retry nothing and the first check
+    # ends the test
+    g = two_cliques_on_a_2_separator(h)
     assert is_k_connected(g, 3) is False
     assert len(flow_checks) == 1 and fan_tries == [False] * min(h, _WAIT + 1)
     if h <= 8:
         assert is_k_connected_oracle(g, 3) is False
+
+
+def test_a_failing_fan_on_a_dense_block_reads_at_most_2_k_n_entries(monkeypatch):
+    # without the bound each failing fan from the second K_60 reads the
+    # rows of its 60 unsettled neighbours twice, about 7300 entries
+    g, k = two_cliques_on_a_2_separator(60), 3
+    reads = []
+    original = graphs._fans
+
+    class CountedRows:
+        def __init__(self, rows):
+            self.rows, self.read = rows, 0
+
+        def __getitem__(self, span):
+            self.read += span.stop - span.start
+            return self.rows[span]
+
+    def counted(u, k, settled, at, rows):
+        counted_rows = CountedRows(rows)
+        verdict = original(u, k, settled, at, counted_rows)
+        reads.append(counted_rows.read - (at[u + 1] - at[u]))
+        return verdict
+
+    monkeypatch.setattr(graphs, "_fans", counted)
+    assert is_k_connected(g, k) is False
+    assert len(reads) == _WAIT + 1 and 0 < max(reads) <= 2 * k * g.n
 
 
 _K_CONNECTED_KEEP = {"all": lambda u, v: True,
@@ -856,7 +907,7 @@ def test_k_connected_matches_oracle(seed, n, k, fill, seed_at, keep):
 
 def _seed_clique(g, k):
     order = np.argsort(-g.degree_array, kind="stable").tolist()
-    return sorted(_clique(g, k, order, g.indptr.tolist(), g.indices))
+    return sorted(_clique(g, k, order, *_row_walk(g)))
 
 
 def cubes_on_a_2_separator(attach, chord):

@@ -1,22 +1,25 @@
-"""Compare the per-trial CPU time of one benchmark workload in two checkouts,
+"""Compare the per-trial CPU time of benchmark workloads in two checkouts,
 run side by side in one interpreter.
 
-    python3 tools/ab_trials.py PARENT CHANGE WORKLOAD [ROUNDS]
+    python3 tools/ab_trials.py PARENT CHANGE WORKLOAD|all [ROUNDS]
 
 PARENT and CHANGE are checkout directories, each with
 src/process_resilience. WORKLOAD names a workload of bench/workloads.json
-next to this script's directory (read only), e.g. sweep-n4096. Both
-packages are imported under their own names, so one process runs both.
+next to this script's directory (read only), e.g. sweep-n4096; ``all``
+runs every workload there in turn. Both packages are imported under their
+own names, so one process runs both.
 After one unmeasured study in each checkout (imports, caches), each round
 runs the workload's study once in each checkout, with the workload's
 trials and one thread, at the seed default_seed + round; the order of the
 two alternates from round to round. A round's time is the
 CPU time of ``experiments.run_study`` divided by the trials it completed.
 
-Prints, per checkout, the median per-trial CPU time over the rounds, then
-the median and range of the per-round ratios CHANGE / PARENT (below 1:
-CHANGE is faster), and whether both wrote the same records in every
-round. ROUNDS defaults to 5. Standard library and numpy only.
+Prints each round's per-trial times, then one line per workload: the
+median per-trial CPU time of each checkout over the rounds, the median and
+range of the per-round ratios CHANGE / PARENT (below 1: CHANGE is faster),
+and whether both wrote the same records in every round. Exits 1 if any
+workload's records differ. ROUNDS defaults to 5. Standard library and
+numpy only.
 """
 
 from __future__ import annotations
@@ -59,19 +62,10 @@ def run_once(experiments, text: str, trials: int, seed: int) -> tuple:
     return cpu / len(result.records), [r.to_json_dict() for r in result.records]
 
 
-def main(argv: list) -> int:
-    if len(argv) not in (3, 4):
-        print("usage: python3 tools/ab_trials.py PARENT CHANGE WORKLOAD [ROUNDS]",
-              file=sys.stderr)
-        return 2
-    parent, change, name = Path(argv[0]), Path(argv[1]), argv[2]
-    rounds = int(argv[3]) if len(argv) == 4 else 5
-    with WORKLOADS.open(encoding="utf-8") as fh:
-        spec = json.load(fh)
+def compare(sides: dict, spec: dict, name: str, rounds: int) -> tuple:
+    """(summary line, same records) of one workload over ``rounds``."""
     workload = spec["workloads"][name]
     text = config_text(workload)
-    sides = {"parent": load_package(parent, "ab_parent"),
-             "change": load_package(change, "ab_change")}
     for experiments in sides.values():
         run_once(experiments, text, workload["trials"], spec["default_seed"])
     times = {side: [] for side in sides}
@@ -85,16 +79,33 @@ def main(argv: list) -> int:
                                                 workload["trials"], seed)
             times[side].append(per_trial)
         same = same and records["parent"] == records["change"]
-        print(f"round {r}: parent {1e3 * times['parent'][-1]:.2f} ms, "
+        print(f"{name} round {r}: parent {1e3 * times['parent'][-1]:.2f} ms, "
               f"change {1e3 * times['change'][-1]:.2f} ms per trial", flush=True)
     ratios = [c / p for p, c in zip(times["parent"], times["change"])]
-    print(f"{name}, {rounds} rounds, median CPU ms per trial: "
-          f"parent {1e3 * statistics.median(times['parent']):.2f}, "
-          f"change {1e3 * statistics.median(times['change']):.2f}")
-    print(f"paired ratio change/parent: median {statistics.median(ratios):.3f}, "
-          f"range {min(ratios):.3f}-{max(ratios):.3f}; "
-          f"same records: {'yes' if same else 'NO'}")
-    return 0 if same else 1
+    return (f"{name}, {rounds} rounds, median CPU ms per trial: "
+            f"parent {1e3 * statistics.median(times['parent']):.2f}, "
+            f"change {1e3 * statistics.median(times['change']):.2f}; "
+            f"paired ratio change/parent: median {statistics.median(ratios):.3f}, "
+            f"range {min(ratios):.3f}-{max(ratios):.3f}; "
+            f"same records: {'yes' if same else 'NO'}"), same
+
+
+def main(argv: list) -> int:
+    if len(argv) not in (3, 4):
+        print("usage: python3 tools/ab_trials.py PARENT CHANGE WORKLOAD|all [ROUNDS]",
+              file=sys.stderr)
+        return 2
+    parent, change, name = Path(argv[0]), Path(argv[1]), argv[2]
+    rounds = int(argv[3]) if len(argv) == 4 else 5
+    with WORKLOADS.open(encoding="utf-8") as fh:
+        spec = json.load(fh)
+    names = list(spec["workloads"]) if name == "all" else [name]
+    sides = {"parent": load_package(parent, "ab_parent"),
+             "change": load_package(change, "ab_change")}
+    results = [compare(sides, spec, each, rounds) for each in names]
+    for line, _ in results:
+        print(line)
+    return 0 if all(same for _, same in results) else 1
 
 
 if __name__ == "__main__":
