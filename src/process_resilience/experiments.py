@@ -23,13 +23,13 @@ from typing import Optional, Sequence
 from . import __version__ as _code_version
 from .classify import (audit_atyp_size, audit_edge_counts,
                        audit_neighbourhoods, classify_vertices)
-from .graphs import (Graph, _integer, _k_connected, giant_component,
-                     is_k_connected, k_core, neighbours_in)
+from .graphs import (Graph, _integer, _k_connected, _real, _refusal,
+                     giant_component, is_k_connected, k_core, neighbours_in)
 from .process import (ProcessTrace, graph_at, hitting_time_k_connectivity,
                       hitting_time_min_degree, pair_count, sample_coupled,
                       sample_gnm)
-from .resilience import (EXACT_BIPARTITION_LIMIT, EXACT_SEPARATOR_LIMIT,
-                         AttackError, BudgetRule, _equipartition_d_set,
+from .resilience import (EXACT_BIPARTITION_LIMIT, EXACT_SEPARATOR_LIMIT, AttackError,
+                         BudgetRule, _equipartition_d_set, _fraction,
                          connectivity_resilience_threshold, cherry_attack,
                          find_k_conn_attack, greedy_partition_attack)
 from .rng import derive_seed
@@ -119,29 +119,8 @@ class ExperimentConfig:
                 for f in fields(self)}
 
 
-_TUPLE_FIELDS = {"ns": int, "ms": int, "m_factors": float}
-_FIELD_TYPES = {"study": str, "epsilon": str, "out_json": str, "out_csv": str,
-                "delta": float, "c": float, "p0_factor": float,
-                "p_prime_factor": float, "d_threshold_factor": float,
-                "measure_resilience": bool}
-
-
-def _parse_value(name: str, raw: str):
-    raw = raw.strip()
-    if name in _TUPLE_FIELDS:
-        cast = _TUPLE_FIELDS[name]
-        return tuple(cast(part.strip()) for part in raw.split(",") if part.strip())
-    target = _FIELD_TYPES.get(name, int)
-    if target is bool:
-        if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
-            raise ValueError(f"expected true or false, got {raw!r}")
-        return raw.lower() in ("true", "1", "yes")
-    return target(raw)
-
-
 def parse_config_text(text: str, **overrides) -> ExperimentConfig:
     """Parse the `key = value` config grammar (see README); kwargs override."""
-    names = {f.name for f in fields(ExperimentConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -152,12 +131,12 @@ def parse_config_text(text: str, **overrides) -> ExperimentConfig:
                              f"got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in names:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ValueError(f"config line {lineno}: key {key} set twice")
         try:
-            values[key] = _parse_value(key, raw)
+            values[key] = _CONFIG_KEYS[key][0](raw.strip())
         except ValueError as exc:
             raise ValueError(f"config line {lineno}: bad value for {key}: "
                              f"{exc}") from None
@@ -376,33 +355,74 @@ def _run_one(task) -> TrialRecord:
                        metrics=body(cfg, n, m, trial_seed))
 
 
-# (key, studies that read it, test, domain): run_study checks each before
-# any trial, and a test that raises counts as a value outside the domain.
+# -- config keys ----------------------------------------------------------
+
+def _listed(cast):
+    """The cast of a list key's config text: its comma-separated items."""
+    return lambda raw: tuple(cast(part) for part in raw.split(",") if part.strip())
+
+
+def _flag(raw: str) -> bool:
+    """The cast of a bool key's config text."""
+    if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return raw.lower() in ("true", "1", "yes")
+
+
+def _kind(name: str, value, kinds, domain: str):
+    """``value`` unchanged; ValueError as ``graphs._integer`` gives it
+    unless it is an instance of ``kinds``, which ``domain`` names."""
+    if isinstance(value, kinds):
+        return value
+    raise _refusal(name, domain, value)
+
+
+def _exact(name: str, value, low, high, bounds: str = "[]") -> Fraction:
+    """``resilience._fraction`` of p/q text, an int or a Fraction, never a
+    float: Fraction(0.1) lies just above 1/10, which moves alpha."""
+    return _fraction(name, _kind(name, value, (str, int, Fraction),
+                                 "an exact rational"), low, high, bounds)
+
+
+_ALL, _GREEDY, _GRID = tuple(STUDIES), ("hitting", "sweep"), ("sweep", "kcore")
+
+# key -> (cast of its config text, {studies that read it: rule}). Before
+# any trial, run_study calls rule(key, value, ns) for each key its study
+# reads; a rule raises the ValueError of graphs._integer or _real (or of
+# _kind) and only checks, so the config keeps the value it was given. A
+# list rule checks each item, and an unset (None) optional key passes.
 # Hitting and sweep pass epsilon to the greedy attack, kcore uses
 # alpha = 1/2 - epsilon, and audit only bounds p_prime_factor by it.
-_KEY_CHECKS = (
-    ("trials", STUDIES, lambda v: v >= 1, ">= 1"),
-    ("threads", STUDIES, lambda v: v >= 1, ">= 1"),
-    ("delta", ("hitting", "sweep", "audit"), lambda v: 0 < v < 1, "in (0, 1)"),
-    ("epsilon", ("hitting", "sweep"), lambda v: 0 < Fraction(v) < 0.5, "in (0, 1/2)"),
-    ("epsilon", ("kcore",), lambda v: 0 <= Fraction(v) <= 0.5, "in [0, 1/2]"),
-    ("epsilon", ("audit",), lambda v: Fraction(v) >= 0, "a rational >= 0"),
-    ("restarts", ("hitting",), lambda v: v >= 1, ">= 1"),
-    ("L", ("audit",), lambda v: v >= 0, ">= 0"),
-    ("subset_trials", ("audit",), lambda v: v >= 0, ">= 0"),
-    ("c", ("audit",), lambda v: v > 0, "> 0"),
-    ("p_prime_factor", ("audit",), lambda v: v >= 0, ">= 0"),
-    ("d_threshold_factor", ("hitting", "sweep"),
-     lambda v: v is None or math.isfinite(v) and v >= 0,
-     "None or a finite number >= 0"),
-)
-
-
-def _holds(test, value) -> bool:
-    try:
-        return test(value)
-    except (ValueError, ZeroDivisionError, TypeError):
-        return False
+_CONFIG_KEYS = {
+    "study": (str, {}),  # one of STUDIES
+    "ns": (_listed(int), {_ALL: lambda key, ns, _: [_integer(key, n, 2) for n in ns]}),
+    "ms": (_listed(int), {_GRID: lambda key, ms, _: [_integer(key, m) for m in ms or ()]}),
+    "m_factors": (_listed(float), {
+        _GRID: lambda key, fs, _: [_real(key, f, bounds="()") for f in fs or ()]}),
+    "k": (int, {("kcore",): lambda key, k, ns: [_integer(key, k, 2, n - 1) for n in ns]}),
+    "epsilon": (str, {
+        _GREEDY: lambda key, e, _: _exact(key, e, 0, Fraction(1, 2), "()"),
+        ("kcore",): lambda key, e, _: _exact(key, e, 0, Fraction(1, 2)),
+        ("audit",): lambda key, e, _: _exact(key, e, 0, math.inf)}),
+    "delta": (float, {("hitting", "sweep", "audit"):
+                      lambda key, d, _: _real(key, d, 0, 1, "()")}),
+    "L": (int, {("audit",): lambda key, v, _: _integer(key, v, 0)}),
+    "c": (float, {("audit",): lambda key, c, _: _real(key, c, 0, math.inf, "(]")}),
+    "trials": (int, {_ALL: lambda key, v, _: _integer(key, v, 1)}),
+    "seed": (int, {_ALL: lambda key, v, _: _integer(key, v)}),
+    "threads": (int, {_ALL: lambda key, v, _: _integer(key, v, 1)}),
+    "subset_trials": (int, {("audit",): lambda key, v, _: _integer(key, v, 0)}),
+    "p0_factor": (float, {("audit",): lambda key, f, _: _real(key, f)}),
+    "p_prime_factor": (float, {("audit",): lambda key, f, _: _real(key, f, 0)}),
+    "d_threshold_factor": (float, {
+        _GREEDY: lambda key, f, _: f is None or _real(key, f, 0, math.inf, "[)")}),
+    "exact_n_limit": (int, {_GREEDY: lambda key, v, _: _integer(key, v)}),
+    "restarts": (int, {("hitting",): lambda key, v, _: _integer(key, v, 1)}),
+    "measure_resilience": (_flag, {
+        ("hitting",): lambda key, v, _: _kind(key, v, bool, "a bool")}),
+    "out_json": (str, {}),  # unset; run_study says to use resil study --out
+    "out_csv": (str, {}),
+}
 
 
 def run_study(cfg: ExperimentConfig) -> StudyResult:
@@ -414,25 +434,19 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
             raise ValueError(f"config key {key} is not read; use resil study --out")
     if cfg.study not in STUDIES:
         raise ValueError(f"unknown study {cfg.study!r}")
-    for key, studies, test, domain in _KEY_CHECKS:
-        if cfg.study in studies and not _holds(test, getattr(cfg, key)):
-            raise ValueError(f"{cfg.study} study needs {key} {domain}, "
-                             f"got {key}={getattr(cfg, key)}")
+    for key, (_, rules) in _CONFIG_KEYS.items():
+        for studies, rule in rules.items():
+            if cfg.study in studies:
+                try:
+                    rule(key, getattr(cfg, key), cfg.ns)
+                except ValueError as exc:
+                    raise ValueError(f"{cfg.study} study: {exc}") from None
     eps = float(Fraction(cfg.epsilon))
     if cfg.study == "audit" and cfg.p_prime_factor > eps:
         raise ValueError(
             f"audit regime violated: p_prime = {cfg.p_prime_factor} * p0 "
             f"exceeds epsilon = {eps} * p0")
-    for f in cfg.m_factors or ():
-        if not math.isfinite(f):
-            raise ValueError(f"{cfg.study} study needs finite m_factors, "
-                             f"got m_factors={f}")
     for n in cfg.ns:
-        if _integer("ns", n) < 2:
-            raise ValueError(f"{cfg.study} study needs n >= 2, got n={n}")
-        if cfg.study == "kcore" and not 2 <= cfg.k <= n - 1:
-            raise ValueError(f"kcore study needs k in [2, n-1], "
-                             f"got k={cfg.k} for n={n}")
         p0 = cfg.p0_factor * math.log(n) / (3 * n)
         if cfg.study == "audit" and not 0 <= p0 <= 1:
             raise ValueError(f"audit study needs p0 = p0_factor ln n / (3n) in "
@@ -440,8 +454,7 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
         if cfg.study == "audit" and not 0 <= (p_prime := cfg.p_prime_factor * p0) <= 1:
             raise ValueError(f"audit study needs p_prime = p_prime_factor * p0 "
                              f"in [0, 1], got p_prime={p_prime} for n={n}")
-        if (cfg.study in ("hitting", "sweep")
-                and EXACT_BIPARTITION_LIMIT < n <= cfg.exact_n_limit):
+        if cfg.study in _GREEDY and EXACT_BIPARTITION_LIMIT < n <= cfg.exact_n_limit:
             raise ValueError(
                 f"{cfg.study} study: exact_n_limit={cfg.exact_n_limit} asks "
                 f"for the exact threshold at n={n}, above its limit "
@@ -457,7 +470,7 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
                    "ms" if cfg.ms is not None else "m_factors")
             raise ValueError(f"{cfg.study} study: {key} repeats a value, so "
                              f"the trials at n={n}, m={m} would run twice")
-        if m is not None and not 0 <= _integer("ms", m) <= pair_count(n):
+        if m is not None and not 0 <= m <= pair_count(n):
             raise ValueError(f"{cfg.study} study: ms asks for m={m} at "
                              f"n={n}, outside [0, {pair_count(n)}]")
     tasks = [(cfg, n, m, t) for n, m in groups for t in range(cfg.trials)]

@@ -31,8 +31,8 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .graphs import (Graph, _graph_from_arrays, _graph_from_ranks, _integer,
-                     _key_dtype, _real, incidence, is_k_connected)
+from .graphs import (Graph, _graph_from_ranks, _integer, _key_dtype, _real,
+                     incidence, is_k_connected)
 from .rng import GENERATOR_ID, derive_seed, generator
 
 
@@ -290,7 +290,7 @@ def hitting_time_k_connectivity(trace: ProcessTrace, k: int) -> int:
     min_degree = _min_degree_test(trace, k)
 
     def k_connected(us, vs):
-        return is_k_connected(_graph_from_arrays(trace.n, us, vs), k)
+        return is_k_connected(graph_at(trace, len(us)), k)
 
     return _first_hit(trace, -(-k * trace.n // 2), min_degree, k_connected)
 

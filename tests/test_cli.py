@@ -383,13 +383,15 @@ def test_negative_vertex_count_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (("kcore", "--ns", "256", "8", "--k", "9"), "k=9 for n=8"),
-    (("kcore", "--ns", "16", "--k", "1"), "k=1 for n=16"),
-    (("hitting", "--ns", "1"), "n=1"),
-    (("sweep", "--ns", "0"), "sweep study needs n >= 2, got n=0"),
-    (("audit", "--ns", "1"), "audit study needs n >= 2, got n=1"),
+    (("kcore", "--ns", "256", "8", "--k", "9"),
+     "kcore study: k must be an integer in [2, 7], got 9"),
+    (("kcore", "--ns", "16", "--k", "1"),
+     "kcore study: k must be an integer in [2, 15], got 1"),
+    (("hitting", "--ns", "1"), "hitting study: ns must be an integer >= 2, got 1"),
+    (("sweep", "--ns", "0"), "sweep study: ns must be an integer >= 2, got 0"),
+    (("audit", "--ns", "1"), "audit study: ns must be an integer >= 2, got 1"),
     (("hitting", "--ns", "8", "--threads", "0"),
-     "hitting study needs threads >= 1, got threads=0"),
+     "hitting study: threads must be an integer >= 1, got 0"),
 ])
 def test_study_domain_is_usage_error(capsys, argv, named):
     code, _, err = run(capsys, "study", *argv, "--trials", "1")
@@ -397,8 +399,10 @@ def test_study_domain_is_usage_error(capsys, argv, named):
     assert named in err
 
 @pytest.mark.parametrize("argv, named", [
-    (("hitting", "--ns", "8", "--trials", "-1"), "needs trials >= 1, got trials=-1"),
-    (("hitting", "--ns", "8", "--trials", "0"), "needs trials >= 1, got trials=0"),
+    (("hitting", "--ns", "8", "--trials", "-1"),
+     "hitting study: trials must be an integer >= 1, got -1"),
+    (("hitting", "--ns", "8", "--trials", "0"),
+     "hitting study: trials must be an integer >= 1, got 0"),
     (("kcore", "--ns", "8", "--ms", "100", "--trials", "1"),
      "kcore study: ms asks for m=100 at n=8, outside [0, 28]"),
     (("sweep", "--ns", "8", "--ms", "100", "--trials", "1"),
@@ -420,7 +424,8 @@ def test_sweep_study_d_threshold_factor_outside_its_range_is_usage_error(
                    f"d_threshold_factor = {value}\n")
     code, out, err = run(capsys, "study", "sweep", "--config", str(cfg))
     assert code == 2
-    assert f"got d_threshold_factor={float(value)}" in err and not out
+    assert (f"sweep study: d_threshold_factor must be a real number in "
+            f"[0, inf), got {float(value)}") in err and not out
 
 
 @pytest.mark.parametrize("field, value", [("subset_trials", -3), ("L", -1)])
@@ -430,13 +435,14 @@ def test_audit_study_negative_count_is_usage_error(tmp_path, capsys, field,
     cfg.write_text(f"study = audit\nns = 64\ntrials = 1\n{field} = {value}\n")
     code, _, err = run(capsys, "study", "audit", "--config", str(cfg))
     assert code == 2
-    assert f"{field}={value}" in err
+    assert f"audit study: {field} must be an integer >= 0, got {value}" in err
 
 
 @pytest.mark.parametrize("keys, named", [
     ("epsilon = 5\np_prime_factor = 5\np0_factor = 20\n",
      "p_prime=2.166084939249829 for n=64"),
-    ("epsilon = 1/0\n", "audit study needs epsilon a rational >= 0, got epsilon=1/0"),
+    ("epsilon = 1/0\n",
+     "audit study: epsilon must be a real number in [0, inf], got '1/0'"),
 ])
 def test_audit_study_epsilon_and_p_prime_outside_their_range_are_usage_errors(
         tmp_path, capsys, keys, named):

@@ -1,17 +1,24 @@
-"""The domain table: for each export of the package, and for
-``experiments.wilson_interval``, every numeric parameter with the values
-its domain refuses and one value it accepts.
+"""The domain tables.
 
-Each refused value must raise a ValueError that opens with the parameter's
-name; the accepted values, passed together, must return. An export missing
-from the table fails ``test_every_export_has_a_row``. An export with no
-numeric parameter has an empty row, and so has a result record (a graph,
-a classification, a report, a cut), which the package fills from inputs
-that its entry points have already checked.
+The export table: for each export of the package, and for
+``experiments.wilson_interval``, every numeric parameter with the values
+its domain refuses and one value it accepts. Each refused value must raise
+a ValueError that opens with the parameter's name; the accepted values,
+passed together, must return. An export missing from the table fails
+``test_every_export_has_a_row``. An export with no numeric parameter has
+an empty row, and so has a result record (a graph, a classification, a
+report, a cut), which the package fills from inputs that its entry points
+have already checked.
+
+The config-key table: for each ``ExperimentConfig`` key, per set of
+studies that read it, the values ``run_study`` refuses before any trial
+and one value that, written as config text, parses and runs. A key missing
+from the table fails ``test_every_config_key_has_a_row``.
 """
 
 import math
 import re
+from dataclasses import fields
 from fractions import Fraction
 from functools import partial
 
@@ -42,7 +49,9 @@ from process_resilience import (
     sample_process,
     splitmix64,
 )
-from process_resilience.experiments import wilson_interval
+from process_resilience import experiments
+from process_resilience.experiments import (ExperimentConfig, parse_config_text,
+                                            run_study, wilson_interval)
 
 from conftest import complete, cycle, manual_cls, path
 from test_public_surface import _exports
@@ -225,3 +234,96 @@ def test_a_value_outside_the_domain_is_refused(export, name, bad):
                                     if params])
 def test_the_good_values_return(export):
     ROWS[export][0](**_goods(export))
+
+
+# -- config keys -------------------------------------------------------------
+
+def more(row, *bad):
+    """A (good, refused) row with more refused values."""
+    good, refused = row
+    return good, refused + list(bad)
+
+
+def rationals(good, low, high=INF, bounds="[]"):
+    """reals() for a key that takes an exact rational: a float is refused
+    too, and so is text that Fraction cannot read."""
+    return more(reals(good, low, high, bounds), 0.1, "abc", "1/0")
+
+
+HALF = Fraction(1, 2)
+ALL, GREEDY, GRID = ("hitting", "sweep", "kcore", "audit"), ("hitting", "sweep"), \
+    ("sweep", "kcore")
+
+# config key -> {studies that read it: (good, refused)}, each case run at
+# ns = (8,), so k lies in [2, 7]; a list key's values are its items. The
+# study sets are those of experiments._CONFIG_KEYS. A comment names a value
+# that once ran, or failed inside the first trial, without naming the key.
+CONFIG_TABLE = {
+    "study": {},  # one of STUDIES: test_experiments
+    "ns": {ALL: integers(8, 2)},
+    "ms": {GRID: integers(10)},
+    "m_factors": {GRID: (1.0, [NAN, INF, -INF, True])},
+    "k": {("kcore",): more(integers(3, 2, 7), 2.5)},  # 2.5
+    "epsilon": {GREEDY: rationals("1/10", 0, HALF, "()"),
+                ("kcore",): rationals("1/10", 0, HALF),  # 0.1 moved alpha
+                ("audit",): rationals("1/10", 0)},
+    "delta": {("hitting", "sweep", "audit"): reals(0.5, 0, 1, "()")},
+    "L": {("audit",): more(integers(10, 0), 2.5)},  # 2.5
+    "c": {("audit",): reals(2.0, 0, INF, "(]")},
+    "trials": {ALL: more(integers(1, 1), 1.5)},  # True ran one trial; 1.5
+    "seed": {ALL: more(integers(7), 1.5)},  # 1.5
+    "threads": {ALL: more(integers(1, 1), 1.5)},  # 1.5
+    "subset_trials": {("audit",): more(integers(2, 0), 1.5)},  # 1.5
+    "p0_factor": {("audit",): reals(1.5)},
+    "p_prime_factor": {("audit",): reals(0.1, 0)},
+    "d_threshold_factor": {GREEDY: reals(1.0, 0, INF, "[)")},
+    "exact_n_limit": {GREEDY: integers(1)},  # True, 2.5
+    "restarts": {("hitting",): integers(1, 1)},  # True
+    "measure_resilience": {("hitting",): (False, [1, 0, "no", "false", None])},  # "no"
+    "out_json": {},  # unset: test_experiments
+    "out_csv": {},
+}
+
+LIST_KEYS = ("ns", "ms", "m_factors")
+
+CONFIG_CASES = [(key, study, good, refused) for key, rows in CONFIG_TABLE.items()
+                for studies, (good, refused) in rows.items() for study in studies]
+
+
+def _config(study, key, value) -> ExperimentConfig:
+    value = (value,) if key in LIST_KEYS else value
+    return ExperimentConfig(**{"study": study, "ns": (8,), "trials": 1, key: value})
+
+
+def test_every_config_key_has_a_row():
+    keys = [f.name for f in fields(ExperimentConfig)]
+    missing = sorted(set(keys) - set(CONFIG_TABLE))
+    assert not missing, f"config keys missing from the domain table: {missing}"
+    assert list(experiments._CONFIG_KEYS) == keys
+    for key, rows in CONFIG_TABLE.items():
+        assert set(rows) == set(experiments._CONFIG_KEYS[key][1]), key
+
+
+@pytest.mark.parametrize("key, study, bad", [
+    pytest.param(key, study, bad, id=f"{study}-{key}-{bad!r}")
+    for key, study, _, refused in CONFIG_CASES for bad in refused])
+def test_a_config_value_outside_the_domain_is_refused_before_any_trial(
+        monkeypatch, key, study, bad):
+    def no_trial(*args):
+        raise AssertionError("a trial ran before the config check")
+
+    monkeypatch.setattr(experiments, "_run_one", no_trial)
+    with pytest.raises(ValueError, match=f"^{study} study: {re.escape(key)} "
+                                         f"must be ") as refused:
+        run_study(_config(study, key, bad))
+    assert str(bad) in str(refused.value).rpartition(", got ")[2]
+
+
+@pytest.mark.parametrize("key, study, good", [
+    pytest.param(key, study, good, id=f"{study}-{key}")
+    for key, study, good, _ in CONFIG_CASES])
+def test_a_good_config_value_parses_and_runs(key, study, good):
+    lines = {"study": study, "ns": 8, "trials": 1, key: str(good).lower()}
+    cfg = parse_config_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    assert cfg == _config(study, key, good)
+    assert len(run_study(cfg).records) == 1

@@ -195,7 +195,8 @@ def test_audit_study_rejects_negative_counts_before_any_trial(monkeypatch,
 
     monkeypatch.setattr(experiments, "_run_one", no_trial)
     bad = ExperimentConfig(study="audit", ns=(64,), trials=1, **{field: value})
-    with pytest.raises(ValueError, match=f"{field} >= 0, got {field}={value}"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"audit study: {field} must be an integer >= 0, got {value}")):
         run_study(bad)
 
 
@@ -220,10 +221,25 @@ def test_kcore_study_rejects_epsilon_outside_budget_range(epsilon):
         run_study(bad)
 
 
+def test_kcore_study_refuses_a_float_epsilon_before_any_trial(monkeypatch):
+    # Fraction(0.1) lies just above 1/10, so alpha fell below 2/5: on K6 with
+    # k = 3 the caps read 1 where epsilon = "1/10" gives 2
+    def kcore(epsilon):
+        return ExperimentConfig(study="kcore", ns=(8,), ms=(28,), k=3,
+                                trials=1, epsilon=epsilon)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(experiments, "_run_one", _no_trial)
+        with pytest.raises(ValueError, match=re.escape(
+                "kcore study: epsilon must be an exact rational, got 0.1")):
+            run_study(kcore(0.1))
+    [record] = run_study(kcore("1/10")).records
+    assert record.metrics["kconn_attack_absent"] is True
+
 
 @pytest.mark.parametrize("k, ns, named", [
-    (9, (8,), "k=9 for n=8"), (9, (256, 8), "k=9 for n=8"),
-    (1, (16,), "k=1 for n=16"), (3, (3,), "k=3 for n=3"),
+    (9, (8,), "[2, 7], got 9"), (9, (256, 8), "[2, 7], got 9"),
+    (1, (16,), "[2, 15], got 1"), (3, (3,), "[2, 2], got 3"),
 ])
 def test_kcore_study_rejects_k_outside_domain_before_any_trial(
         monkeypatch, k, ns, named):
@@ -234,7 +250,8 @@ def test_kcore_study_rejects_k_outside_domain_before_any_trial(
     monkeypatch.setattr(experiments, "_run_one", no_trial)
     bad = ExperimentConfig(study="kcore", ns=ns, m_factors=(1.0,), k=k,
                            trials=2)
-    with pytest.raises(ValueError, match=named):
+    with pytest.raises(ValueError, match=re.escape(
+            f"kcore study: k must be an integer in {named}")):
         run_study(bad)
 
 
@@ -249,29 +266,29 @@ def test_study_rejects_trials_below_one_before_any_trial(monkeypatch, study,
     # no trial would run, and the study would report no records at all
     monkeypatch.setattr(experiments, "_run_one", _no_trial)
     bad = ExperimentConfig(study=study, ns=(8,), ms=(10,), trials=trials)
-    with pytest.raises(ValueError, match=f"{study} study needs trials >= 1, "
-                                         f"got trials={trials}"):
+    with pytest.raises(ValueError, match=f"{study} study: trials must be an "
+                                         f"integer >= 1, got {trials}"):
         run_study(bad)
 
 
 @pytest.mark.parametrize("study, key, value, domain", [
-    *[(study, "threads", v, ">= 1") for study in ("hitting", "sweep", "kcore", "audit")
-      for v in (0, -3)],
-    ("sweep", "delta", 1.5, "in (0, 1)"),
-    ("sweep", "epsilon", "1/2", "in (0, 1/2)"),
-    ("hitting", "epsilon", "0", "in (0, 1/2)"),
-    ("hitting", "restarts", 0, ">= 1"),
-    ("hitting", "delta", 0.0, "in (0, 1)"),
-    ("audit", "c", 0.0, "> 0"),
-    ("audit", "delta", 1.0, "in (0, 1)"),
-    ("audit", "p_prime_factor", -0.1, ">= 0"),
-    ("kcore", "epsilon", "3/5", "in [0, 1/2]"),
-    ("audit", "epsilon", "-1/10", "a rational >= 0"),
+    *[(study, "threads", v, "an integer >= 1")
+      for study in ("hitting", "sweep", "kcore", "audit") for v in (0, -3)],
+    ("sweep", "delta", 1.5, "a real number in (0, 1)"),
+    ("sweep", "epsilon", "1/2", "a real number in (0, 1/2)"),
+    ("hitting", "epsilon", "0", "a real number in (0, 1/2)"),
+    ("hitting", "restarts", 0, "an integer >= 1"),
+    ("hitting", "delta", 0.0, "a real number in (0, 1)"),
+    ("audit", "c", 0.0, "a real number in (0, inf]"),
+    ("audit", "delta", 1.0, "a real number in (0, 1)"),
+    ("audit", "p_prime_factor", -0.1, "a real number in [0, inf]"),
+    ("kcore", "epsilon", "3/5", "a real number in [0, 1/2]"),
+    ("audit", "epsilon", "-1/10", "a real number in [0, inf]"),
     # an epsilon that is no rational once raised from inside the check
-    ("hitting", "epsilon", "abc", "in (0, 1/2)"),
-    ("kcore", "epsilon", "1/0", "in [0, 1/2]"),
-    ("audit", "epsilon", "abc", "a rational >= 0"),
-    *[(study, "d_threshold_factor", v, "None or a finite number >= 0")
+    ("hitting", "epsilon", "abc", "a real number in (0, 1/2)"),
+    ("kcore", "epsilon", "1/0", "a real number in [0, 1/2]"),
+    ("audit", "epsilon", "abc", "a real number in [0, inf]"),
+    *[(study, "d_threshold_factor", v, "a real number in [0, inf)")
       for study in ("hitting", "sweep") for v in (math.nan, math.inf, -3.0)],
 ])
 def test_study_rejects_key_outside_its_domain_before_any_trial(
@@ -281,8 +298,9 @@ def test_study_rejects_key_outside_its_domain_before_any_trial(
     bad = ExperimentConfig(study=study, ns=(8, 64), ms=(10,), k=2, trials=3,
                            **{key: value})
     with pytest.raises(ValueError, match=re.escape(
-            f"{study} study needs {key} {domain}, got {key}={value}")):
+            f"{study} study: {key} must be {domain}, got ")) as refused:
         run_study(bad)
+    assert str(value) in str(refused.value).rpartition(", got ")[2]
 
 
 def test_audit_study_rejects_p0_above_one_before_any_trial(monkeypatch):
@@ -344,20 +362,20 @@ def test_study_rejects_a_repeated_grid_value_before_any_trial(
 
 @pytest.mark.parametrize("grid, named", [
     # the dataclass path takes what it is given; the text parser casts
-    (dict(ns=(6.5,), m_factors=(6.0,)), "ns must be an integer, got 6.5"),
-    (dict(ns=(16, True), ms=(10,)), "ns must be an integer, got True"),
+    (dict(ns=(6.5,), m_factors=(6.0,)), "ns must be an integer >= 2, got 6.5"),
+    (dict(ns=(16, True), ms=(10,)), "ns must be an integer >= 2, got True"),
     (dict(ns=(16,), ms=(10.0,)), "ms must be an integer, got 10.0"),
     (dict(ns=(16,), m_factors=(1.0, math.nan)),
-     "sweep study needs finite m_factors, got m_factors=nan"),
+     "m_factors must be a real number in (-inf, inf), got nan"),
     (dict(ns=(16,), m_factors=(math.inf,)),
-     "sweep study needs finite m_factors, got m_factors=inf"),
+     "m_factors must be a real number in (-inf, inf), got inf"),
 ])
 def test_study_rejects_a_grid_value_of_the_wrong_kind_before_any_trial(
         monkeypatch, grid, named):
     # each once failed inside a trial, with a TypeError from derive_seed or
     # "cannot convert float NaN to integer", naming neither key nor value
     monkeypatch.setattr(experiments, "_run_one", _no_trial)
-    with pytest.raises(ValueError, match=re.escape(named)):
+    with pytest.raises(ValueError, match=re.escape(f"sweep study: {named}")):
         run_study(ExperimentConfig(study="sweep", trials=1, **grid))
 
 
@@ -465,7 +483,8 @@ def test_unread_output_keys_rejected_before_any_trial(monkeypatch, key):
 @pytest.mark.parametrize("n", [0, 1])
 def test_process_studies_reject_n_below_two(study, n):
     bad = ExperimentConfig(study=study, ns=(16, n), trials=1)
-    with pytest.raises(ValueError, match=f"n >= 2, got n={n}"):
+    with pytest.raises(ValueError, match=f"{study} study: ns must be an "
+                                         f"integer >= 2, got {n}$"):
         run_study(bad)
 
 # -- emit / parse ----------------------------------------------------------

@@ -481,13 +481,13 @@ def test_hitting_searches_draw_each_pair_once(monkeypatch):
     reads the prefix its min-degree start drew, and builds one graph when
     tau_conn = tau_1."""
     builds = []
-    build = process._graph_from_arrays
+    build = process.graph_at
 
-    def counted_build(n, us, vs):
-        builds.append(len(us))
-        return build(n, us, vs)
+    def counted_build(trace, m):
+        builds.append(m)
+        return build(trace, m)
 
-    monkeypatch.setattr(process, "_graph_from_arrays", counted_build)
+    monkeypatch.setattr(process, "graph_at", counted_build)
     for seed in range(5):
         trace = sample_process(1024, seed)
         tau = hitting_time_min_degree(trace, 1)

@@ -4,9 +4,12 @@ it) and its code lines (lines that carry a token other than a comment or
 a docstring, found with ``tokenize``).
 
     python3 tools/src_size.py [PACKAGE_DIR]
+    python3 tools/src_size.py PARENT_DIR CHANGE_DIR
 
 PACKAGE_DIR defaults to src/process_resilience next to this script's
-directory. Standard library only.
+directory. With two directories, each a checkout of the repository (or a
+package directory), it prints both sizes of every file and the change
+minus the parent. Standard library only.
 """
 
 from __future__ import annotations
@@ -46,7 +49,30 @@ def sizes(path: Path) -> tuple:
     return text.count(b"\n"), len(code)
 
 
+def _package(path: Path) -> Path:
+    """The package directory of a checkout, or ``path`` itself."""
+    inner = path / "src" / "process_resilience"
+    return inner if inner.is_dir() else path
+
+
+def _compare(parent: Path, change: Path) -> int:
+    before = {p.name: sizes(p) for p in _package(parent).glob("*.py")}
+    after = {p.name: sizes(p) for p in _package(change).glob("*.py")}
+    print(f"{'parent':>15} {'change':>15} {'difference':>15}")
+    print(f"{'lines':>7} {'code':>7} " * 3 + " file")
+    rows = [(name, before.get(name, (0, 0)), after.get(name, (0, 0)))
+            for name in sorted(before.keys() | after.keys())]
+    rows.append(("total", *(tuple(map(sum, zip(*(row[i] for row in rows))))
+                            for i in (1, 2))))
+    for name, (lines0, code0), (lines1, code1) in rows:
+        print(f"{lines0:7d} {code0:7d} {lines1:7d} {code1:7d} "
+              f"{lines1 - lines0:+7d} {code1 - code0:+7d}  {name}")
+    return 0
+
+
 def main(argv: list) -> int:
+    if len(argv) == 2:
+        return _compare(Path(argv[0]), Path(argv[1]))
     root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "process_resilience"
     total_lines = total_code = 0
     print(f"{'lines':>7} {'code':>7}  file")
