@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -377,6 +378,17 @@ def _kind(name: str, value, kinds, domain: str):
     raise _refusal(name, domain, value)
 
 
+def _each(rule, optional: bool = False):
+    """The rule of a list key: ``rule(key, item)`` for each item of a tuple
+    or list, a ValueError as ``_kind`` gives it for any other value, and an
+    unset (None) optional key passes."""
+    def check(key, items, _):
+        if not (optional and items is None):
+            for item in _kind(key, items, (tuple, list), "a tuple or list"):
+                rule(key, item)
+    return check
+
+
 def _exact(name: str, value, low, high, bounds: str = "[]") -> Fraction:
     """``resilience._fraction`` of p/q text, an int or a Fraction, never a
     float: Fraction(0.1) lies just above 1/10, which moves alpha."""
@@ -385,20 +397,23 @@ def _exact(name: str, value, low, high, bounds: str = "[]") -> Fraction:
 
 
 _ALL, _GREEDY, _GRID = tuple(STUDIES), ("hitting", "sweep"), ("sweep", "kcore")
+# with fork, a process pool starts all its workers at the first task
+_MAX_THREADS = 4 * (os.cpu_count() or 1)
 
 # key -> (cast of its config text, {studies that read it: rule}). Before
 # any trial, run_study calls rule(key, value, ns) for each key its study
 # reads; a rule raises the ValueError of graphs._integer or _real (or of
 # _kind) and only checks, so the config keeps the value it was given. A
-# list rule checks each item, and an unset (None) optional key passes.
+# list rule (``_each``) checks each item of a tuple or list, and an unset
+# (None) optional key passes.
 # Hitting and sweep pass epsilon to the greedy attack, kcore uses
 # alpha = 1/2 - epsilon, and audit only bounds p_prime_factor by it.
 _CONFIG_KEYS = {
     "study": (str, {}),  # one of STUDIES
-    "ns": (_listed(int), {_ALL: lambda key, ns, _: [_integer(key, n, 2) for n in ns]}),
-    "ms": (_listed(int), {_GRID: lambda key, ms, _: [_integer(key, m) for m in ms or ()]}),
+    "ns": (_listed(int), {_ALL: _each(lambda key, n: _integer(key, n, 2))}),
+    "ms": (_listed(int), {_GRID: _each(_integer, optional=True)}),
     "m_factors": (_listed(float), {
-        _GRID: lambda key, fs, _: [_real(key, f, bounds="()") for f in fs or ()]}),
+        _GRID: _each(lambda key, f: _real(key, f, bounds="()"), optional=True)}),
     "k": (int, {("kcore",): lambda key, k, ns: [_integer(key, k, 2, n - 1) for n in ns]}),
     "epsilon": (str, {
         _GREEDY: lambda key, e, _: _exact(key, e, 0, Fraction(1, 2), "()"),
@@ -410,7 +425,7 @@ _CONFIG_KEYS = {
     "c": (float, {("audit",): lambda key, c, _: _real(key, c, 0, math.inf, "(]")}),
     "trials": (int, {_ALL: lambda key, v, _: _integer(key, v, 1)}),
     "seed": (int, {_ALL: lambda key, v, _: _integer(key, v)}),
-    "threads": (int, {_ALL: lambda key, v, _: _integer(key, v, 1)}),
+    "threads": (int, {_ALL: lambda key, v, _: _integer(key, v, 1, _MAX_THREADS)}),
     "subset_trials": (int, {("audit",): lambda key, v, _: _integer(key, v, 0)}),
     "p0_factor": (float, {("audit",): lambda key, f, _: _real(key, f)}),
     "p_prime_factor": (float, {("audit",): lambda key, f, _: _real(key, f, 0)}),

@@ -305,7 +305,9 @@ def _component_labels(g: Graph) -> np.ndarray:
     ends of every edge whose labels differ to the smaller one, until no
     edge has two labels. Every label is a vertex of its component and never
     above it, so the smallest vertex keeps its own label and in the end
-    lends it to all.
+    lends it to all. A jump phase that leaves every label 0 ends the
+    labelling before another edge round: 0 is then the one root, so the
+    graph is connected and 0, its least vertex, is every vertex's label.
     """
     label = np.arange(g.n)
     eu, ev = g._ends
@@ -316,6 +318,8 @@ def _component_labels(g: Graph) -> np.ndarray:
     while True:
         while not np.array_equal(root := label[label], label):
             label = root
+        if not label.any():
+            return label
         lu, lv = label[eu], label[ev]
         split = lu != lv
         if not split.any():

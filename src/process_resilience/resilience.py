@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations, compress
 from typing import Iterable, Optional
@@ -176,14 +177,31 @@ def attack_ratios(g: Graph, h_edges: Iterable) -> dict:
             for v, d in enumerate(g.degree_array.tolist()) if d > 0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackOutcome:
     """A constructed cut with its verification bit; the adversary subgraph
-    and its ratios follow from the cut (crossing_edges, attack_ratios)."""
+    and its ratios follow from the cut (crossing_edges, attack_ratios).
 
-    cut: Cut
+    The outcome holds the final side vector, a read-only int64 array of 0
+    (A) and 1 (B) that covers the vertices, and builds the Cut from it the
+    first time ``cut`` is read. Two outcomes are equal iff their cuts,
+    ``satisfied`` and diagnostics are.
+    """
+
+    _side: np.ndarray = field(repr=False)
     satisfied: bool
     diagnostics: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def cut(self) -> Cut:
+        return Cut(frozenset(), *_sides(self._side))
+
+    def __eq__(self, other):
+        if not isinstance(other, AttackOutcome):
+            return NotImplemented
+        return (np.array_equal(self._side, other._side)
+                and self.satisfied == other.satisfied
+                and self.diagnostics == other.diagnostics)
 
     def to_json_dict(self, g: Graph) -> dict:
         d = cut_to_json_dict(g, self.cut, satisfied=self.satisfied)
@@ -485,8 +503,9 @@ def _local_search_threshold(g: Graph, restarts: int, seed: int) -> ResilienceRep
                     top, lim, at, held = summit(ratio, cross, moved, near)
                 improved = True
         if best is None or top < best[0]:
-            best = (top, Cut(frozenset(), *_sides(side)))
-    return ResilienceReport(best[0], best[1], "local-search-upper-bound")
+            best = (top, side)
+    return ResilienceReport(best[0], Cut(frozenset(), *_sides(best[1])),
+                            "local-search-upper-bound")
 
 
 def find_k_conn_attack(g: Graph, rule: BudgetRule, k: int) -> Optional[Cut]:
@@ -554,8 +573,9 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
     sweep's heap if it comes after the mover, else the next sweep's
     worklist, as does a mover still over its cap.
 
-    The returned outcome's ``satisfied`` flag is the BudgetRule(1/2 +
-    epsilon) test of the final side vector: every crossing degree is within
+    The returned outcome holds the final side vector, and builds its cut
+    only when read. Its ``satisfied`` flag is the BudgetRule(1/2 + epsilon)
+    test of that vector: every crossing degree is within
     floor((1/2 + epsilon) * deg), as ``replay_cut`` finds for the cut.
     """
     if cls.n != g.n:
@@ -624,18 +644,17 @@ def greedy_partition_attack(g: Graph, cls: VertexClassification,
             break
         pending = sorted(pending)
 
-    side_a, side_b = _sides(side)
     diagnostics = {"moves": moves, "sweeps": sweeps, "removed": len(removed),
                    "d_set": len(d_set), "d_threshold": d_threshold,
                    "epsilon": str(eps)}
-    if not side_a or not side_b:
+    if not 0 < side.sum() < g.n:
         raise PartitionCollapsedError(
             f"partition collapsed to one side (moves={moves}, "
             f"removed={len(removed)}); the input is outside the regime "
             f"where the construction converges")
     satisfied = BudgetRule(Fraction(1, 2) + eps)._admits(g, crossing_degrees(g, side))
-    return AttackOutcome(cut=Cut(frozenset(), side_a, side_b),
-                         satisfied=satisfied, diagnostics=diagnostics)
+    side.flags.writeable = False
+    return AttackOutcome(side, satisfied=satisfied, diagnostics=diagnostics)
 
 
 def _majority_sides(g: Graph, side: np.ndarray, order: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from process_resilience.cli import build_parser, main
+from process_resilience.experiments import _MAX_THREADS
 from process_resilience.graphs import format_graph_text, parse_graph_text
 from process_resilience.process import sample_gnm
 
@@ -391,7 +392,7 @@ def test_negative_vertex_count_is_usage_error(capsys):
     (("sweep", "--ns", "0"), "sweep study: ns must be an integer >= 2, got 0"),
     (("audit", "--ns", "1"), "audit study: ns must be an integer >= 2, got 1"),
     (("hitting", "--ns", "8", "--threads", "0"),
-     "hitting study: threads must be an integer >= 1, got 0"),
+     f"hitting study: threads must be an integer in [1, {_MAX_THREADS}], got 0"),
 ])
 def test_study_domain_is_usage_error(capsys, argv, named):
     code, _, err = run(capsys, "study", *argv, "--trials", "1")

@@ -250,19 +250,34 @@ def rationals(good, low, high=INF, bounds="[]"):
     return more(reals(good, low, high, bounds), 0.1, "abc", "1/0")
 
 
+class Whole:
+    """A list key's whole value, where the table holds items: a bare number
+    once failed inside the check with "'int' object is not iterable"."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self):
+        return f"Whole({self.value!r})"
+
+    def __str__(self):
+        return str(self.value)
+
+
 HALF = Fraction(1, 2)
 ALL, GREEDY, GRID = ("hitting", "sweep", "kcore", "audit"), ("hitting", "sweep"), \
     ("sweep", "kcore")
 
 # config key -> {studies that read it: (good, refused)}, each case run at
-# ns = (8,), so k lies in [2, 7]; a list key's values are its items. The
-# study sets are those of experiments._CONFIG_KEYS. A comment names a value
-# that once ran, or failed inside the first trial, without naming the key.
+# ns = (8,), so k lies in [2, 7]; a list key's values are its items, or a
+# Whole value. The study sets are those of experiments._CONFIG_KEYS. A
+# comment names a value that once ran, or failed inside the first trial,
+# without naming the key.
 CONFIG_TABLE = {
     "study": {},  # one of STUDIES: test_experiments
-    "ns": {ALL: integers(8, 2)},
-    "ms": {GRID: integers(10)},
-    "m_factors": {GRID: (1.0, [NAN, INF, -INF, True])},
+    "ns": {ALL: more(integers(8, 2), Whole(16), Whole(None))},  # Whole(16)
+    "ms": {GRID: more(integers(10), Whole(40))},  # Whole(40)
+    "m_factors": {GRID: (1.0, [NAN, INF, -INF, True, Whole(1.0)])},  # Whole(1.0)
     "k": {("kcore",): more(integers(3, 2, 7), 2.5)},  # 2.5
     "epsilon": {GREEDY: rationals("1/10", 0, HALF, "()"),
                 ("kcore",): rationals("1/10", 0, HALF),  # 0.1 moved alpha
@@ -272,7 +287,8 @@ CONFIG_TABLE = {
     "c": {("audit",): reals(2.0, 0, INF, "(]")},
     "trials": {ALL: more(integers(1, 1), 1.5)},  # True ran one trial; 1.5
     "seed": {ALL: more(integers(7), 1.5)},  # 1.5
-    "threads": {ALL: more(integers(1, 1), 1.5)},  # 1.5
+    # 1.5; 4 * cpu_count + 1 would start that many workers
+    "threads": {ALL: more(integers(1, 1, experiments._MAX_THREADS), 1.5)},
     "subset_trials": {("audit",): more(integers(2, 0), 1.5)},  # 1.5
     "p0_factor": {("audit",): reals(1.5)},
     "p_prime_factor": {("audit",): reals(0.1, 0)},
@@ -291,7 +307,10 @@ CONFIG_CASES = [(key, study, good, refused) for key, rows in CONFIG_TABLE.items(
 
 
 def _config(study, key, value) -> ExperimentConfig:
-    value = (value,) if key in LIST_KEYS else value
+    if isinstance(value, Whole):
+        value = value.value
+    elif key in LIST_KEYS:
+        value = (value,)
     return ExperimentConfig(**{"study": study, "ns": (8,), "trials": 1, key: value})
 
 

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 import process_resilience.experiments as experiments
+import process_resilience.resilience as resilience
 from process_resilience.process import ProcessTrace
 from process_resilience.rng import derive_seed
 from process_resilience.experiments import (
@@ -121,6 +122,21 @@ def test_threads_do_not_change_results():
     serial = result_json_bytes(run_study(hitting_cfg(threads=1)))
     parallel = result_json_bytes(run_study(hitting_cfg(threads=3)))
     assert comparable_json_bytes(serial) == comparable_json_bytes(parallel)
+
+
+def test_threads_above_the_bound_are_refused_before_any_pool(monkeypatch):
+    # with fork, a pool starts every worker at the first task; no pool may
+    # be built, so this starts no process
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built before the config check")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    with pytest.raises(ValueError, match=re.escape(
+            f"hitting study: threads must be an integer in "
+            f"[1, {experiments._MAX_THREADS}], got 100000")):
+        run_study(hitting_cfg(threads=100000))
 
 
 def test_environment_does_not_set_the_seed(monkeypatch):
@@ -272,8 +288,9 @@ def test_study_rejects_trials_below_one_before_any_trial(monkeypatch, study,
 
 
 @pytest.mark.parametrize("study, key, value, domain", [
-    *[(study, "threads", v, "an integer >= 1")
-      for study in ("hitting", "sweep", "kcore", "audit") for v in (0, -3)],
+    *[(study, "threads", v, f"an integer in [1, {experiments._MAX_THREADS}]")
+      for study in ("hitting", "sweep", "kcore", "audit")
+      for v in (0, -3, experiments._MAX_THREADS + 1)],
     ("sweep", "delta", 1.5, "a real number in (0, 1)"),
     ("sweep", "epsilon", "1/2", "a real number in (0, 1/2)"),
     ("hitting", "epsilon", "0", "a real number in (0, 1/2)"),
@@ -443,6 +460,25 @@ def test_hitting_trial_draws_each_pair_once(monkeypatch):
     assert len(traces) == 8
     for d, tau in zip(drawn, taus):
         assert tau <= d <= 1.3 * tau, (d, tau)
+
+
+@pytest.mark.parametrize("study, cut_sets", [("sweep", 0), ("hitting", 1)])
+def test_a_trial_builds_no_cut_for_the_greedy_attack(monkeypatch, study, cut_sets):
+    """The trials read only the attack's verdict and moves, so no attack
+    cut's side sets are built; a hitting trial builds them once, for the
+    local search's witness."""
+    calls = []
+
+    def counted(side):
+        calls.append(len(side))
+        return sides(side)
+
+    sides = resilience._sides
+    monkeypatch.setattr(resilience, "_sides", counted)
+    records = run_study(ExperimentConfig(study=study, ns=(1024,), m_factors=(6.0,),
+                                         d_threshold_factor=0.7, trials=3)).records
+    assert all(rec.metrics["greedy_moves"] > 0 for rec in records)
+    assert len(calls) == cut_sets * len(records)
 
 
 @pytest.mark.parametrize("study", ["hitting", "sweep"])

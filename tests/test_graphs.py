@@ -234,13 +234,23 @@ def _assert_rows_then_graph(g, ref):
 # - 0-7-6-...-1, numbered in decreasing order from 7: the chain from 6
 #   ends at 1, whose only neighbour is larger, and an edge round hooks it;
 # - isolated vertices at 0 and n - 1;
-# - 2's only neighbour 5 is larger, yet 1 is the least of its component
+# - 2's only neighbour 5 is larger, yet 1 is the least of its component;
+# then the exit once every label is 0 (n = 1 and the edgeless graphs above
+# end at the first test):
+# - a star centred at 0, which the head hook alone finishes;
+# - 0 isolated while the rest is connected: a second root is left, so
+#   no exit;
+# - the path 0-2-1: after the hook, 1 keeps its own label until an edge
+#   round, so an exit at a largest label of 1 returns [0, 1, 0]
 CSR_EXAMPLES = ((0, []), (1, []), (2, []), (2, [(1, 0)]), (5, []), (5, [(3, 1)]),
                 (6, [(0, 5), (5, 3), (2, 1), (4, 2)]),
                 (8, [(v, v + 1) for v in range(7)]),
                 (8, [(0, 7)] + [(v, v - 1) for v in range(7, 1, -1)]),
                 (6, [(1, 2), (3, 2), (4, 3)]),
-                (6, [(2, 5), (1, 5), (3, 4)]))
+                (6, [(2, 5), (1, 5), (3, 4)]),
+                (6, [(0, v) for v in range(1, 6)]),
+                (5, [(1, 2), (2, 3), (3, 4)]),
+                (3, [(0, 2), (2, 1)]))
 
 
 def _with_examples(*extra):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from process_resilience.resilience import (
     AttackError,
     BudgetRule,
     Cut,
+    PartitionCollapsedError,
     attack_ratios,
     budget_allows,
     cherry_attack,
@@ -728,8 +730,40 @@ def test_greedy_is_deterministic():
     cls = classify_vertices(g, 500 / pair_count(128), 0.5)
     a = greedy_partition_attack(g, cls, 8.0, Fraction(1, 10), seed=5)
     b = greedy_partition_attack(g, cls, 8.0, Fraction(1, 10), seed=5)
+    assert a == b and a is not b
     assert a.cut == b.cut and a.satisfied == b.satisfied
     assert a.diagnostics == b.diagnostics
+    other = greedy_partition_attack(g, cls, 8.0, Fraction(1, 10), seed=8)
+    assert other.cut != a.cut and other != a
+    # the same cut with other diagnostics, or another verdict, is another outcome
+    assert a != dataclasses.replace(a, diagnostics={**a.diagnostics, "moves": -1})
+    assert a != dataclasses.replace(a, satisfied=not a.satisfied)
+    assert a != a.cut
+
+
+def test_greedy_builds_its_cut_when_first_read():
+    g = sample_gnm(128, 500, 9)
+    cls = classify_vertices(g, 500 / pair_count(128), 0.5)
+    outcome = greedy_partition_attack(g, cls, 8.0, Fraction(1, 10), seed=5)
+    assert "cut" not in vars(outcome)
+    cut = outcome.cut
+    assert outcome.cut is cut
+    assert cut.separator == frozenset()
+    assert cut.side_b == frozenset(np.flatnonzero(outcome._side).tolist())
+    assert cut.side_a | cut.side_b == frozenset(range(g.n))
+    # the side vector cannot move under the cut read from it
+    with pytest.raises(ValueError, match="read-only"):
+        outcome._side[0] = 1 - outcome._side[0]
+    assert "_side" not in repr(outcome) and "array" not in repr(outcome)
+
+
+@pytest.mark.parametrize("seed, drained", [(0, "A"), (2, "B")])
+def test_greedy_collapse_to_either_side_raises(seed, drained):
+    # K2: the first over-cap endpoint moves to the other's side, and the
+    # equipartition at the seed puts vertex 1 on B (seed 0) or on A (seed 2)
+    g = build_graph(2, [(0, 1)])
+    with pytest.raises(PartitionCollapsedError, match="collapsed to one side"):
+        greedy_partition_attack(g, manual_cls(g), 1e9, Fraction(1, 10), seed)
 
 
 def test_greedy_rearrangement_fixes_tiny_vertices():
